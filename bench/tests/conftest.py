@@ -1,0 +1,8 @@
+"""Put the benchmark's modules and the checkout's package sources on the path."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH))
+sys.path.insert(0, str(BENCH.parent / "src"))
