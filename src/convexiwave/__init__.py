@@ -19,10 +19,10 @@ from .convexify import (
 from .errors import (
     AmbiguousExtrema,
     ConvexiwaveError,
-    DivergedObjective,
     FixtureMissing,
     FloorViolation,
     HorizonTooShort,
+    InvalidInput,
     NonConvergence,
     OffGridObservation,
     SingularSystem,
@@ -42,11 +42,6 @@ from .grid import (
     Field2D,
     Signal,
     SpaceTimeGrid,
-    diff_t,
-    diff_tt,
-    diff_x,
-    diff_xt,
-    diff_xx,
     h2_norm_sq,
     integrate,
 )

@@ -11,28 +11,13 @@ import time
 import numpy as np
 
 from . import fixtures
-from .config import RunConfig, load_config
+from .config import RunConfig, invert_from_config, load_config
 from .convexify import ConvexParams, convexity_scan, gradient_J, make_context, evaluate_J
 from .convexify import sample_admissible_pair
 from .errors import ConvexiwaveError
-from .forward import (
-    CorrectionBox,
-    SourceModel,
-    add_noise,
-    correct_near_origin,
-    extract_boundary,
-    simulate,
-)
-from .grid import (
-    Field2D,
-    Signal,
-    SpaceTimeGrid,
-    field_to_csv,
-    signal_from_csv,
-    signal_to_csv,
-)
+from .forward import add_noise, correct_near_origin, extract_boundary, simulate
+from .grid import Field2D, SpaceTimeGrid, field_to_csv, signal_from_csv, signal_to_csv
 from .preprocess import CalibrationResult, MediumMode, RawTrace, preprocess_pipeline
-from .solver import DescentConfig, QRConfig, invert
 from .transform import BoundaryData, QField, q_floor_from_c_upper
 
 
@@ -41,6 +26,11 @@ def _apply_thread_cap():
     if cap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, cap)
+
+
+def _read(path) -> str:
+    with open(path) as f:
+        return f.read()
 
 
 def _write(path, text):
@@ -54,20 +44,13 @@ def _profile_csv(x, c) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _inversion_grid(cfg: RunConfig) -> SpaceTimeGrid:
-    inv = cfg.inversion
-    return SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt)
-
-
 def cmd_forward(args) -> int:
     cfg = load_config(args.config)
     g = cfg.forward.grid
     grid = SpaceTimeGrid(-g.a, g.a, g.T, g.nx, g.nt)
     medium = fixtures.medium_from_pieces(cfg.forward.medium, -g.a, g.a, g.nx)
-    u = simulate(medium, grid, SourceModel(cfg.forward.source.k))
-    u = correct_near_origin(
-        u, CorrectionBox(cfg.forward.correction.x_hi, cfg.forward.correction.t_hi)
-    )
+    u = simulate(medium, grid, cfg.forward.source)
+    u = correct_near_origin(u, cfg.forward.correction)
     d = extract_boundary(u, 0.0, g.T)
     g0, g1 = d.g0, d.g1
     if cfg.forward.noise.delta > 0:
@@ -82,20 +65,9 @@ def cmd_forward(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    g0 = signal_from_csv(open(args.g0).read())
-    g1 = signal_from_csv(open(args.g1).read())
-    data = BoundaryData(g0=g0, g1=g1, eps=cfg.inversion.eps)
-    grid = _inversion_grid(cfg)
-    result = invert(
-        data,
-        grid,
-        cfg.convex,
-        cfg.qr,
-        cfg.descent,
-        diff_reg=cfg.inversion.diff_reg,
-        c_upper=cfg.inversion.c_upper,
-        freeze_time_derivative=cfg.inversion.freeze_time_derivative,
-    )
+    g0 = signal_from_csv(_read(args.g0))
+    g1 = signal_from_csv(_read(args.g1))
+    result = invert_from_config(BoundaryData(g0=g0, g1=g1, eps=cfg.inversion.eps), cfg)
     _write(args.out, _profile_csv(result.c_comp.x, result.c_comp.c))
     if args.diag:
         lines = ["iteration,J,grad_norm,correction_count"]
@@ -112,10 +84,9 @@ def cmd_invert(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    raw_signal = signal_from_csv(open(args.raw).read())
+    raw_signal = signal_from_csv(_read(args.raw))
     mode = MediumMode(args.mode)
-    with open(args.cal) as f:
-        cal_data = json.load(f)
+    cal_data = json.loads(_read(args.cal))
     cal = CalibrationResult(mu=cal_data["mu"], reference_name=cal_data.get("reference_name", ""))
     data = preprocess_pipeline(
         RawTrace(raw_signal, mode),
@@ -184,9 +155,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     d = fixtures.simulated_boundary_data("test1", delta=0.0)
     t1 = time.perf_counter()
-    cfg = RunConfig()
-    grid = _inversion_grid(cfg)
-    invert(d, grid, cfg.convex, cfg.qr, cfg.descent)
+    invert_from_config(d, RunConfig())
     t2 = time.perf_counter()
     print(f"forward: {t1 - t0:.2f}s  invert: {t2 - t1:.2f}s")
     return 0

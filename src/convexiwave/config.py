@@ -7,7 +7,11 @@ import json
 from dataclasses import dataclass, field
 
 from .convexify import ConvexParams
-from .solver import DescentConfig, QRConfig
+from .errors import InvalidInput
+from .forward import CorrectionBox, SourceModel
+from .grid import SpaceTimeGrid
+from .solver import DescentConfig, InversionResult, QRConfig, invert
+from .transform import BoundaryData
 
 
 @dataclass
@@ -20,25 +24,6 @@ class GridConfig:
     def __post_init__(self):
         if self.a <= 0 or self.T <= 0 or self.nx < 2 or self.nt < 2:
             raise ValueError("grid parameters out of range")
-
-
-@dataclass
-class SourceConfig:
-    k: float = 30.0
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("source k must be positive")
-
-
-@dataclass
-class CorrectionConfig:
-    x_hi: float = 0.0067
-    t_hi: float = 0.26
-
-    def __post_init__(self):
-        if self.x_hi < 0 or self.t_hi < 0:
-            raise ValueError("correction box bounds must be nonnegative")
 
 
 @dataclass
@@ -55,8 +40,8 @@ class NoiseConfig:
 class ForwardConfig:
     medium: list = field(default_factory=list)
     grid: GridConfig = field(default_factory=GridConfig)
-    source: SourceConfig = field(default_factory=SourceConfig)
-    correction: CorrectionConfig = field(default_factory=CorrectionConfig)
+    source: SourceModel = field(default_factory=SourceModel)
+    correction: CorrectionBox = field(default_factory=CorrectionBox)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
 
@@ -106,25 +91,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        def build(klass, sub):
-            return klass(**sub) if sub is not None else klass()
+        """Build a config from its JSON object; missing keys take their defaults.
 
-        fwd = data.get("forward", {}) or {}
-        forward = ForwardConfig(
-            medium=list(fwd.get("medium", [])),
-            grid=build(GridConfig, fwd.get("grid")),
-            source=build(SourceConfig, fwd.get("source")),
-            correction=build(CorrectionConfig, fwd.get("correction")),
-            noise=build(NoiseConfig, fwd.get("noise")),
-        )
-        return cls(
-            forward=forward,
-            inversion=build(InversionConfig, data.get("inversion")),
-            convex=build(ConvexParams, data.get("convex")),
-            descent=build(DescentConfig, data.get("descent")),
-            qr=build(QRConfig, data.get("qr")),
-            preprocess=build(PreprocessConfig, data.get("preprocess")),
-        )
+        Raises InvalidInput, naming the section and key, for an unknown key
+        or a value that a section rejects.
+        """
+        return _build(cls, data, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -132,6 +104,43 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
+
+
+def _build(klass, data, section: str):
+    """Instantiate a config dataclass from a JSON object, recursing into nested sections."""
+    if data is None:
+        return klass()
+    where = section or "top level"
+    if not isinstance(data, dict):
+        raise InvalidInput(f"config {where} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(klass)}
+    kwargs = {}
+    for key, value in data.items():
+        name = f"{section}.{key}" if section else key
+        if key not in fields:
+            raise InvalidInput(f"unknown config key {name}")
+        factory = fields[key].default_factory
+        kwargs[key] = _build(factory, value, name) if dataclasses.is_dataclass(factory) else value
+    try:
+        return klass(**kwargs)
+    except (TypeError, ValueError) as exc:
+        given = ", ".join(f"{key}={value!r}" for key, value in data.items())
+        raise InvalidInput(f"config {where} ({given}): {exc}") from exc
+
+
+def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
+    """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``."""
+    inv = cfg.inversion
+    return invert(
+        data,
+        SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt),
+        cfg.convex,
+        cfg.qr,
+        cfg.descent,
+        diff_reg=inv.diff_reg,
+        c_upper=inv.c_upper,
+        freeze_time_derivative=inv.freeze_time_derivative,
+    )
 
 
 def load_config(path: str) -> RunConfig:

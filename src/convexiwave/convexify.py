@@ -2,9 +2,11 @@
 
 The objective is the quadrature of the exponentially weighted squared residual
 of the nonlocal PDE for q, plus boundary-trace penalties at both ends of the
-spatial interval and a discrete-H2 regularization term. The gradient is the
-exact derivative of the discretized objective: all stencils are assembled as
-sparse matrices once per grid, and the chain rule runs through the stencil
+spatial interval and a discrete-H2 regularization term. This module owns the
+objective, its gradient and the convexity probes; the residual comes from
+``transform.residual_parts`` and every stencil, quadrature weight and the H2
+Gram matrix from ``grid.operators_for``. The gradient is the exact derivative
+of the discretized objective: the chain rule runs through the stencil
 transposes, the nonlocal t=0 row, the weight, and the penalties. Convexity on
 the admissible set is probed numerically through Bregman-divergence sampling.
 """
@@ -14,30 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import FloorViolation
 from .grid import (
+    DiscreteOperators,
     Field2D,
     Signal,
     SpaceTimeGrid,
-    d1_coeffs,
-    d2_coeffs,
     h2_norm_sq,
+    operators_for,
     quad_weights,
-    trapezoid_weights,
 )
-from .transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper
+from .transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper, residual_parts
 
 
 @dataclass(frozen=True)
 class ConvexParams:
-    """Weight exponents, regularization weight and descent step size."""
+    """Weight exponents and regularization weight."""
 
     lam: float = 2.0
     alpha: float = 0.3
     beta: float = 1e-9
-    eta_step: float = 0.1
 
     def __post_init__(self):
         if self.lam < 0 or not np.isfinite(self.lam):
@@ -46,52 +44,6 @@ class ConvexParams:
             raise ValueError("alpha must be positive and finite")
         if not (0 < self.beta < 1):
             raise ValueError("beta must lie in (0, 1)")
-        if self.eta_step <= 0:
-            raise ValueError("eta_step must be positive")
-
-
-class DiscreteOperators:
-    """Sparse stencil matrices and quadrature weights for one grid.
-
-    Fields are flattened row-major, index = i * (nt + 1) + j.
-    """
-
-    def __init__(self, grid: SpaceTimeGrid):
-        self.grid = grid
-        P, Q = grid.shape
-        self.P, self.Q = P, Q
-        Ix = sp.identity(P, format="csr")
-        It = sp.identity(Q, format="csr")
-        def build(coeffs, size):
-            rows, cols, vals = coeffs
-            return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-
-        self.Gx1d = build(d1_coeffs(grid.nx, grid.dx), P)
-        Gt1d = build(d1_coeffs(grid.nt, grid.dt), Q)
-        Hx1d = build(d2_coeffs(grid.nx, grid.dx), P)
-        Ht1d = build(d2_coeffs(grid.nt, grid.dt), Q)
-        self.Dx = sp.kron(self.Gx1d, It, format="csr")
-        self.Dt = sp.kron(Ix, Gt1d, format="csr")
-        self.Dxx = sp.kron(Hx1d, It, format="csr")
-        self.Dtt = sp.kron(Ix, Ht1d, format="csr")
-        self.Dxt = (self.Dx @ self.Dt).tocsr()
-        self.w2 = quad_weights(grid)          # (P, Q) area quadrature
-        self.wt = trapezoid_weights(grid.nt, grid.dt)  # (Q,) time-line quadrature
-        self.h2_ops = (None, self.Dx, self.Dt, self.Dxx, self.Dxt, self.Dtt)
-
-    def apply2d(self, op: sp.spmatrix, v: np.ndarray) -> np.ndarray:
-        return (op @ v.ravel()).reshape(self.P, self.Q)
-
-
-_OPS_CACHE: dict[SpaceTimeGrid, DiscreteOperators] = {}
-
-
-def operators_for(grid: SpaceTimeGrid) -> DiscreteOperators:
-    ops = _OPS_CACHE.get(grid)
-    if ops is None:
-        ops = DiscreteOperators(grid)
-        _OPS_CACHE[grid] = ops
-    return ops
 
 
 def carleman_weight(grid: SpaceTimeGrid, lam: float, alpha: float) -> Field2D:
@@ -135,32 +87,11 @@ def make_context(
     return ObjectiveContext(grid, qe, qxe, params, q_floor_from_c_upper(c_upper))
 
 
-def _check_floor(q: QField, ctx: ObjectiveContext) -> np.ndarray:
-    trace = q.initial_trace()
-    if np.any(trace < ctx.q_floor - 1e-12):
-        raise FloorViolation("iterate's q(x,0) below the admissible floor")
-    return trace
-
-
-def _residual_parts(q: QField, ctx: ObjectiveContext):
-    ops = ctx.ops
-    v = q.values.values
-    r = _check_floor(q, ctx)
-    s = ops.Gx1d @ r
-    Aq = ops.apply2d(ops.Dxx, v)
-    Bq = ops.apply2d(ops.Dxt, v)
-    Cq = ops.apply2d(ops.Dt, v)
-    a = 1.0 / (2.0 * r**2)
-    b = s / (2.0 * r**3)
-    F = Aq - a[:, None] * Bq + b[:, None] * Cq
-    return r, s, a, b, Aq, Bq, Cq, F
-
-
 def evaluate_J(q: QField, ctx: ObjectiveContext) -> float:
     """Weighted residual + boundary penalties + H2 regularization."""
     ops = ctx.ops
     v = q.values.values
-    _, _, _, _, _, _, _, F = _residual_parts(q, ctx)
+    F = residual_parts(q, ops, ctx.q_floor)[-1]
     W = ctx.weight
     total = float(np.sum(ops.w2 * W * F**2))
     # boundary penalties: value and x-derivative at x_min, x-derivative at x_max
@@ -168,7 +99,7 @@ def evaluate_J(q: QField, ctx: ObjectiveContext) -> float:
     total += float(np.sum(ops.wt * W[0] * (v[0] - ctx.q_eps) ** 2))
     total += float(np.sum(ops.wt * W[0] * (qx[0] - ctx.qx_eps) ** 2))
     total += float(np.sum(ops.wt * W[-1] * qx[-1] ** 2))
-    total += ctx.params.beta * h2_norm_sq(q.values)
+    total += ctx.params.beta * float(v.ravel() @ (ops.H2 @ v.ravel()))
     return total
 
 
@@ -177,7 +108,7 @@ def gradient_J(q: QField, ctx: ObjectiveContext) -> Field2D:
     ops = ctx.ops
     P, Q = ops.P, ops.Q
     v = q.values.values
-    r, s, a, b, _, Bq, Cq, F = _residual_parts(q, ctx)
+    r, s, a, b, Bq, Cq, F = residual_parts(q, ops, ctx.q_floor)
     W = ctx.weight
     MF = ops.w2 * W * F
     grad = 2.0 * (
@@ -199,10 +130,7 @@ def gradient_J(q: QField, ctx: ObjectiveContext) -> Field2D:
     Z[-1] = ops.wt * W[-1] * qx[-1]
     grad += 2.0 * (ops.Dx.T @ Z.ravel()).reshape(P, Q)
     # H2 regularization
-    beta = ctx.params.beta
-    grad += 2.0 * beta * ops.w2 * v
-    for op in ops.h2_ops[1:]:
-        grad += 2.0 * beta * (op.T @ (ops.w2 * ops.apply2d(op, v)).ravel()).reshape(P, Q)
+    grad += 2.0 * ctx.params.beta * ops.apply2d(ops.H2, v)
     return Field2D(q.grid, grad)
 
 

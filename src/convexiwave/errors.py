@@ -5,6 +5,10 @@ class ConvexiwaveError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidInput(ConvexiwaveError, ValueError):
+    """Input data or a configuration value is malformed or out of range."""
+
+
 class SingularSystem(ConvexiwaveError):
     """A linear solve failed or produced an unusable solution.
 
@@ -23,10 +27,6 @@ class HorizonTooShort(ConvexiwaveError):
 
 class FloorViolation(ConvexiwaveError):
     """The initial-time trace of an iterate dropped below its admissible floor."""
-
-
-class DivergedObjective(ConvexiwaveError):
-    """The objective increased across several consecutive accepted steps."""
 
 
 class NonConvergence(ConvexiwaveError):

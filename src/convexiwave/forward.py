@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import HorizonTooShort, OffGridObservation, SingularSystem
-from .grid import Field2D, Signal, SpaceTimeGrid, d1_apply
+from .grid import Field2D, Signal, SpaceTimeGrid
 
 
 @dataclass

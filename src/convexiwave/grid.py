@@ -1,17 +1,25 @@
-"""Uniform space-time grids, sampled fields, finite-difference stencils, norms.
+"""Uniform space-time grids, sampled fields, and the discrete-operator layer.
 
-Everything downstream (wave simulation, the weighted objective, the
-quasi-reversibility solves) shares the stencils and quadrature defined here:
-second-order central differences with second-order one-sided closures at the
-boundaries, and tensor-product trapezoidal quadrature.
+This module owns every finite-difference stencil and quadrature rule that the
+inversion uses: second-order central differences with second-order one-sided
+closures at the boundaries, assembled once per grid as sparse matrices in
+``DiscreteOperators``; tensor-product trapezoidal quadrature; and the discrete
+H2 norm built from both. The residual (``transform``), the objective
+(``convexify``) and the quasi-reversibility solves (``solver``) all read their
+operators from ``operators_for``. CSV serialization of fields and signals
+lives here too.
 """
 
 from __future__ import annotations
 
+import functools
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -114,100 +122,8 @@ class Signal:
 
 
 # ---------------------------------------------------------------------------
-# 1D stencils (applied along a chosen axis of the node array)
+# Quadrature
 # ---------------------------------------------------------------------------
-
-def d1_apply(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order first derivative: central interior, one-sided at the ends."""
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def d2_apply(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order second derivative: central interior, one-sided at the ends."""
-    v = np.moveaxis(v, axis, 0)
-    out = np.empty_like(v)
-    h2 = h * h
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    if v.shape[0] >= 4:
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    else:
-        # only three nodes: the central stencil is the best available closure
-        out[0] = (v[0] - 2.0 * v[1] + v[2]) / h2
-        out[-1] = (v[-1] - 2.0 * v[-2] + v[-3]) / h2
-    return np.moveaxis(out, 0, axis)
-
-
-def d1_coeffs(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) triplets of the (n+1)x(n+1) first-derivative matrix."""
-    rows, cols, vals = [], [], []
-    for i in range(1, n):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        vals += [-1.0 / (2 * h), 1.0 / (2 * h)]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [-3.0 / (2 * h), 4.0 / (2 * h), -1.0 / (2 * h)]
-    rows += [n, n, n]
-    cols += [n, n - 1, n - 2]
-    vals += [3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)]
-    return np.array(rows), np.array(cols), np.array(vals)
-
-
-def d2_coeffs(n: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) triplets of the (n+1)x(n+1) second-derivative matrix."""
-    h2 = h * h
-    rows, cols, vals = [], [], []
-    for i in range(1, n):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [1.0 / h2, -2.0 / h2, 1.0 / h2]
-    if n + 1 >= 4:
-        rows += [0, 0, 0, 0]
-        cols += [0, 1, 2, 3]
-        vals += [2.0 / h2, -5.0 / h2, 4.0 / h2, -1.0 / h2]
-        rows += [n, n, n, n]
-        cols += [n, n - 1, n - 2, n - 3]
-        vals += [2.0 / h2, -5.0 / h2, 4.0 / h2, -1.0 / h2]
-    else:
-        rows += [0, 0, 0]
-        cols += [0, 1, 2]
-        vals += [1.0 / h2, -2.0 / h2, 1.0 / h2]
-        rows += [n, n, n]
-        cols += [n, n - 1, n - 2]
-        vals += [1.0 / h2, -2.0 / h2, 1.0 / h2]
-    return np.array(rows), np.array(cols), np.array(vals)
-
-
-# ---------------------------------------------------------------------------
-# Field operations
-# ---------------------------------------------------------------------------
-
-def diff_x(f: Field2D) -> Field2D:
-    return Field2D(f.grid, d1_apply(f.values, f.grid.dx, axis=0))
-
-
-def diff_t(f: Field2D) -> Field2D:
-    return Field2D(f.grid, d1_apply(f.values, f.grid.dt, axis=1))
-
-
-def diff_xx(f: Field2D) -> Field2D:
-    return Field2D(f.grid, d2_apply(f.values, f.grid.dx, axis=0))
-
-
-def diff_tt(f: Field2D) -> Field2D:
-    return Field2D(f.grid, d2_apply(f.values, f.grid.dt, axis=1))
-
-
-def diff_xt(f: Field2D) -> Field2D:
-    """Mixed derivative as the composition of the two first-derivative stencils."""
-    return diff_x(diff_t(f))
-
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
     w = np.full(n + 1, h)
@@ -226,16 +142,84 @@ def integrate(f: Field2D) -> float:
     return float(np.sum(quad_weights(f.grid) * f.values))
 
 
-H2_DERIVATIVES = (diff_x, diff_t, diff_xx, diff_xt, diff_tt)
+# ---------------------------------------------------------------------------
+# Finite-difference operators
+# ---------------------------------------------------------------------------
+
+def _stencil_matrix(n: int, denom: float, interior, offsets, first, last) -> sp.csr_matrix:
+    """(n+1)x(n+1) matrix: ``interior`` on the diagonals ``offsets``, with row 0
+    replaced by ``first`` on the leading nodes and row n by ``last`` on the
+    trailing nodes; every coefficient is divided by ``denom``."""
+    m = sp.diags(np.divide(interior, denom), offsets, shape=(n + 1, n + 1), format="lil")
+    m[0, : len(first)] = np.divide(first, denom)
+    m[n, n + 1 - len(last) :] = np.divide(last, denom)
+    return m.tocsr()
+
+
+def d1_matrix(n: int, h: float) -> sp.csr_matrix:
+    """Second-order first derivative: central interior, one-sided at the ends."""
+    return _stencil_matrix(n, 2.0 * h, [-1.0, 1.0], [-1, 1], [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0])
+
+
+def d2_matrix(n: int, h: float) -> sp.csr_matrix:
+    """Second-order second derivative: central interior, one-sided at the ends.
+
+    With only three nodes the central stencil is the best available closure.
+    """
+    end = [2.0, -5.0, 4.0, -1.0] if n >= 3 else [1.0, -2.0, 1.0]
+    return _stencil_matrix(n, h * h, [1.0, -2.0, 1.0], [-1, 0, 1], end, end[::-1])
+
+
+class DiscreteOperators:
+    """Sparse stencil matrices and quadrature weights for one grid.
+
+    Fields are flattened row-major, index = i * (nt + 1) + j.
+    """
+
+    def __init__(self, grid: SpaceTimeGrid):
+        self.grid = grid
+        P, Q = grid.shape
+        self.P, self.Q = P, Q
+        Ix = sp.identity(P, format="csr")
+        It = sp.identity(Q, format="csr")
+        self.Gx1d = d1_matrix(grid.nx, grid.dx)
+        self.Dx = sp.kron(self.Gx1d, It, format="csr")
+        self.Dt = sp.kron(Ix, d1_matrix(grid.nt, grid.dt), format="csr")
+        self.Dxx = sp.kron(d2_matrix(grid.nx, grid.dx), It, format="csr")
+        self.Dtt = sp.kron(Ix, d2_matrix(grid.nt, grid.dt), format="csr")
+        self.Dxt = (self.Dx @ self.Dt).tocsr()
+        self.w2 = quad_weights(grid)          # (P, Q) area quadrature
+        self.wt = trapezoid_weights(grid.nt, grid.dt)  # (Q,) time-line quadrature
+        # the operators R whose weighted squares sum to the discrete H2 norm
+        self.h2_ops = (
+            sp.identity(P * Q, format="csr"), self.Dx, self.Dt, self.Dxx, self.Dxt, self.Dtt
+        )
+
+    @functools.cached_property
+    def H2(self) -> sp.csr_matrix:
+        """Gram matrix of the discrete H2 norm, sum over h2_ops of R^T diag(w2) R."""
+        W = sp.diags(self.w2.ravel())
+        return sum(R.T @ W @ R for R in self.h2_ops).tocsr()
+
+    def apply2d(self, op: sp.spmatrix, v: np.ndarray) -> np.ndarray:
+        return (op @ v.ravel()).reshape(self.P, self.Q)
+
+
+_OPS_CACHE: dict[SpaceTimeGrid, DiscreteOperators] = {}
+
+
+def operators_for(grid: SpaceTimeGrid) -> DiscreteOperators:
+    ops = _OPS_CACHE.get(grid)
+    if ops is None:
+        ops = DiscreteOperators(grid)
+        _OPS_CACHE[grid] = ops
+    return ops
 
 
 def h2_norm_sq(f: Field2D) -> float:
     """Discrete squared H2 norm: integral of f^2 plus all derivatives up to order 2."""
-    total = integrate(Field2D(f.grid, f.values**2))
-    for op in H2_DERIVATIVES:
-        g = op(f)
-        total += integrate(Field2D(f.grid, g.values**2))
-    return total
+    v = f.values.ravel()
+    return float(v @ (operators_for(f.grid).H2 @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +263,12 @@ def signal_from_csv(text: str) -> Signal:
     data = np.atleast_2d(data)
     t, v = data[:, 0], data[:, 1]
     if t.size < 2:
-        raise ValueError("signal CSV needs at least two samples")
+        raise InvalidInput("signal CSV needs at least two samples")
+    if not np.all(np.isfinite(data[:, :2])):
+        raise InvalidInput("signal CSV contains non-finite values")
+    if np.any(np.diff(t) <= 0):
+        raise InvalidInput("signal CSV times must be strictly increasing")
     dt = float(t[1] - t[0])
+    if np.max(np.abs(t - (t[0] + dt * np.arange(t.size)))) > 1e-6 * dt:
+        raise InvalidInput("signal CSV times must be uniformly spaced")
     return Signal(float(t[0]), dt, v)

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, invert_from_config
 from .errors import FixtureMissing
 from .fixtures import (
     EXPERIMENTAL_TESTS,
@@ -15,9 +15,7 @@ from .fixtures import (
     simulated_boundary_data,
     synthesize_raw_trace,
 )
-from .grid import SpaceTimeGrid
 from .preprocess import calibrate, preprocess_pipeline
-from .solver import invert
 
 # per-fixture expected reconstruction bands: list of (window_lo, window_hi,
 # target_max, rel_tol) over the reconstructed profile
@@ -60,23 +58,13 @@ def _profile_csv(x, c) -> str:
     return "x,c\n" + "\n".join(f"{float(xi)!r},{float(ci)!r}" for xi, ci in zip(x, c)) + "\n"
 
 
-def _inversion_setup(cfg: RunConfig):
-    inv = cfg.inversion
-    return SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt)
-
-
 def run_fixture(name: str, cfg: RunConfig | None = None, out_dir: str | None = None, seed: int = 1):
     """Execute one golden fixture end to end and compare against its bands."""
     cfg = cfg or RunConfig()
-    grid = _inversion_setup(cfg)
     checks = []
     if name in SIMULATED_TESTS:
         data = simulated_boundary_data(name, delta=0.05, seed=seed)
-        result = invert(
-            data, grid, cfg.convex, cfg.qr, cfg.descent,
-            diff_reg=cfg.inversion.diff_reg, c_upper=cfg.inversion.c_upper,
-            freeze_time_derivative=cfg.inversion.freeze_time_derivative,
-        )
+        result = invert_from_config(data, cfg)
         x = result.c_comp.x
         c = result.c_comp.c
         for lo, hi, target, tol in SIMULATED_BANDS[name]:
@@ -94,11 +82,7 @@ def run_fixture(name: str, cfg: RunConfig | None = None, out_dir: str | None = N
             half_width_steps=cfg.preprocess.half_width_steps,
             diff_reg=cfg.preprocess.diff_reg,
         )
-        result = invert(
-            data, grid, cfg.convex, cfg.qr, cfg.descent,
-            diff_reg=cfg.inversion.diff_reg, c_upper=cfg.inversion.c_upper,
-            freeze_time_derivative=cfg.inversion.freeze_time_derivative,
-        )
+        result = invert_from_config(data, cfg)
         x = result.c_comp.x
         c = result.c_comp.c
         target = spec["c_rel"]

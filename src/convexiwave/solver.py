@@ -19,22 +19,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid
 
-from .convexify import (
-    ConvexParams,
-    ObjectiveContext,
-    evaluate_J,
-    gradient_J,
-    make_context,
-    operators_for,
-)
-from .errors import DivergedObjective, FloorViolation, NonConvergence, SingularSystem
+from .convexify import ConvexParams, ObjectiveContext, evaluate_J, gradient_J, make_context
+from .errors import FloorViolation, NonConvergence, SingularSystem
 from .forward import MediumProfile
-from .grid import Field2D, Signal, SpaceTimeGrid
+from .grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from .transform import (
     DEFAULT_C_UPPER,
     BoundaryData,
     QField,
     boundary_traces_from_data,
+    c_from_q,
     q_floor_from_c_upper,
 )
 
@@ -107,11 +101,6 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
     return sol, float(np.linalg.norm(res) / denom)
 
 
-def _h2_reg_ops(ops):
-    ident = sp.identity(ops.P * ops.Q, format="csr")
-    return (ident, ops.Dx, ops.Dt, ops.Dxx, ops.Dxt, ops.Dtt)
-
-
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -140,7 +129,7 @@ def initial_guess(
         (S0, ops.wt, qx_eps.samples),
         (SM, ops.wt, np.zeros(Q)),
     ]
-    sol, _ = solve_quadratic(terms, _h2_reg_ops(ops), ops.w2.ravel(), qr.reg_eta, P * Q)
+    sol, _ = solve_quadratic(terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q)
     Qfield = sol.reshape(P, Q)
     q_vals = q_eps.samples[None, :] + cumulative_trapezoid(
         Qfield, dx=grid.dx, axis=0, initial=0.0
@@ -171,7 +160,6 @@ def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
         "reason": "max_iters",
     }
     min_step = 1e-14
-    bad_accepts = 0
     # Warm-start the line search from the previously accepted step so the
     # search does not pay the full backtracking cost every iteration.
     step_start = cfg.eta_step
@@ -199,12 +187,6 @@ def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
             info["reason"] = "no_decrease"
             break
         step_start = min(step / cfg.backtrack, cfg.eta_step)
-        if J_trial > J:
-            bad_accepts += 1
-            if bad_accepts >= 5:
-                raise DivergedObjective("objective increased across 5 accepted steps")
-        else:
-            bad_accepts = 0
         q, J = q_trial, J_trial
         info["J"].append(J)
         info["steps"].append(step)
@@ -254,7 +236,7 @@ def correction_step(
         ((S0 @ ops.Dx).tocsr(), ops.wt, qx_eps.samples),
         ((SM @ ops.Dx).tocsr(), ops.wt, np.zeros(Q)),
     ]
-    sol, _ = solve_quadratic(terms, _h2_reg_ops(ops), ops.w2.ravel(), qr.reg_eta, P * Q)
+    sol, _ = solve_quadratic(terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q)
     vals = sol.reshape(P, Q)
     np.maximum(vals[:, 0], q_tilde.q_floor, out=vals[:, 0])
     return QField(grid, Field2D(grid, vals), q_tilde.q_floor)
@@ -272,13 +254,6 @@ class InversionResult:
     diagnostics: list = field(default_factory=list)
     corrections: int = 0
     converged: bool = False
-
-
-def _profile_from_trace(q: QField) -> MediumProfile:
-    trace = np.maximum(q.initial_trace(), q.q_floor)
-    c = 1.0 / (16.0 * trace**4)
-    c_upper = 1.0 / (16.0 * q.q_floor**4)
-    return MediumProfile(q.grid.x_nodes(), c, c_lower=1e-3, c_upper=c_upper)
 
 
 def invert(
@@ -305,7 +280,7 @@ def invert(
     q_eps, qx_eps = boundary_traces_from_data(d, grid, diff_reg)
     ctx = make_context(grid, q_eps.samples, qx_eps.samples, params, c_upper)
     q0, _ = initial_guess(q_eps, qx_eps, grid, qr_cfg, c_upper)
-    c_init = _profile_from_trace(q0)
+    c_init = c_from_q(q0)
 
     diagnostics = []
     q = q0
@@ -327,7 +302,7 @@ def invert(
                     "correction_count": k,
                 }
             )
-        c_tilde = _profile_from_trace(q)
+        c_tilde = c_from_q(q)
         if info["converged"]:
             converged = True
             break
@@ -335,7 +310,7 @@ def invert(
             break
         q_corr = correction_step(q, q_eps, qx_eps, qr_cfg, freeze_time_derivative)
         corrections += 1
-        c_corr = _profile_from_trace(q_corr)
+        c_corr = c_from_q(q_corr)
         if float(np.max(np.abs(c_tilde.c - c_corr.c))) < descent_cfg.stop_linf:
             converged = True
             break
@@ -346,7 +321,7 @@ def invert(
             diagnostics=diagnostics,
         )
     return InversionResult(
-        c_comp=_profile_from_trace(q),
+        c_comp=c_from_q(q),
         c_init=c_init,
         q=q,
         diagnostics=diagnostics,

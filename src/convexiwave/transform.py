@@ -1,8 +1,11 @@
-"""Travel-time change of variables and conversions among u, q and c.
+"""Travel-time change of variables, conversions among u, q and c, and the q-PDE residual.
 
 The wave u(x, t) is re-clocked along the wavefront, q(x, t) = u(x, t + tau(x)),
 which turns the unknown-coefficient wave equation into a nonlinear nonlocal
 PDE for q alone; its t=0 trace recovers c through c = 1 / (16 q(x,0)^4).
+This module owns that PDE's residual (``residual_parts``, which the objective
+in ``convexify`` also evaluates) and the only q -> c conversion (``c_from_q``).
+Its stencils come from ``grid.operators_for``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import FloorViolation, HorizonTooShort
 from .forward import MediumProfile, tikhonov_differentiate
-from .grid import Field2D, Signal, SpaceTimeGrid, d1_apply, diff_t, diff_x, diff_xt, diff_xx
+from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid, operators_for
 
 DEFAULT_C_UPPER = 15.0
 
@@ -130,15 +133,38 @@ def q_from_u(
     return QField(grid_q, Field2D(grid_q, vals), floor)
 
 
+def _checked_trace(q: QField, floor: float) -> np.ndarray:
+    trace = q.initial_trace()
+    if np.any(trace < floor - 1e-12):
+        raise FloorViolation("q(x,0) below the admissible floor")
+    return trace
+
+
 def c_from_q(q: QField, c_lower: float = 0.01, c_upper: float | None = None) -> MediumProfile:
     """Pointwise inverse c(x) = 1 / (16 q(x,0)^4) on the inversion interval."""
-    trace = q.initial_trace()
-    if np.any(trace < q.q_floor - 1e-12):
-        raise FloorViolation("q(x,0) below the admissible floor")
-    c = 1.0 / (16.0 * trace**4)
+    c = 1.0 / (16.0 * _checked_trace(q, q.q_floor) ** 4)
     if c_upper is None:
         c_upper = 1.0 / (16.0 * q.q_floor**4)
     return MediumProfile(q.grid.x_nodes(), c, c_lower=c_lower, c_upper=c_upper)
+
+
+def residual_parts(q: QField, ops: DiscreteOperators, floor: float):
+    """The residual F of the q-PDE and the pieces its derivative reuses.
+
+    F(q) = q_xx - a q_xt + b q_t with the nonlocal coefficients
+    a = 1 / (2 r^2) and b = s / (2 r^3) read from the t=0 traces r = q(x,0)
+    and s = r_x. Raises FloorViolation if r dips below ``floor``.
+    Returns (r, s, a, b, q_xt, q_t, F) as node arrays.
+    """
+    v = q.values.values
+    r = _checked_trace(q, floor)
+    s = ops.Gx1d @ r
+    Bq = ops.apply2d(ops.Dxt, v)
+    Cq = ops.apply2d(ops.Dt, v)
+    a = 1.0 / (2.0 * r**2)
+    b = s / (2.0 * r**3)
+    F = ops.apply2d(ops.Dxx, v) - a[:, None] * Bq + b[:, None] * Cq
+    return r, s, a, b, Bq, Cq, F
 
 
 def residual_F(q: QField) -> Field2D:
@@ -147,18 +173,7 @@ def residual_F(q: QField) -> Field2D:
     F(q) = q_xx - q_xt / (2 q(x,0)^2) + q_t q_x(x,0) / (2 q(x,0)^3), with the
     t=0 traces read from the field's initial row.
     """
-    trace = q.initial_trace()
-    if np.any(trace < q.q_floor - 1e-12):
-        raise FloorViolation("q(x,0) below the admissible floor")
-    f = q.values
-    r = trace[:, None]
-    s = d1_apply(trace, q.grid.dx, axis=0)[:, None]
-    vals = (
-        diff_xx(f).values
-        - diff_xt(f).values / (2.0 * r**2)
-        + diff_t(f).values * s / (2.0 * r**3)
-    )
-    return Field2D(q.grid, vals)
+    return Field2D(q.grid, residual_parts(q, operators_for(q.grid), q.q_floor)[-1])
 
 
 def boundary_traces_from_data(

@@ -155,6 +155,34 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "case", ["nan_sample", "non_uniform_times", "inversion_nx_1", "convex_eta_step"]
+)
+def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
+    times = [0.0, 0.5, 1.0, 1.5]
+    g0_vals = [0.5, 0.5, 0.5, 0.5]
+    cfg = {}
+    if case == "nan_sample":
+        g0_vals[2] = float("nan")
+    elif case == "non_uniform_times":
+        times = [0.0, 0.1, 0.5, 0.55]
+    elif case == "inversion_nx_1":
+        cfg = {"inversion": {"nx": 1}}
+    else:
+        cfg = {"convex": {"eta_step": 0.5}}
+    g0 = tmp_path / "g0.csv"
+    g1 = tmp_path / "g1.csv"
+    cfg_path = tmp_path / "cfg.json"
+    g0.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, g0_vals)))
+    g1.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in times))
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidInput" and err["message"]
+
+
 def test_cli_domain_error_exit_code(tmp_path):
     # boundary data shorter than the required horizon -> domain error (exit 2)
     from convexiwave.grid import Signal

@@ -9,16 +9,13 @@ from convexiwave.grid import (
     Field2D,
     Signal,
     SpaceTimeGrid,
-    d1_apply,
-    d2_apply,
-    diff_t,
-    diff_x,
-    diff_xt,
-    diff_xx,
+    d1_matrix,
+    d2_matrix,
     field_from_csv,
     field_to_csv,
     h2_norm_sq,
     integrate,
+    operators_for,
     quad_weights,
     signal_from_csv,
     signal_to_csv,
@@ -49,10 +46,10 @@ def test_grid_rejects_degenerate():
 @settings(max_examples=25, deadline=None)
 def test_d1_exact_on_linear(a, b):
     """The first-difference stencils differentiate affine data exactly."""
-    x = np.linspace(0.0, 1.0, 11)
-    v = a * x + b
-    d = d1_apply(v, x[1] - x[0], axis=0)
-    assert np.allclose(d, a, atol=1e-10)
+    for n in (2, 3, 10):  # n = 2 is the 3-node closure
+        x = np.linspace(0.0, 1.0, n + 1)
+        d = d1_matrix(n, x[1] - x[0]) @ (a * x + b)
+        assert np.allclose(d, a, atol=1e-10)
 
 
 @given(
@@ -61,21 +58,23 @@ def test_d1_exact_on_linear(a, b):
 )
 @settings(max_examples=25, deadline=None)
 def test_d2_exact_on_quadratic(a, b):
-    x = np.linspace(0.0, 1.0, 11)
-    v = a * x**2 + b * x
-    d = d2_apply(v, x[1] - x[0], axis=0)
-    assert np.allclose(d, 2.0 * a, atol=1e-8)
+    for n in (2, 3, 10):  # n = 2 is the 3-node closure
+        x = np.linspace(0.0, 1.0, n + 1)
+        d = d2_matrix(n, x[1] - x[0]) @ (a * x**2 + b * x)
+        assert np.allclose(d, 2.0 * a, atol=1e-8)
 
 
 def test_diff_operators_on_separable_field():
     g = SpaceTimeGrid(0.0, 1.0, 1.0, 30, 30)
     f = Field2D.from_function(g, lambda x, t: x**2 * t)
+    ops = operators_for(g)
     x = g.x_nodes()[:, None]
     t = g.t_nodes()[None, :]
-    assert np.allclose(diff_x(f).values, 2 * x * t, atol=1e-8)
-    assert np.allclose(diff_t(f).values, x**2, atol=1e-8)
-    assert np.allclose(diff_xx(f).values, 2 * t, atol=1e-6)
-    assert np.allclose(diff_xt(f).values, 2 * x, atol=1e-6)
+    assert np.allclose(ops.apply2d(ops.Dx, f.values), 2 * x * t, atol=1e-8)
+    assert np.allclose(ops.apply2d(ops.Dt, f.values), x**2, atol=1e-8)
+    assert np.allclose(ops.apply2d(ops.Dxx, f.values), 2 * t, atol=1e-6)
+    assert np.allclose(ops.apply2d(ops.Dxt, f.values), 2 * x, atol=1e-6)
+    assert np.allclose(ops.apply2d(ops.Dtt, f.values), 0.0, atol=1e-6)
 
 
 def test_trapezoid_weights_integrate_constants():
@@ -107,6 +106,14 @@ def test_h2_norm_positive_for_nonzero():
     g = SpaceTimeGrid(0.0, 1.0, 1.0, 10, 10)
     f = Field2D.from_function(g, lambda x, t: np.sin(x + t))
     assert h2_norm_sq(f) > 0.0
+
+
+def test_h2_norm_matches_explicit_sum_of_weighted_squares():
+    g = SpaceTimeGrid(0.0, 1.0, 2.0, 7, 9)
+    f = Field2D(g, np.random.default_rng(0).normal(size=g.shape))
+    ops = operators_for(g)
+    explicit = sum(integrate(Field2D(g, ops.apply2d(R, f.values) ** 2)) for R in ops.h2_ops)
+    assert h2_norm_sq(f) == pytest.approx(explicit, rel=1e-12)
 
 
 def test_field_csv_roundtrip():
