@@ -1,47 +1,13 @@
 #!/usr/bin/env python3
 """Sample the normalized Bregman divergence across Carleman exponents.
 
-Writes a CSV table of the minimum normalized divergence per lambda and
-reports lambda_emp, the largest probed exponent at which the minimum is
-nonnegative.
-
 Usage: python3 scripts/convexity_report.py [--lambdas 0,1,2,4,8] [--pairs 100]
+Writes the minimum per lambda and lambda_emp, the largest nonnegative one.
 """
 
-import argparse
 import sys
 
-from convexiwave.convexify import convexity_scan
-from convexiwave.grid import SpaceTimeGrid
-
-
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--lambdas", default="0,1,2,4,8")
-    ap.add_argument("--pairs", type=int, default=100)
-    ap.add_argument("--radius", type=float, default=5.0)
-    ap.add_argument("--nx", type=int, default=20)
-    ap.add_argument("--nt", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default=None)
-    args = ap.parse_args()
-
-    lambdas = [float(s) for s in args.lambdas.split(",")]
-    grid = SpaceTimeGrid(0.0, 3.0, 6.0, args.nx, args.nt)
-    table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
-
-    lines = ["lambda,min_normalized_bregman"]
-    lines += [f"{lam!r},{table[lam]!r}" for lam in lambdas]
-    nonneg = [lam for lam in lambdas if table[lam] >= 0.0]
-    lam_emp = max(nonneg) if nonneg else None
-    lines.append(f"# lambda_emp = {lam_emp}")
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(report)
-    print(report, end="")
-    return 0
-
+from convexiwave.cli import main as cli_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli_main(["convexity-check", *sys.argv[1:]]))

@@ -23,7 +23,6 @@ from .errors import (
     FloorViolation,
     HorizonTooShort,
     InvalidInput,
-    NonConvergence,
     OffGridObservation,
     SingularSystem,
     ZeroSignal,

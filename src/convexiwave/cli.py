@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -14,9 +13,16 @@ from . import fixtures
 from .config import RunConfig, invert_from_config, load_config
 from .convexify import ConvexParams, convexity_scan, gradient_J, make_context, evaluate_J
 from .convexify import sample_admissible_pair
-from .errors import ConvexiwaveError
+from .errors import ConvexiwaveError, InvalidInput
 from .forward import add_noise, correct_near_origin, extract_boundary, simulate
-from .grid import Field2D, SpaceTimeGrid, field_to_csv, signal_from_csv, signal_to_csv
+from .grid import (
+    Field2D,
+    SpaceTimeGrid,
+    field_to_csv,
+    profile_to_csv,
+    signal_from_csv,
+    signal_to_csv,
+)
 from .preprocess import CalibrationResult, MediumMode, RawTrace, preprocess_pipeline
 from .transform import BoundaryData, QField, q_floor_from_c_upper
 
@@ -36,12 +42,6 @@ def _read(path) -> str:
 def _write(path, text):
     with open(path, "w") as f:
         f.write(text)
-
-
-def _profile_csv(x, c) -> str:
-    lines = ["x,c"]
-    lines += [f"{float(xi)!r},{float(ci)!r}" for xi, ci in zip(x, c)]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_forward(args) -> int:
@@ -68,7 +68,7 @@ def cmd_invert(args) -> int:
     g0 = signal_from_csv(_read(args.g0))
     g1 = signal_from_csv(_read(args.g1))
     result = invert_from_config(BoundaryData(g0=g0, g1=g1, eps=cfg.inversion.eps), cfg)
-    _write(args.out, _profile_csv(result.c_comp.x, result.c_comp.c))
+    _write(args.out, profile_to_csv(result.c_comp.x, result.c_comp.c))
     if args.diag:
         lines = ["iteration,J,grad_norm,correction_count"]
         lines += [
@@ -86,7 +86,12 @@ def cmd_preprocess(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     raw_signal = signal_from_csv(_read(args.raw))
     mode = MediumMode(args.mode)
-    cal_data = json.loads(_read(args.cal))
+    try:
+        cal_data = json.loads(_read(args.cal))
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"calibration file {args.cal} is not valid JSON: {exc}") from exc
+    if not isinstance(cal_data, dict) or not isinstance(cal_data.get("mu"), (int, float)):
+        raise InvalidInput(f"calibration file {args.cal} has no numeric 'mu' entry")
     cal = CalibrationResult(mu=cal_data["mu"], reference_name=cal_data.get("reference_name", ""))
     data = preprocess_pipeline(
         RawTrace(raw_signal, mode),
@@ -135,6 +140,8 @@ def cmd_convexity_check(args) -> int:
     table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
     rows = ["lambda,min_bregman"]
     rows += [f"{lam!r},{val!r}" for lam, val in table.items()]
+    nonneg = [lam for lam, val in table.items() if val >= 0.0]
+    rows.append(f"# lambda_emp = {max(nonneg) if nonneg else None}")
     report = "\n".join(rows) + "\n"
     if args.out:
         _write(args.out, report)
@@ -149,16 +156,6 @@ def cmd_run_fixture(args) -> int:
     report = run_fixture(args.name, out_dir=args.out)
     print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1
-
-
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    d = fixtures.simulated_boundary_data("test1", delta=0.0)
-    t1 = time.perf_counter()
-    invert_from_config(d, RunConfig())
-    t2 = time.perf_counter()
-    print(f"forward: {t1 - t0:.2f}s  invert: {t2 - t1:.2f}s")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     rf.add_argument("name", choices=list(fixtures.FIXTURE_NAMES))
     rf.add_argument("--out", default=None)
     rf.set_defaults(fn=cmd_run_fixture)
-
-    b = sub.add_parser("bench", help="time a forward run and an inversion")
-    b.set_defaults(fn=cmd_bench)
     return p
 
 

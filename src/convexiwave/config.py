@@ -103,7 +103,11 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"config is not valid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
 
 def _build(klass, data, section: str):

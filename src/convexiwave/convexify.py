@@ -24,7 +24,6 @@ from .grid import (
     SpaceTimeGrid,
     h2_norm_sq,
     operators_for,
-    quad_weights,
 )
 from .transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper, residual_parts
 
@@ -145,8 +144,13 @@ def bregman_divergence(q: QField, h: Field2D, ctx: ObjectiveContext) -> float:
 # Convexity probing
 # ---------------------------------------------------------------------------
 
-def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator, modes: int = 3) -> Field2D:
-    """Low-frequency random trigonometric field with unit-scale coefficients."""
+# q of the null scatterer (c = 1 everywhere), the centre of the sampled pairs.
+Q_BACKGROUND = 0.5
+
+
+def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator) -> Field2D:
+    """Low-frequency random trigonometric field: three modes per axis, unit-scale coefficients."""
+    modes = 3
     x = grid.x_nodes()[:, None]
     t = grid.t_nodes()[None, :]
     Lx = grid.x_max - grid.x_min
@@ -176,15 +180,14 @@ def sample_admissible_pair(
     rng: np.random.Generator,
     radius: float,
     q_floor: float,
-    base: float = 0.5,
 ) -> tuple[Field2D, Field2D]:
     """A random admissible iterate around the null-scatterer and a perturbation.
 
     Both q and q + h stay inside the H2-ball of the given radius around the
-    constant base field and keep their t=0 rows above the floor.
+    constant field ``Q_BACKGROUND`` and keep their t=0 rows above the floor.
     """
     margin = 0.02
-    headroom = base - q_floor - margin
+    headroom = Q_BACKGROUND - q_floor - margin
     if headroom <= 0:
         raise ValueError("floor leaves no admissible headroom around the base")
     out = []
@@ -196,8 +199,7 @@ def sample_admissible_pair(
             f = Field2D(grid, f.values * (cap / peak))
         out.append(f)
     h1, h2 = out
-    q_vals = base + h1.values
-    return Field2D(grid, q_vals), h2
+    return Field2D(grid, Q_BACKGROUND + h1.values), h2
 
 
 def convexity_scan(
@@ -206,9 +208,6 @@ def convexity_scan(
     n_pairs: int,
     radius: float,
     seed: int = 0,
-    alpha: float = 0.3,
-    beta: float = 1e-9,
-    c_upper: float = DEFAULT_C_UPPER,
 ) -> dict[float, float]:
     """Minimum normalized Bregman divergence over sampled pairs, per weight exponent.
 
@@ -219,34 +218,30 @@ def convexity_scan(
     Each divergence is reported relative to the Carleman-weighted L2 norm of
     its perturbation: the raw values scale with the total mass of the weight,
     which shrinks with the exponent and would hide the convexification trend.
+    The other objective settings are the ``ConvexParams`` defaults.
     """
-    floor = q_floor_from_c_upper(c_upper)
+    floor = q_floor_from_c_upper(DEFAULT_C_UPPER)
     rng = np.random.Generator(np.random.Philox(seed))
     x = grid.x_nodes()[:, None]
     span = grid.x_max - grid.x_min
     mask = ((x - grid.x_min) / span) ** 2
-    base = 0.5
     pairs = []
     for _ in range(n_pairs):
-        q_vals, h = sample_admissible_pair(grid, rng, radius, floor, base)
+        q_vals, h = sample_admissible_pair(grid, rng, radius, floor)
         pairs.append((
-            Field2D(grid, base + (q_vals.values - base) * mask),
+            Field2D(grid, Q_BACKGROUND + (q_vals.values - Q_BACKGROUND) * mask),
             Field2D(grid, h.values * mask),
         ))
-    q_eps = np.full(grid.nt + 1, base)
+    q_eps = np.full(grid.nt + 1, Q_BACKGROUND)
     qx_eps = np.zeros(grid.nt + 1)
-    qw = quad_weights(grid)
     result: dict[float, float] = {}
     for lam in lambdas:
-        params = ConvexParams(lam=float(lam), alpha=alpha, beta=beta)
-        ctx = make_context(grid, q_eps, qx_eps, params, c_upper)
-        w = carleman_weight(grid, float(lam), alpha)
-        w_vals = w.values if hasattr(w, "values") else w
+        ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=float(lam)))
         best = np.inf
         for q_vals, h in pairs:
             q = QField(grid, q_vals, floor)
             d = bregman_divergence(q, h, ctx)
-            h_sq = float(np.sum(qw * w_vals * h.values**2))
+            h_sq = float(np.sum(ctx.ops.w2 * ctx.weight * h.values**2))
             best = min(best, d / h_sq)
         result[float(lam)] = float(best)
     return result

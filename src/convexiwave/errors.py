@@ -29,14 +29,6 @@ class FloorViolation(ConvexiwaveError):
     """The initial-time trace of an iterate dropped below its admissible floor."""
 
 
-class NonConvergence(ConvexiwaveError):
-    """Iteration budgets were exhausted without meeting the stopping rule."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 class ZeroSignal(ConvexiwaveError):
     """A signal that must be nonzero (e.g. a calibration reference) is identically zero."""
 

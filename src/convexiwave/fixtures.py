@@ -59,16 +59,14 @@ def _piece_values(piece: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown medium piece kind {kind!r}")
 
 
-def medium_from_pieces(
-    pieces, x_lo=-5.0, x_hi=5.0, n=3000, c_lower=0.01, c_upper=15.0
-) -> MediumProfile:
+def medium_from_pieces(pieces, x_lo=-5.0, x_hi=5.0, n=3000) -> MediumProfile:
     """Background 1 overwritten by each piece inside its own window."""
     x = np.linspace(x_lo, x_hi, n + 1)
     c = np.ones_like(x)
     for piece in pieces:
         mask, vals = _piece_values(piece, x)
         c[mask] = vals
-    return MediumProfile(x, c, c_lower=c_lower, c_upper=c_upper)
+    return MediumProfile(x, c)
 
 
 SIMULATED_TESTS: dict[str, dict] = {

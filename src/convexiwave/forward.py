@@ -24,29 +24,25 @@ from .grid import Field2D, Signal, SpaceTimeGrid
 class MediumProfile:
     """A sampled dielectric profile c(x) on a uniform spatial partition.
 
-    c equals 1 outside the containment interval and lies in
-    [c_lower, c_upper] inside it.
+    c must be positive and finite at every node; ``sample`` extends it by the
+    background value 1 outside the sampled interval.
     """
 
     x: np.ndarray
     c: np.ndarray
-    c_lower: float = 1.0
-    c_upper: float = 15.0
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
         if self.x.shape != self.c.shape:
             raise ValueError("x and c must have the same shape")
-        if self.c_lower <= 0:
-            raise ValueError("c_lower must be positive")
         if np.any(self.c <= 0) or not np.all(np.isfinite(self.c)):
             raise ValueError("c must be positive and finite")
 
     @classmethod
-    def from_callable(cls, fn, x_lo, x_hi, n, c_lower=1.0, c_upper=15.0):
+    def from_callable(cls, fn, x_lo, x_hi, n):
         x = np.linspace(x_lo, x_hi, n + 1)
-        return cls(x, np.array([float(fn(xi)) for xi in x]), c_lower, c_upper)
+        return cls(x, np.array([float(fn(xi)) for xi in x]))
 
     def sample(self, x_query: np.ndarray) -> np.ndarray:
         """Linear interpolation, extended by the background value 1 outside."""

@@ -255,6 +255,11 @@ def signal_to_csv(s: Signal) -> str:
     return buf.getvalue()
 
 
+def profile_to_csv(x: np.ndarray, c: np.ndarray) -> str:
+    """A sampled profile c(x) as ``x,c`` rows under a header line."""
+    return "x,c\n" + "".join(f"{float(xi)!r},{float(ci)!r}\n" for xi, ci in zip(x, c))
+
+
 def signal_from_csv(text: str) -> Signal:
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
     if lines and lines[0].lower().startswith("t,"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousExtrema, ZeroSignal
+from .errors import AmbiguousExtrema, InvalidInput, ZeroSignal
 from .forward import tikhonov_differentiate
 from .grid import Signal
 from .transform import BoundaryData
@@ -49,8 +49,8 @@ class CalibrationResult:
     reference_name: str = ""
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not self.mu > 0:
+            raise InvalidInput("mu must be positive")
 
 
 def calibrate(raw_ref: RawTrace, sim_ref: Signal) -> CalibrationResult:
@@ -140,7 +140,6 @@ def preprocess_pipeline(
     cal: CalibrationResult,
     half_width_steps: int = 10,
     diff_reg: float = 1e-6,
-    eps: float = 0.0,
 ) -> BoundaryData:
     """Scale, envelope, truncate, rebuild the total wave, approximate g1.
 
@@ -157,6 +156,4 @@ def preprocess_pipeline(
     env = envelope(scaled, side)
     u_sc = truncate_window(env, half_width_steps)
     g0 = Signal(u_sc.t0, u_sc.dt, u_sc.samples + 0.5)
-    g0_deriv = tikhonov_differentiate(g0, diff_reg)
-    g1 = Signal(g0.t0, g0.dt, g0_deriv.samples)
-    return BoundaryData(g0=g0, g1=g1, eps=eps)
+    return BoundaryData(g0=g0, g1=tikhonov_differentiate(g0, diff_reg))

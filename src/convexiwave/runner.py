@@ -15,6 +15,7 @@ from .fixtures import (
     simulated_boundary_data,
     synthesize_raw_trace,
 )
+from .grid import profile_to_csv
 from .preprocess import calibrate, preprocess_pipeline
 
 # per-fixture expected reconstruction bands: list of (window_lo, window_hi,
@@ -52,10 +53,6 @@ def j_monotone_within_legs(diagnostics, rel_slack: float = 1e-12) -> bool:
         prev_J = row["J"]
         prev_leg = leg
     return True
-
-
-def _profile_csv(x, c) -> str:
-    return "x,c\n" + "\n".join(f"{float(xi)!r},{float(ci)!r}" for xi, ci in zip(x, c)) + "\n"
 
 
 def run_fixture(name: str, cfg: RunConfig | None = None, out_dir: str | None = None, seed: int = 1):
@@ -118,5 +115,5 @@ def run_fixture(name: str, cfg: RunConfig | None = None, out_dir: str | None = N
             ("c_comp", result.c_comp.x, result.c_comp.c),
         ):
             with open(os.path.join(out_dir, f"{name}_{label}.csv"), "w") as f:
-                f.write(_profile_csv(xs, cs))
+                f.write(profile_to_csv(xs, cs))
     return report

@@ -15,11 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import FloorViolation, HorizonTooShort
+from .errors import FloorViolation, HorizonTooShort, InvalidInput
 from .forward import MediumProfile, tikhonov_differentiate
 from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid, operators_for
 
 DEFAULT_C_UPPER = 15.0
+
+# q_from_u samples the t=0 row of q this far past the wavefront: the smoothing
+# width of the standard source, past which u reaches its limit from above.
+FRONT_OFFSET = 0.1
 
 
 def q_floor_from_c_upper(c_upper: float) -> float:
@@ -80,11 +84,11 @@ class BoundaryData:
 
     def __post_init__(self):
         if abs(self.g0.t0 - self.g1.t0) > 1e-12 or abs(self.g0.dt - self.g1.dt) > 1e-12:
-            raise ValueError("g0 and g1 must share t-sampling")
+            raise InvalidInput("g0 and g1 must share t-sampling")
         if self.g0.samples.size != self.g1.samples.size:
-            raise ValueError("g0 and g1 must have the same length")
+            raise InvalidInput("g0 and g1 must have the same length")
         if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+            raise InvalidInput("eps must be nonnegative")
 
 
 def travel_time(c: MediumProfile) -> TravelTime:
@@ -94,20 +98,15 @@ def travel_time(c: MediumProfile) -> TravelTime:
     return TravelTime(c.x, tau)
 
 
-def q_from_u(
-    u: Field2D,
-    tau: TravelTime,
-    grid_q: SpaceTimeGrid,
-    c_upper: float = DEFAULT_C_UPPER,
-    front_offset: float = 0.1,
-) -> QField:
+def q_from_u(u: Field2D, tau: TravelTime, grid_q: SpaceTimeGrid) -> QField:
     """Sample q(x, t) = u(x, t + tau(x)) onto the inversion grid.
 
     Linear interpolation in x (between u's node columns) and in t. The t=0
     row sits exactly on the wavefront jump of u, where the intended value is
     the limit from above; with a smoothed source that limit is reached only
     past the smoothing width, so the t=0 row is sampled at tau(x) +
-    ``front_offset`` (default: the smoothing width of the standard source).
+    ``FRONT_OFFSET``. That row is then raised to the floor implied by
+    ``DEFAULT_C_UPPER``, which is also the floor of the returned field.
     """
     xq = grid_q.x_nodes()
     tq = grid_q.t_nodes()
@@ -125,8 +124,8 @@ def q_from_u(
         w = (xi - xu[j]) / (xu[j + 1] - xu[j])
         col = (1.0 - w) * u.values[j] + w * u.values[j + 1]
         vals[i] = np.interp(tq + ti_shift, tu, col)
-        vals[i, 0] = np.interp(min(ti_shift + front_offset, tu[-1]), tu, col)
-    floor = q_floor_from_c_upper(c_upper)
+        vals[i, 0] = np.interp(min(ti_shift + FRONT_OFFSET, tu[-1]), tu, col)
+    floor = q_floor_from_c_upper(DEFAULT_C_UPPER)
     # Sampling near the wavefront can land a hair below the admissible floor;
     # project back, as the descent iteration does.
     np.maximum(vals[:, 0], floor, out=vals[:, 0])
@@ -140,12 +139,10 @@ def _checked_trace(q: QField, floor: float) -> np.ndarray:
     return trace
 
 
-def c_from_q(q: QField, c_lower: float = 0.01, c_upper: float | None = None) -> MediumProfile:
+def c_from_q(q: QField) -> MediumProfile:
     """Pointwise inverse c(x) = 1 / (16 q(x,0)^4) on the inversion interval."""
     c = 1.0 / (16.0 * _checked_trace(q, q.q_floor) ** 4)
-    if c_upper is None:
-        c_upper = 1.0 / (16.0 * q.q_floor**4)
-    return MediumProfile(q.grid.x_nodes(), c, c_lower=c_lower, c_upper=c_upper)
+    return MediumProfile(q.grid.x_nodes(), c)
 
 
 def residual_parts(q: QField, ops: DiscreteOperators, floor: float):
@@ -177,27 +174,24 @@ def residual_F(q: QField) -> Field2D:
 
 
 def boundary_traces_from_data(
-    d: BoundaryData,
-    grid: SpaceTimeGrid,
-    diff_reg: float = 1e-6,
-    g0_deriv: Signal | None = None,
+    d: BoundaryData, grid: SpaceTimeGrid, diff_reg: float = 1e-6
 ) -> tuple[Signal, Signal]:
     """Boundary traces for the q-system, resampled to the inversion t-nodes.
 
-    q(eps, t) = g0(t + eps) and q_x(eps, t) = g1(t + eps) + g0'(t + eps);
-    g0' comes from regularized differentiation unless supplied.
+    q(eps, t) = g0(t + eps) and q_x(eps, t) = g1(t + eps) + g0'(t + eps),
+    where g0' is the Tikhonov-regularized derivative of g0 with weight
+    ``diff_reg``. Raises HorizonTooShort if g0 ends before T + eps.
     """
     t_needed = grid.t_max + d.eps
     if d.g0.t_end + 1e-9 < t_needed:
         raise HorizonTooShort(
             f"data ends at t={d.g0.t_end} but traces need t up to {t_needed:.6g}"
         )
-    if g0_deriv is None:
-        g0_deriv = tikhonov_differentiate(d.g0, diff_reg)
+    dg0 = tikhonov_differentiate(d.g0, diff_reg)
     tq = grid.t_nodes() + d.eps
     g0_vals = np.interp(tq, d.g0.times(), d.g0.samples)
     g1_vals = np.interp(tq, d.g1.times(), d.g1.samples)
-    dg0_vals = np.interp(tq, g0_deriv.times(), g0_deriv.samples)
+    dg0_vals = np.interp(tq, dg0.times(), dg0.samples)
     q_eps = Signal(0.0, grid.dt, g0_vals)
     qx_eps = Signal(0.0, grid.dt, g1_vals + dg0_vals)
     return q_eps, qx_eps

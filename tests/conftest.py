@@ -1,43 +1,12 @@
-"""Shared test fixtures: cached forward simulations and small grids."""
+"""Shared test fixtures."""
 
 from __future__ import annotations
 
-import functools
-
-import numpy as np
 import pytest
 
-from convexiwave.fixtures import (
-    DEFAULT_BOX,
-    DEFAULT_FORWARD_GRID,
-    medium_from_pieces,
-    simulated_boundary_data,
-)
-from convexiwave.forward import SourceModel, correct_near_origin, extract_boundary, simulate
-from convexiwave.grid import SpaceTimeGrid
-
-INVERSION_GRID = SpaceTimeGrid(0.0, 3.0, 6.0, 60, 60)
-
-
-@functools.lru_cache(maxsize=32)
-def cached_boundary_data(name: str, delta: float = 0.0, seed: int = 0):
-    return simulated_boundary_data(name, delta=delta, seed=seed)
-
-
-@functools.lru_cache(maxsize=4)
-def null_boundary_data():
-    """Boundary data of the homogeneous medium on the production forward grid."""
-    fg = DEFAULT_FORWARD_GRID
-    medium = medium_from_pieces([], fg.x_min, fg.x_max, fg.nx)
-    u = correct_near_origin(simulate(medium, fg, SourceModel()), DEFAULT_BOX)
-    return extract_boundary(u, 0.0, fg.t_max)
+from cached_data import INVERSION_GRID
 
 
 @pytest.fixture(scope="session")
 def inversion_grid():
     return INVERSION_GRID
-
-
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.Generator(np.random.Philox(0))

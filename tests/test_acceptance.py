@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import INVERSION_GRID, cached_boundary_data, null_boundary_data
+from cached_data import INVERSION_GRID, cached_boundary_data, null_boundary_data
 from convexiwave.convexify import (
     ConvexParams,
     convexity_scan,

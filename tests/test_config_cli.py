@@ -146,7 +146,8 @@ def test_cli_convexity_check_small(tmp_path):
     assert rc == 0
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "lambda,min_bregman"
-    assert len(lines) == 3
+    assert len(lines) == 4
+    assert lines[-1].startswith("# lambda_emp = ")
 
 
 def test_cli_missing_file_exit_code(tmp_path):
@@ -156,7 +157,17 @@ def test_cli_missing_file_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["nan_sample", "non_uniform_times", "inversion_nx_1", "convex_eta_step"]
+    "case",
+    [
+        "nan_sample",
+        "non_uniform_times",
+        "inversion_nx_1",
+        "convex_eta_step",
+        "g1_shorter",
+        "g1_other_dt",
+        "redescent_iters_null",
+        "config_not_json",
+    ],
 )
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     times = [0.0, 0.5, 1.0, 1.5]
@@ -168,16 +179,36 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         times = [0.0, 0.1, 0.5, 0.55]
     elif case == "inversion_nx_1":
         cfg = {"inversion": {"nx": 1}}
-    else:
+    elif case == "convex_eta_step":
         cfg = {"convex": {"eta_step": 0.5}}
+    elif case == "redescent_iters_null":
+        cfg = {"descent": {"redescent_iters": None}}
+    g1_times = {"g1_shorter": times[:-1], "g1_other_dt": [0.0, 0.6, 1.2, 1.8]}.get(case, times)
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
     cfg_path = tmp_path / "cfg.json"
     g0.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, g0_vals)))
-    g1.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in times))
-    cfg_path.write_text(json.dumps(cfg))
+    g1.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in g1_times))
+    cfg_path.write_text('{"inversion": ' if case == "config_not_json" else json.dumps(cfg))
     rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
                "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidInput" and err["message"]
+
+
+@pytest.mark.parametrize(
+    "cal",
+    ["{}", '{"mu": -1}', '{"mu": "abc"}', '{"mu": '],
+    ids=["no_mu", "negative_mu", "text_mu", "not_json"],
+)
+def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, cal):
+    raw = tmp_path / "raw.csv"
+    cal_path = tmp_path / "cal.json"
+    raw.write_text("t,value\n0.0,0.0\n0.1,-1.0\n0.2,0.0\n")
+    cal_path.write_text(cal)
+    rc = main(["preprocess", "--raw", str(raw), "--mode", "air", "--cal", str(cal_path),
+               "--out", str(tmp_path / "g0.csv"), "--g1", str(tmp_path / "g1.csv")])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]

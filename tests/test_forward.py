@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import cached_boundary_data, null_boundary_data
+from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave.errors import OffGridObservation
 from convexiwave.fixtures import DEFAULT_BOX, DEFAULT_FORWARD_GRID, medium_from_pieces
 from convexiwave.forward import (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_boundary_data
+from cached_data import cached_boundary_data
 from convexiwave.errors import FloorViolation, HorizonTooShort
 from convexiwave.fixtures import DEFAULT_BOX, DEFAULT_FORWARD_GRID, fixture_medium
 from convexiwave.forward import MediumProfile, SourceModel, correct_near_origin, simulate
@@ -25,7 +25,7 @@ FLOOR = q_floor_from_c_upper(15.0)
 
 def _const_medium(c_val, x_lo=-5.0, x_hi=5.0, n=100):
     x = np.linspace(x_lo, x_hi, n + 1)
-    return MediumProfile(x, np.full(x.size, float(c_val)), c_lower=0.01, c_upper=20.0)
+    return MediumProfile(x, np.full(x.size, float(c_val)))
 
 
 def test_travel_time_background():
