@@ -5,10 +5,14 @@ of the nonlocal PDE for q, plus boundary-trace penalties at both ends of the
 spatial interval and a discrete-H2 regularization term. This module owns the
 objective, its gradient and the convexity probes; the residual comes from
 ``transform.residual_parts`` and every stencil, quadrature weight and the H2
-Gram matrix from ``grid.operators_for``. The gradient is the exact derivative
-of the discretized objective: the chain rule runs through the stencil
-transposes, the nonlocal t=0 row, the weight, and the penalties. Convexity on
-the admissible set is probed numerically through Bregman-divergence sampling.
+Gram matrix from ``grid.operators_for``. ``evaluate`` returns the objective
+together with every stencil image its gradient needs, and ``gradient`` builds
+the gradient from that record alone, so a descent step that accepts a trial
+point never applies a stencil to it again. The gradient is the exact
+derivative of the discretized objective: the chain rule runs through the
+stencil transposes, the nonlocal t=0 row, the weight, and the penalties.
+Convexity on the admissible set is probed numerically through
+Bregman-divergence sampling.
 """
 
 from __future__ import annotations
@@ -86,11 +90,34 @@ def make_context(
     return ObjectiveContext(grid, qe, qxe, params, q_floor_from_c_upper(c_upper))
 
 
-def evaluate_J(q: QField, ctx: ObjectiveContext) -> float:
-    """Weighted residual + boundary penalties + H2 regularization."""
+@dataclass(frozen=True)
+class Evaluation:
+    """The objective at one iterate and the pieces its gradient reuses.
+
+    ``v`` holds the iterate's nodal values; ``r`` to ``F`` are the outputs of
+    ``transform.residual_parts``; ``qx`` = Dx v and ``H2v`` = H2 v, flattened.
+    """
+
+    v: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    Bq: np.ndarray
+    Cq: np.ndarray
+    F: np.ndarray
+    qx: np.ndarray
+    H2v: np.ndarray
+    J: float
+
+
+def evaluate(v: np.ndarray, ctx: ObjectiveContext) -> Evaluation:
+    """Weighted residual + boundary penalties + H2 regularization at nodal values ``v``.
+
+    Raises FloorViolation if the t=0 row of ``v`` dips below ``ctx.q_floor``.
+    """
     ops = ctx.ops
-    v = q.values.values
-    F = residual_parts(q, ops, ctx.q_floor)[-1]
+    r, s, a, b, Bq, Cq, F = residual_parts(v, ops, ctx.q_floor)
     W = ctx.weight
     total = float(np.sum(ops.w2 * W * F**2))
     # boundary penalties: value and x-derivative at x_min, x-derivative at x_max
@@ -98,46 +125,54 @@ def evaluate_J(q: QField, ctx: ObjectiveContext) -> float:
     total += float(np.sum(ops.wt * W[0] * (v[0] - ctx.q_eps) ** 2))
     total += float(np.sum(ops.wt * W[0] * (qx[0] - ctx.qx_eps) ** 2))
     total += float(np.sum(ops.wt * W[-1] * qx[-1] ** 2))
-    total += ctx.params.beta * float(v.ravel() @ (ops.H2 @ v.ravel()))
-    return total
+    H2v = ops.H2 @ v.ravel()
+    total += ctx.params.beta * float(v.ravel() @ H2v)
+    return Evaluation(v, r, s, a, b, Bq, Cq, F, qx, H2v, total)
+
+
+def gradient(e: Evaluation, ctx: ObjectiveContext) -> np.ndarray:
+    """Exact gradient of the discretized objective at ``e.v``, from its evaluation alone."""
+    ops = ctx.ops
+    P, Q = ops.P, ops.Q
+    W = ctx.weight
+    MF = ops.w2 * W * e.F
+    grad = 2.0 * (
+        (ops.DxxT @ MF.ravel())
+        - (ops.DxtT @ (e.a[:, None] * MF).ravel())
+        + (ops.DtT @ (e.b[:, None] * MF).ravel())
+    ).reshape(P, Q)
+    # chain rule through the nonlocal t=0 traces r = q(.,0), s = r_x
+    sum_B = np.sum(MF * e.Bq, axis=1)
+    sum_C = np.sum(MF * e.Cq, axis=1)
+    trace_grad = sum_B / e.r**3 - sum_C * (3.0 * e.s) / (2.0 * e.r**4)
+    trace_grad = trace_grad + ops.Gx1dT @ (sum_C / (2.0 * e.r**3))
+    grad[:, 0] += 2.0 * trace_grad
+    # boundary penalties
+    grad[0] += 2.0 * ops.wt * W[0] * (e.v[0] - ctx.q_eps)
+    Z = np.zeros((P, Q))
+    Z[0] = ops.wt * W[0] * (e.qx[0] - ctx.qx_eps)
+    Z[-1] = ops.wt * W[-1] * e.qx[-1]
+    grad += 2.0 * (ops.DxT @ Z.ravel()).reshape(P, Q)
+    # H2 regularization
+    grad += 2.0 * ctx.params.beta * e.H2v.reshape(P, Q)
+    return grad
+
+
+def evaluate_J(q: QField, ctx: ObjectiveContext) -> float:
+    """Weighted residual + boundary penalties + H2 regularization."""
+    return evaluate(q.values.values, ctx).J
 
 
 def gradient_J(q: QField, ctx: ObjectiveContext) -> Field2D:
     """Exact gradient of the discretized objective with respect to nodal values."""
-    ops = ctx.ops
-    P, Q = ops.P, ops.Q
-    v = q.values.values
-    r, s, a, b, Bq, Cq, F = residual_parts(q, ops, ctx.q_floor)
-    W = ctx.weight
-    MF = ops.w2 * W * F
-    grad = 2.0 * (
-        (ops.Dxx.T @ MF.ravel())
-        - (ops.Dxt.T @ (a[:, None] * MF).ravel())
-        + (ops.Dt.T @ (b[:, None] * MF).ravel())
-    ).reshape(P, Q)
-    # chain rule through the nonlocal t=0 traces r = q(.,0), s = r_x
-    sum_B = np.sum(MF * Bq, axis=1)
-    sum_C = np.sum(MF * Cq, axis=1)
-    trace_grad = sum_B / r**3 - sum_C * (3.0 * s) / (2.0 * r**4)
-    trace_grad = trace_grad + ops.Gx1d.T @ (sum_C / (2.0 * r**3))
-    grad[:, 0] += 2.0 * trace_grad
-    # boundary penalties
-    grad[0] += 2.0 * ops.wt * W[0] * (v[0] - ctx.q_eps)
-    qx = ops.apply2d(ops.Dx, v)
-    Z = np.zeros((P, Q))
-    Z[0] = ops.wt * W[0] * (qx[0] - ctx.qx_eps)
-    Z[-1] = ops.wt * W[-1] * qx[-1]
-    grad += 2.0 * (ops.Dx.T @ Z.ravel()).reshape(P, Q)
-    # H2 regularization
-    grad += 2.0 * ctx.params.beta * ops.apply2d(ops.H2, v)
-    return Field2D(q.grid, grad)
+    return Field2D(q.grid, gradient(evaluate(q.values.values, ctx), ctx))
 
 
 def bregman_divergence(q: QField, h: Field2D, ctx: ObjectiveContext) -> float:
     """J(q + h) - J(q) - <grad J(q), h>; nonnegativity over a set certifies convexity."""
-    qh = QField(q.grid, Field2D(q.grid, q.values.values + h.values), q.q_floor)
-    g = gradient_J(q, ctx)
-    return evaluate_J(qh, ctx) - evaluate_J(q, ctx) - float(np.sum(g.values * h.values))
+    v = q.values.values
+    e = evaluate(v, ctx)
+    return evaluate(v + h.values, ctx).J - e.J - float(np.sum(gradient(e, ctx) * h.values))
 
 
 # ---------------------------------------------------------------------------

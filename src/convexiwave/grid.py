@@ -188,6 +188,11 @@ class DiscreteOperators:
         self.Dxx = sp.kron(d2_matrix(grid.nx, grid.dx), It, format="csr")
         self.Dtt = sp.kron(Ix, d2_matrix(grid.nt, grid.dt), format="csr")
         self.Dxt = (self.Dx @ self.Dt).tocsr()
+        # CSR transposes for the objective's gradient: ``.T`` of a CSR matrix
+        # builds a new CSC object on every access.
+        self.DxxT, self.DxtT, self.DtT, self.DxT, self.Gx1dT = (
+            m.T.tocsr() for m in (self.Dxx, self.Dxt, self.Dt, self.Dx, self.Gx1d)
+        )
         self.w2 = quad_weights(grid)          # (P, Q) area quadrature
         self.wt = trapezoid_weights(grid.nt, grid.dt)  # (Q,) time-line quadrature
         # the operators R whose weighted squares sum to the discrete H2 norm

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid
 
-from .convexify import ConvexParams, ObjectiveContext, evaluate_J, gradient_J, make_context
+from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
 from .errors import FloorViolation, SingularSystem
 from .forward import MediumProfile
 from .grid import Field2D, Signal, SpaceTimeGrid, operators_for
@@ -156,13 +156,16 @@ def initial_guess(
 def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
     """Armijo-backtracked gradient descent with floor clamping on the t=0 row.
 
-    Returns (q, info) where info records per-iteration objective values and
-    gradient norms, the accepted step sizes, and the termination reason.
+    Iterates on nodal arrays: each trial point is evaluated once, and the
+    accepted trial's evaluation supplies the next gradient. A non-finite
+    trial raises ValueError, and a t=0 row below ``ctx.q_floor`` raises
+    FloorViolation. Returns (q, info) where info records per-iteration
+    objective values and gradient norms, the accepted step sizes, and the
+    termination reason.
     """
-    q = q0.copy()
-    J = evaluate_J(q, ctx)
+    e = evaluate(q0.values.values.copy(), ctx)
     info = {
-        "J": [J],
+        "J": [e.J],
         "grad_norm": [],
         "steps": [],
         "converged": False,
@@ -173,8 +176,8 @@ def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
     # search does not pay the full backtracking cost every iteration.
     step_start = cfg.eta_step
     for _ in range(cfg.max_iters):
-        g = gradient_J(q, ctx)
-        gnorm = float(np.linalg.norm(g.values))
+        g = gradient(e, ctx)
+        gnorm = float(np.linalg.norm(g))
         info["grad_norm"].append(gnorm)
         if gnorm <= cfg.grad_tol:
             info["converged"] = True
@@ -184,11 +187,12 @@ def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
         step = step_start
         accepted = False
         while step >= min_step:
-            trial = q.values.values - step * g.values
+            trial = e.v - step * g
             np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
-            q_trial = QField(q.grid, Field2D(q.grid, trial), q.q_floor)
-            J_trial = evaluate_J(q_trial, ctx)
-            if J_trial <= J - cfg.armijo_c1 * step * gg:
+            if not np.all(np.isfinite(trial)):
+                raise ValueError("descent trial contains non-finite values")
+            e_trial = evaluate(trial, ctx)
+            if e_trial.J <= e.J - cfg.armijo_c1 * step * gg:
                 accepted = True
                 break
             step *= cfg.backtrack
@@ -196,10 +200,10 @@ def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
             info["reason"] = "no_decrease"
             break
         step_start = min(step / cfg.backtrack, cfg.eta_step)
-        q, J = q_trial, J_trial
-        info["J"].append(J)
+        e = e_trial
+        info["J"].append(e.J)
         info["steps"].append(step)
-    return q, info
+    return QField(q0.grid, Field2D(q0.grid, e.v), q0.q_floor), info
 
 
 # ---------------------------------------------------------------------------

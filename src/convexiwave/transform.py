@@ -132,8 +132,8 @@ def q_from_u(u: Field2D, tau: TravelTime, grid_q: SpaceTimeGrid) -> QField:
     return QField(grid_q, Field2D(grid_q, vals), floor)
 
 
-def _checked_trace(q: QField, floor: float) -> np.ndarray:
-    trace = q.initial_trace()
+def _checked_trace(v: np.ndarray, floor: float) -> np.ndarray:
+    trace = v[:, 0]
     if np.any(trace < floor - 1e-12):
         raise FloorViolation("q(x,0) below the admissible floor")
     return trace
@@ -141,20 +141,20 @@ def _checked_trace(q: QField, floor: float) -> np.ndarray:
 
 def c_from_q(q: QField) -> MediumProfile:
     """Pointwise inverse c(x) = 1 / (16 q(x,0)^4) on the inversion interval."""
-    c = 1.0 / (16.0 * _checked_trace(q, q.q_floor) ** 4)
+    c = 1.0 / (16.0 * _checked_trace(q.values.values, q.q_floor) ** 4)
     return MediumProfile(q.grid.x_nodes(), c)
 
 
-def residual_parts(q: QField, ops: DiscreteOperators, floor: float):
-    """The residual F of the q-PDE and the pieces its derivative reuses.
+def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
+    """The residual F of the q-PDE at the nodal values ``v`` of q, and the
+    pieces its derivative reuses.
 
     F(q) = q_xx - a q_xt + b q_t with the nonlocal coefficients
     a = 1 / (2 r^2) and b = s / (2 r^3) read from the t=0 traces r = q(x,0)
     and s = r_x. Raises FloorViolation if r dips below ``floor``.
     Returns (r, s, a, b, q_xt, q_t, F) as node arrays.
     """
-    v = q.values.values
-    r = _checked_trace(q, floor)
+    r = _checked_trace(v, floor)
     s = ops.Gx1d @ r
     Bq = ops.apply2d(ops.Dxt, v)
     Cq = ops.apply2d(ops.Dt, v)
@@ -170,7 +170,8 @@ def residual_F(q: QField) -> Field2D:
     F(q) = q_xx - q_xt / (2 q(x,0)^2) + q_t q_x(x,0) / (2 q(x,0)^3), with the
     t=0 traces read from the field's initial row.
     """
-    return Field2D(q.grid, residual_parts(q, operators_for(q.grid), q.q_floor)[-1])
+    F = residual_parts(q.values.values, operators_for(q.grid), q.q_floor)[-1]
+    return Field2D(q.grid, F)
 
 
 def boundary_traces_from_data(

@@ -146,6 +146,63 @@ def test_descend_floor_clamp_maintained():
     assert np.all(q.initial_trace() >= FLOOR - 1e-12)
 
 
+def _reference_descend(q0, ctx, cfg):
+    """Armijo descent written with evaluate_J/gradient_J and a QField per
+    trial; returns (q, info, number of trials the floor clamp changed)."""
+    q = q0.copy()
+    J = evaluate_J(q, ctx)
+    info = {"J": [J], "grad_norm": [], "steps": []}
+    clamped = 0
+    step_start = cfg.eta_step
+    for _ in range(cfg.max_iters):
+        g = gradient_J(q, ctx)
+        gnorm = float(np.linalg.norm(g.values))
+        info["grad_norm"].append(gnorm)
+        if gnorm <= cfg.grad_tol:
+            break
+        gg = gnorm * gnorm
+        step = step_start
+        accepted = False
+        while step >= 1e-14:
+            trial = q.values.values - step * g.values
+            clamped += bool(np.any(trial[:, 0] < ctx.q_floor))
+            np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
+            q_trial = QField(q.grid, Field2D(q.grid, trial), q.q_floor)
+            J_trial = evaluate_J(q_trial, ctx)
+            if J_trial <= J - cfg.armijo_c1 * step * gg:
+                accepted = True
+                break
+            step *= cfg.backtrack
+        if not accepted:
+            break
+        step_start = min(step / cfg.backtrack, cfg.eta_step)
+        q, J = q_trial, J_trial
+        info["J"].append(J)
+        info["steps"].append(step)
+    return q, info, clamped
+
+
+@pytest.mark.parametrize("clamp", [False, True], ids=["free", "clamped"])
+def test_descend_is_bit_identical_to_reference_loop(clamp):
+    """Reusing the accepted trial's evaluation for the next gradient changes
+    no bit of the iterate or of the recorded history."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
+    q_data = FLOOR if clamp else 0.45
+    ctx = make_context(g, np.full(g.nt + 1, q_data), np.full(g.nt + 1, 0.05), ConvexParams())
+    vals = np.full(g.shape, 0.5)
+    if clamp:
+        vals[:, 0] = FLOOR
+    q0 = QField(g, Field2D(g, vals), FLOOR)
+    cfg = DescentConfig(max_iters=200)
+    q_ref, info_ref, clamped = _reference_descend(q0, ctx, cfg)
+    q, info = descend(q0, ctx, cfg)
+    assert (clamped > 0) == clamp
+    assert len(info["steps"]) == 200
+    assert np.array_equal(q.values.values, q_ref.values.values)
+    for key in ("J", "steps", "grad_norm"):
+        assert info[key] == info_ref[key], key
+
+
 # ---------------------------------------------------------------------------
 # correction_step
 # ---------------------------------------------------------------------------
