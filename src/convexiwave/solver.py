@@ -69,7 +69,10 @@ class DescentConfig:
 # ---------------------------------------------------------------------------
 
 # Largest relative normal-equation residual accepted from a direct solve. The
-# five simulated media stay below 1e-10 on the 60x60 and 200x200 grids.
+# normal matrices are positive definite, so the diagonal-pivot factorization
+# is backward stable: on the benchmark's five simulated media at seeds 1 and 2
+# the worst residual is 2.2e-12 on the 60x60 grid and 3.9e-11 on the 200x200
+# grid (7.2e-11 with the partial-pivoting solve it replaced).
 QR_RESIDUAL_TOL = 1e-6
 
 
@@ -81,10 +84,17 @@ def _row_selector(P: int, Q: int, row: int) -> sp.csr_matrix:
 def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
     """Minimize sum_k ||w_k^(1/2) (L_k v - b_k)||^2 + reg_eta * sum_j ||w^(1/2) R_j v||^2.
 
-    Assembles the normal equations and solves them by a direct sparse
-    factorization. Returns (solution, relative_normal_residual); raises
-    SingularSystem if the solution is non-finite or its relative residual
-    exceeds ``QR_RESIDUAL_TOL``.
+    Assembles the normal equations and solves them by a sparse LU
+    factorization with a symmetric fill-reducing ordering and the pivots
+    taken on the diagonal. With positive weights the normal matrix is
+    symmetric positive semidefinite, and positive definite once a term or
+    ``reg_ops`` (the H2 operators include the identity) covers every
+    unknown. Gaussian elimination of a positive definite matrix needs no
+    pivoting for stability, so the diagonal pivots are safe; an unknown that
+    nothing covers leaves an exactly zero pivot, which SuperLU reports.
+    Returns (solution, relative_normal_residual); raises SingularSystem if
+    the factorization fails, the solution is non-finite or its relative
+    residual exceeds ``QR_RESIDUAL_TOL``.
     """
     normal = sp.csr_matrix((n_unknowns, n_unknowns))
     rhs = np.zeros(n_unknowns)
@@ -95,10 +105,18 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
             rhs = rhs + Lw @ b
     for R in reg_ops:
         normal = normal + reg_eta * (R.T @ sp.diags(reg_weight_vec) @ R)
+    # The ordering pays only with the pivots kept on the diagonal: alone, it
+    # took 534 s on the 200x200 correction system, against about 1 s together.
     try:
-        sol = spla.spsolve(normal.tocsc(), rhs)
+        factor = spla.splu(
+            normal.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise SingularSystem(f"quasi-reversibility normal equations failed: {exc}") from exc
+    sol = factor.solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("quasi-reversibility solve produced non-finite values")
     res = normal @ sol - rhs

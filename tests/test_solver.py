@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import solver
@@ -262,10 +263,61 @@ def test_solve_quadratic_rejects_large_normal_residual(monkeypatch):
     is refused rather than returned."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     q_eps, qx_eps = _const_signals(g, qx_val=0.1)
-    exact = solver.spla.spsolve
-    monkeypatch.setattr(solver.spla, "spsolve", lambda A, b: exact(A, b) * (1.0 + 1e-3))
+    exact = solver.spla.splu
+
+    class Perturbed:
+        def __init__(self, *args, **kwargs):
+            self.factor = exact(*args, **kwargs)
+
+        def solve(self, b):
+            return self.factor.solve(b) * (1.0 + 1e-3)
+
+    monkeypatch.setattr(solver.spla, "splu", Perturbed)
     with pytest.raises(SingularSystem, match="residual"):
         initial_guess(q_eps, qx_eps, g, QRConfig())
+
+
+def test_solve_quadratic_rejects_an_unknown_no_term_touches():
+    """Without reg_ops an untouched unknown leaves an exactly zero pivot,
+    which the diagonal-pivot factorization reports instead of solving."""
+    L = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]))
+    with pytest.raises(SingularSystem, match="singular"):
+        solver.solve_quadratic([(L, np.ones(2), np.ones(2))], (), np.ones(3), 1e-11, 3)
+
+
+def test_quasi_reversibility_solves_match_dense_solve(monkeypatch):
+    """Every QR system of an initialization and both correction variants on
+    a 10x10 grid agrees with a dense solve of the same normal equations."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
+    t = g.t_nodes()
+    q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
+    qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
+    systems = []
+    exact = solver.solve_quadratic
+
+    def recorded(*args):
+        out = exact(*args)
+        systems.append((args, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(solver, "solve_quadratic", recorded)
+    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
+    for freeze in (True, False):
+        correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
+    assert len(systems) == 3
+    for (terms, reg_ops, reg_w, reg_eta, n), sol in systems:
+        A = np.zeros((n, n))
+        b = np.zeros(n)
+        for L, w, target in terms:
+            L = L.toarray()
+            A += L.T @ (w[:, None] * L)
+            if target is not None:
+                b += L.T @ (w * target)
+        for R in reg_ops:
+            R = R.toarray()
+            A += reg_eta * R.T @ (reg_w[:, None] * R)
+        ref = np.linalg.solve(A, b)
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 # ---------------------------------------------------------------------------
