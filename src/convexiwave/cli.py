@@ -104,8 +104,18 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
+def _audit_grid(args) -> SpaceTimeGrid:
+    """The [0, 3] x [0, 6] grid of the audit subcommands, sized by --nx/--nt."""
+    try:
+        return SpaceTimeGrid(0.0, 3.0, 6.0, args.nx, args.nt)
+    except ValueError as exc:
+        raise InvalidInput(f"--nx/--nt: {exc}") from exc
+
+
 def cmd_gradient_check(args) -> int:
-    grid = SpaceTimeGrid(0.0, 3.0, 6.0, args.nx, args.nt)
+    if args.trials < 1:
+        raise InvalidInput("--trials must be at least 1")
+    grid = _audit_grid(args)
     rng = np.random.Generator(np.random.Philox(args.seed))
     floor = q_floor_from_c_upper(15.0)
     params = ConvexParams()
@@ -135,8 +145,17 @@ def cmd_gradient_check(args) -> int:
 
 
 def cmd_convexity_check(args) -> int:
-    lambdas = [float(s) for s in args.lambdas.split(",")]
-    grid = SpaceTimeGrid(0.0, 3.0, 6.0, args.nx, args.nt)
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",")]
+        for lam in lambdas:
+            ConvexParams(lam=lam)
+    except ValueError as exc:
+        raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
+    if args.pairs < 1:
+        raise InvalidInput("--pairs must be at least 1")
+    if not args.radius > 0:
+        raise InvalidInput("--radius must be positive")
+    grid = _audit_grid(args)
     table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
     rows = ["lambda,min_bregman"]
     rows += [f"{lam!r},{val!r}" for lam, val in table.items()]

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from .convexify import ConvexParams
 from .errors import InvalidInput
+from .fixtures import check_piece
 from .forward import CorrectionBox, SourceModel
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
@@ -43,6 +44,12 @@ class ForwardConfig:
     source: SourceModel = field(default_factory=SourceModel)
     correction: CorrectionBox = field(default_factory=CorrectionBox)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
+
+    def __post_init__(self):
+        if not isinstance(self.medium, list):
+            raise ValueError("medium must be a list of pieces")
+        for piece in self.medium:
+            check_piece(piece)
 
 
 @dataclass

@@ -32,6 +32,43 @@ from .transform import BoundaryData
 # Piecewise medium descriptions
 # ---------------------------------------------------------------------------
 
+# The keys each medium piece kind requires, besides "kind"; a "sine" piece
+# may also give "phase_center".
+PIECE_KEYS = {
+    "bump": ("center", "halfwidth", "amplitude"),
+    "step": ("center", "halfwidth", "value"),
+    "sine": ("center", "halfwidth", "base", "amplitude"),
+    "table": ("x", "c"),
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_piece(piece) -> None:
+    """Raise ValueError unless ``piece`` is a dict with a known ``kind`` and
+    exactly that kind's keys, holding numbers (lists of numbers for "table")."""
+    if not isinstance(piece, dict):
+        raise ValueError(f"medium piece {piece!r} is not an object")
+    kind = piece.get("kind")
+    if kind not in PIECE_KEYS:
+        raise ValueError(f"unknown medium piece kind {kind!r}; known: {', '.join(PIECE_KEYS)}")
+    required = set(PIECE_KEYS[kind])
+    allowed = required | {"kind"} | ({"phase_center"} if kind == "sine" else set())
+    if missing := required - piece.keys():
+        raise ValueError(f"{kind} piece lacks {', '.join(sorted(missing))}")
+    if unknown := piece.keys() - allowed:
+        raise ValueError(f"{kind} piece has unknown keys {', '.join(sorted(unknown))}")
+    if kind == "table":
+        xs, cs = piece["x"], piece["c"]
+        if not (isinstance(xs, list) and isinstance(cs, list) and 0 < len(xs) == len(cs)
+                and all(map(_is_number, xs + cs))):
+            raise ValueError("table piece needs x and c as equal-length lists of numbers")
+    elif not all(_is_number(piece[key]) for key in piece.keys() - {"kind"}):
+        raise ValueError(f"{kind} piece values must be numbers")
+
+
 def _piece_values(piece: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mask, values-on-mask) for one medium piece."""
     kind = piece["kind"]

@@ -167,6 +167,8 @@ def test_cli_missing_file_exit_code(tmp_path):
         "g1_other_dt",
         "redescent_iters_null",
         "config_not_json",
+        "medium_unknown_kind",
+        "medium_piece_lacks_key",
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
@@ -183,6 +185,10 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         cfg = {"convex": {"eta_step": 0.5}}
     elif case == "redescent_iters_null":
         cfg = {"descent": {"redescent_iters": None}}
+    elif case == "medium_unknown_kind":
+        cfg = {"forward": {"medium": [{"kind": "blob"}]}}
+    elif case == "medium_piece_lacks_key":
+        cfg = {"forward": {"medium": [{"kind": "bump", "center": 0.5, "halfwidth": 0.2}]}}
     g1_times = {"g1_shorter": times[:-1], "g1_other_dt": [0.0, 0.6, 1.2, 1.8]}.get(case, times)
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
@@ -190,9 +196,33 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     g0.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, g0_vals)))
     g1.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in g1_times))
     cfg_path.write_text('{"inversion": ' if case == "config_not_json" else json.dumps(cfg))
-    rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
-               "--out", str(tmp_path / "c.csv")])
+    if case.startswith("medium"):
+        argv = ["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)]
+    else:
+        argv = ["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
+                "--out", str(tmp_path / "c.csv")]
+    rc = main(argv)
     assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidInput" and err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convexity-check", "--lambdas=-1"],
+        ["convexity-check", "--lambdas=1,x"],
+        ["convexity-check", "--pairs", "0"],
+        ["convexity-check", "--radius", "0"],
+        ["gradient-check", "--nx", "1"],
+        ["gradient-check", "--trials", "0"],
+    ],
+    ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "nx_1", "no_trials"],
+)
+def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]
 
