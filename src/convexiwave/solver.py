@@ -105,8 +105,9 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
             rhs = rhs + Lw @ b
     for R in reg_ops:
         normal = normal + reg_eta * (R.T @ sp.diags(reg_weight_vec) @ R)
-    # The ordering pays only with the pivots kept on the diagonal: alone, it
-    # took 534 s on the 200x200 correction system, against about 1 s together.
+    # The symmetric ordering pays only with the pivots kept on the diagonal:
+    # with partial pivoting it took 534 s on the 200x200 correction system
+    # (2-core VM), where all three settings together take under 2 s.
     try:
         factor = spla.splu(
             normal.tocsc(),
