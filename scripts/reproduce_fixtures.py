@@ -22,6 +22,9 @@ def main() -> int:
     args = ap.parse_args()
 
     names = [n for n in args.fixtures.split(",") if n]
+    unknown = [n for n in names if n not in FIXTURE_NAMES]
+    if unknown:
+        ap.error(f"unknown fixture(s) {', '.join(unknown)}; known: {', '.join(FIXTURE_NAMES)}")
     os.makedirs(args.out, exist_ok=True)
     reports = []
     all_ok = True

@@ -9,6 +9,7 @@ injection, and regularized differentiation of noisy traces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,11 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel | None = No
     at the large time steps the data generation uses. Each step is one
     factorized sparse solve. The first step is bootstrapped from the Taylor
     expansion at t=0 (u(.,0)=0, so u^1 = dt * source).
+
+    The solution is stored time-major, one contiguous row per time level, so
+    each step reads and writes whole rows. Finiteness is checked once, after
+    the last step. The returned values are the transposed (x, t) view of that
+    buffer, not a copy.
     """
     if src is None:
         src = SourceModel()
@@ -93,41 +99,38 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel | None = No
     cv = c.sample(x)
     r = 0.5 * dt * dt / (dx * dx)
 
-    rows, cols, vals = [], [], []
-    for i in range(1, nx):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [-r, cv[i] + 2.0 * r, -r]
+    i = np.arange(1, nx)
+    off = np.full(nx - 1, -r)
     # Absorbing rows u_t -/+ u_x = 0 at the ends: second-order backward time
     # difference and second-order one-sided space derivative, all at the new
     # level so the system stays tridiagonal-banded.
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)]
-    rows += [nx, nx, nx]
-    cols += [nx, nx - 1, nx - 2]
-    vals += [3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)]
+    edge = [3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)]
+    rows = np.concatenate([np.repeat(i, 3), [0, 0, 0, nx, nx, nx]])
+    cols = np.concatenate(
+        [np.stack([i - 1, i, i + 1], axis=1).ravel(), [0, 1, 2, nx, nx - 1, nx - 2]]
+    )
+    vals = np.concatenate([np.stack([off, cv[1:nx] + 2.0 * r, off], axis=1).ravel(), edge, edge])
     A = sp.csc_matrix((vals, (rows, cols)), shape=(nx + 1, nx + 1))
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise SingularSystem(f"implicit wave step matrix is singular: {exc}") from exc
 
-    u = np.zeros((nx + 1, nt + 1))
-    u[:, 1] = dt * src.evaluate(x)
-    u[0, 1] = u[nx, 1] = 0.0
+    U = np.zeros((nt + 1, nx + 1))
+    U[1] = dt * src.evaluate(x)
+    U[1, 0] = U[1, nx] = 0.0
     rhs = np.zeros(nx + 1)
     for n in range(1, nt):
-        rhs[1:nx] = cv[1:nx] * (2.0 * u[1:nx, n] - u[1:nx, n - 1]) + r * (
-            u[0 : nx - 1, n - 1] - 2.0 * u[1:nx, n - 1] + u[2 : nx + 1, n - 1]
+        cur, prev = U[n], U[n - 1]
+        rhs[1:nx] = cv[1:nx] * (2.0 * cur[1:nx] - prev[1:nx]) + r * (
+            prev[0 : nx - 1] - 2.0 * prev[1:nx] + prev[2 : nx + 1]
         )
-        rhs[0] = (4.0 * u[0, n] - u[0, n - 1]) / (2 * dt)
-        rhs[nx] = (4.0 * u[nx, n] - u[nx, n - 1]) / (2 * dt)
-        sol = lu.solve(rhs)
-        if not np.all(np.isfinite(sol)):
-            raise SingularSystem("implicit wave step produced non-finite values")
-        u[:, n + 1] = sol
-    return Field2D(grid, u)
+        rhs[0] = (4.0 * cur[0] - prev[0]) / (2 * dt)
+        rhs[nx] = (4.0 * cur[nx] - prev[nx]) / (2 * dt)
+        U[n + 1] = lu.solve(rhs)
+    if not np.all(np.isfinite(U)):
+        raise SingularSystem("implicit wave step produced non-finite values")
+    return Field2D(grid, U.T)
 
 
 def correct_near_origin(u: Field2D, box: CorrectionBox) -> Field2D:
@@ -174,17 +177,12 @@ def add_noise(g: Signal, delta: float, seed: int) -> Signal:
     return Signal(g.t0, g.dt, g.samples * (1.0 + delta * r))
 
 
-def tikhonov_differentiate(g: Signal, reg: float) -> Signal:
-    """Stable derivative of a noisy trace.
+@functools.lru_cache(maxsize=8)
+def _tikhonov_system(n: int, dt: float, reg: float):
+    """K and the Cholesky factor of K^T K + reg * D^T D for one (n, dt, reg).
 
-    Returns the minimizer d of ||K d - (g - g(t0))||^2 + reg * ||d'||^2 where
-    K is cumulative trapezoidal integration from t0; the normal equations are
-    solved as one dense symmetric positive-definite system.
+    Cached and shared by every caller, so the arrays are read-only.
     """
-    if reg <= 0:
-        raise ValueError("reg must be positive")
-    n = g.samples.size
-    dt = g.dt
     K = np.zeros((n, n))
     for i in range(1, n):
         K[i, 0] = dt / 2.0
@@ -194,13 +192,29 @@ def tikhonov_differentiate(g: Signal, reg: float) -> Signal:
     idx = np.arange(n - 1)
     D[idx, idx] = -1.0 / dt
     D[idx, idx + 1] = 1.0 / dt
-    y = g.samples - g.samples[0]
     lhs = K.T @ K + reg * (D.T @ D)
-    rhs = K.T @ y
     try:
-        d = scipy.linalg.solve(lhs, rhs, assume_a="pos")
+        factor = scipy.linalg.cho_factor(lhs)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"regularized differentiation solve failed: {exc}") from exc
+    K.flags.writeable = False
+    factor[0].flags.writeable = False
+    return K, factor
+
+
+def tikhonov_differentiate(g: Signal, reg: float) -> Signal:
+    """Stable derivative of a noisy trace.
+
+    Returns the minimizer d of ||K d - (g - g(t0))||^2 + reg * ||d'||^2 where
+    K is cumulative trapezoidal integration from t0. The normal matrix is
+    symmetric positive-definite; K and its upper Cholesky factor are built
+    once per (n, dt, reg), cached read-only, and reused by later calls.
+    """
+    if reg <= 0:
+        raise ValueError("reg must be positive")
+    K, factor = _tikhonov_system(g.samples.size, g.dt, reg)
+    y = g.samples - g.samples[0]
+    d = scipy.linalg.cho_solve(factor, K.T @ y)
     if not np.all(np.isfinite(d)):
         raise SingularSystem("regularized differentiation produced non-finite values")
-    return Signal(g.t0, dt, d)
+    return Signal(g.t0, g.dt, d)

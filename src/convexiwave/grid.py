@@ -90,7 +90,8 @@ class Field2D:
         return cls(grid, np.broadcast_to(fn(x, t), grid.shape).astype(float).copy())
 
     def copy(self) -> "Field2D":
-        return Field2D(self.grid, self.values.copy())
+        """A copy in the memory layout of ``values`` (``simulate`` returns a transposed view)."""
+        return Field2D(self.grid, self.values.copy(order="K"))
 
 
 @dataclass

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +245,19 @@ def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, ca
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]
+
+
+def test_reproduce_fixtures_rejects_unknown_fixture_with_exit_2(tmp_path, capsys, monkeypatch):
+    """An unknown name is rejected before --out is created or any fixture runs."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_fixtures.py"
+    reproduce = runpy.run_path(str(script))["main"]
+    out = tmp_path / "runs"
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out), "--fixtures", "test1,nope"])
+    with pytest.raises(SystemExit) as exc:
+        reproduce()
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "unknown fixture(s) nope;" in capsys.readouterr().err
 
 
 def test_cli_domain_error_exit_code(tmp_path):

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cached_data import cached_boundary_data, null_boundary_data
-from convexiwave.errors import OffGridObservation
+from convexiwave import forward
+from convexiwave.errors import OffGridObservation, SingularSystem
 from convexiwave.fixtures import DEFAULT_BOX, DEFAULT_FORWARD_GRID, medium_from_pieces
 from convexiwave.forward import (
     CorrectionBox,
@@ -23,6 +27,82 @@ def _constant_medium(c_value, grid):
     return MediumProfile.from_callable(
         lambda x: np.full_like(x, float(c_value)), grid.x_min, grid.x_max, grid.nx
     )
+
+
+def _layered_medium(grid):
+    pieces = [
+        {"kind": "step", "center": 0.4, "halfwidth": 0.15, "value": 6.0},
+        {"kind": "step", "center": 0.9, "halfwidth": 0.2, "value": 2.5},
+    ]
+    return medium_from_pieces(pieces, grid.x_min, grid.x_max, grid.nx)
+
+
+def _reference_simulate(c, grid, src):
+    """The column-major stepper: u[:, n] is time level n, the step matrix is
+    assembled from a Python triplet loop and every step is checked."""
+    x = grid.x_nodes()
+    nx, nt = grid.nx, grid.nt
+    dx, dt = grid.dx, grid.dt
+    cv = c.sample(x)
+    r = 0.5 * dt * dt / (dx * dx)
+    rows, cols, vals = [], [], []
+    for i in range(1, nx):
+        rows += [i, i, i]
+        cols += [i - 1, i, i + 1]
+        vals += [-r, cv[i] + 2.0 * r, -r]
+    rows += [0, 0, 0]
+    cols += [0, 1, 2]
+    vals += [3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)]
+    rows += [nx, nx, nx]
+    cols += [nx, nx - 1, nx - 2]
+    vals += [3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)]
+    lu = spla.splu(sp.csc_matrix((vals, (rows, cols)), shape=(nx + 1, nx + 1)))
+    u = np.zeros((nx + 1, nt + 1))
+    u[:, 1] = dt * src.evaluate(x)
+    u[0, 1] = u[nx, 1] = 0.0
+    rhs = np.zeros(nx + 1)
+    for n in range(1, nt):
+        rhs[1:nx] = cv[1:nx] * (2.0 * u[1:nx, n] - u[1:nx, n - 1]) + r * (
+            u[0 : nx - 1, n - 1] - 2.0 * u[1:nx, n - 1] + u[2 : nx + 1, n - 1]
+        )
+        rhs[0] = (4.0 * u[0, n] - u[0, n - 1]) / (2 * dt)
+        rhs[nx] = (4.0 * u[nx, n] - u[nx, n - 1]) / (2 * dt)
+        sol = lu.solve(rhs)
+        assert np.all(np.isfinite(sol))
+        u[:, n + 1] = sol
+    return u
+
+
+def test_simulate_is_bit_identical_to_column_major_stepper():
+    """Time-major stepping and the vectorized step matrix change no bit of u."""
+    grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
+    medium = _layered_medium(grid)
+    u = simulate(medium, grid, SourceModel())
+    assert u.values.shape == grid.shape
+    assert np.array_equal(u.values, _reference_simulate(medium, grid, SourceModel()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_simulate_raises_singular_system_on_non_finite_step(monkeypatch, bad):
+    """A step that goes non-finite is caught by the one check after the loop."""
+    real_splu = spla.splu
+
+    class _BadFactor:
+        def __init__(self, lu):
+            self.lu = lu
+            self.calls = 0
+
+        def solve(self, rhs):
+            self.calls += 1
+            out = self.lu.solve(rhs)
+            if self.calls == 5:
+                out[len(out) // 2] = bad
+            return out
+
+    monkeypatch.setattr(forward.spla, "splu", lambda A: _BadFactor(real_splu(A)))
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 60, 30)
+    with pytest.raises(SingularSystem, match="non-finite"):
+        simulate(_layered_medium(grid), grid, SourceModel())
 
 
 def test_null_scatterer_detector_value():
@@ -145,3 +225,37 @@ def test_tikhonov_differentiate_smooths_noise():
     # naive finite differencing of the same trace is an order of magnitude worse
     naive = np.gradient(noisy, t)
     assert np.max(np.abs(naive[20:-20] - d_true[20:-20])) > 1.0
+
+
+def _reference_tikhonov(g, reg):
+    """The uncached dense solve of the same normal equations."""
+    n, dt = g.samples.size, g.dt
+    K = np.zeros((n, n))
+    for i in range(1, n):
+        K[i, 0] = dt / 2.0
+        K[i, 1:i] = dt
+        K[i, i] = dt / 2.0
+    D = np.zeros((n - 1, n))
+    idx = np.arange(n - 1)
+    D[idx, idx] = -1.0 / dt
+    D[idx, idx + 1] = 1.0 / dt
+    lhs = K.T @ K + reg * (D.T @ D)
+    return scipy.linalg.solve(lhs, K.T @ (g.samples - g.samples[0]), assume_a="pos")
+
+
+@pytest.mark.parametrize("n, dt", [(301, DEFAULT_FORWARD_GRID.dt), (120, 0.133)])
+def test_tikhonov_differentiate_matches_dense_solve(n, dt):
+    """The cached Cholesky factor reproduces the dense SPD solve bit for bit,
+    on the first call and on a cache hit, and the cached arrays are read-only."""
+    rng = np.random.Generator(np.random.Philox(n))
+    reg = 1e-4
+    hits = forward._tikhonov_system.cache_info().hits
+    for _ in range(2):
+        g = Signal(0.0, dt, np.cumsum(rng.standard_normal(n)))
+        d = tikhonov_differentiate(g, reg)
+        assert np.array_equal(d.samples, _reference_tikhonov(g, reg))
+    assert forward._tikhonov_system.cache_info().hits > hits
+    K, (factor, _lower) = forward._tikhonov_system(n, dt, reg)
+    for cached in (K, factor):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
