@@ -22,6 +22,8 @@ def main() -> int:
     args = ap.parse_args()
 
     names = [n for n in args.fixtures.split(",") if n]
+    if not names:
+        ap.error(f"--fixtures={args.fixtures!r} names no fixture")
     unknown = [n for n in names if n not in FIXTURE_NAMES]
     if unknown:
         ap.error(f"unknown fixture(s) {', '.join(unknown)}; known: {', '.join(FIXTURE_NAMES)}")

@@ -7,24 +7,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import fixtures
 from .config import RunConfig, invert_from_config, load_config
-from .convexify import ConvexParams, convexity_scan, gradient_J, make_context, evaluate_J
-from .convexify import sample_admissible_pair
+from .convexify import ConvexParams, convexity_scan, gradient_audit
 from .errors import ConvexiwaveError, InvalidInput
 from .forward import add_noise, correct_near_origin, extract_boundary, simulate
-from .grid import (
-    Field2D,
-    SpaceTimeGrid,
-    field_to_csv,
-    profile_to_csv,
-    signal_from_csv,
-    signal_to_csv,
-)
+from .grid import SpaceTimeGrid, field_to_csv, profile_to_csv, signal_from_csv, signal_to_csv
 from .preprocess import CalibrationResult, MediumMode, RawTrace, preprocess_pipeline
-from .transform import BoundaryData, QField, q_floor_from_c_upper
+from .transform import BoundaryData
 
 
 def _apply_thread_cap():
@@ -115,27 +105,9 @@ def _audit_grid(args) -> SpaceTimeGrid:
 def cmd_gradient_check(args) -> int:
     if args.trials < 1:
         raise InvalidInput("--trials must be at least 1")
-    grid = _audit_grid(args)
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    floor = q_floor_from_c_upper(15.0)
-    params = ConvexParams()
-    q_eps = np.full(grid.nt + 1, 0.5)
-    qx_eps = np.zeros(grid.nt + 1)
-    ctx = make_context(grid, q_eps, qx_eps, params)
-    s = 1e-6
-    rows = ["trial,max_rel_error"]
-    worst = 0.0
-    for trial in range(args.trials):
-        q_field, h = sample_admissible_pair(grid, rng, 5.0, floor)
-        q = QField(grid, q_field, floor)
-        g = gradient_J(q, ctx)
-        analytic = float(np.sum(g.values * h.values))
-        qp = QField(grid, Field2D(grid, q_field.values + s * h.values), floor)
-        qm = QField(grid, Field2D(grid, q_field.values - s * h.values), floor)
-        fd = (evaluate_J(qp, ctx) - evaluate_J(qm, ctx)) / (2.0 * s)
-        rel = abs(analytic - fd) / max(abs(fd), 1e-300)
-        worst = max(worst, rel)
-        rows.append(f"{trial},{rel!r}")
+    errors = gradient_audit(_audit_grid(args), args.trials, args.seed)
+    worst = max(errors)
+    rows = ["trial,max_rel_error"] + [f"{trial},{rel!r}" for trial, rel in enumerate(errors)]
     report = "\n".join(rows) + f"\nworst,{worst!r}\n"
     if args.out:
         _write(args.out, report)

@@ -93,9 +93,6 @@ class RunConfig:
     qr: QRConfig = field(default_factory=QRConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Build a config from its JSON object; missing keys take their defaults.
@@ -104,9 +101,6 @@ class RunConfig:
         or a value that a section rejects.
         """
         return _build(cls, data, "")
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -157,8 +151,3 @@ def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
 def load_config(path: str) -> RunConfig:
     with open(path) as f:
         return RunConfig.from_json(f.read())
-
-
-def save_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(cfg.to_json() + "\n")

@@ -280,3 +280,28 @@ def convexity_scan(
             best = min(best, d / h_sq)
         result[float(lam)] = float(best)
     return result
+
+
+def gradient_audit(grid: SpaceTimeGrid, trials: int, seed: int = 0) -> list[float]:
+    """Relative error of the exact gradient against central differences of J.
+
+    For each of ``trials`` sampled admissible pairs (q, h) in the H2-ball of
+    radius 5 (``sample_admissible_pair``), compares <grad J(q), h> with
+    (J(q + s h) - J(q - s h)) / (2 s) at s = 1e-6 and returns
+    |analytic - fd| / |fd| per trial. The boundary data is the
+    null-scatterer's, the floor follows from ``DEFAULT_C_UPPER``, and the
+    objective settings are the ``ConvexParams`` defaults.
+    """
+    ctx = make_context(
+        grid, np.full(grid.nt + 1, Q_BACKGROUND), np.zeros(grid.nt + 1), ConvexParams()
+    )
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = 1e-6
+    errors = []
+    for _ in range(trials):
+        q, h = sample_admissible_pair(grid, rng, 5.0, ctx.q_floor)
+        v, dv = q.values, h.values
+        analytic = float(np.sum(gradient(evaluate(v, ctx), ctx) * dv))
+        fd = (evaluate(v + s * dv, ctx).J - evaluate(v - s * dv, ctx).J) / (2.0 * s)
+        errors.append(abs(analytic - fd) / max(abs(fd), 1e-300))
+    return errors

@@ -40,11 +40,6 @@ class MediumProfile:
         if np.any(self.c <= 0) or not np.all(np.isfinite(self.c)):
             raise ValueError("c must be positive and finite")
 
-    @classmethod
-    def from_callable(cls, fn, x_lo, x_hi, n):
-        x = np.linspace(x_lo, x_hi, n + 1)
-        return cls(x, np.array([float(fn(xi)) for xi in x]))
-
     def sample(self, x_query: np.ndarray) -> np.ndarray:
         """Linear interpolation, extended by the background value 1 outside."""
         return np.interp(x_query, self.x, self.c, left=1.0, right=1.0)
@@ -87,9 +82,10 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel | None = No
     expansion at t=0 (u(.,0)=0, so u^1 = dt * source).
 
     The solution is stored time-major, one contiguous row per time level, so
-    each step reads and writes whole rows. Finiteness is checked once, after
-    the last step. The returned values are the transposed (x, t) view of that
-    buffer, not a copy.
+    each step reads and writes whole rows. The returned values are the
+    transposed (x, t) view of that buffer, not a copy; wrapping them in a
+    ``Field2D`` is the one finiteness check, and a non-finite step raises
+    SingularSystem.
     """
     if src is None:
         src = SourceModel()
@@ -128,9 +124,10 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel | None = No
         rhs[0] = (4.0 * cur[0] - prev[0]) / (2 * dt)
         rhs[nx] = (4.0 * cur[nx] - prev[nx]) / (2 * dt)
         U[n + 1] = lu.solve(rhs)
-    if not np.all(np.isfinite(U)):
-        raise SingularSystem("implicit wave step produced non-finite values")
-    return Field2D(grid, U.T)
+    try:
+        return Field2D(grid, U.T)
+    except ValueError as exc:
+        raise SingularSystem("implicit wave step produced non-finite values") from exc
 
 
 def correct_near_origin(u: Field2D, box: CorrectionBox) -> Field2D:

@@ -79,16 +79,6 @@ class Field2D:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    @classmethod
-    def zeros(cls, grid: SpaceTimeGrid) -> "Field2D":
-        return cls(grid, np.zeros(grid.shape))
-
-    @classmethod
-    def from_function(cls, grid: SpaceTimeGrid, fn) -> "Field2D":
-        x = grid.x_nodes()[:, None]
-        t = grid.t_nodes()[None, :]
-        return cls(grid, np.broadcast_to(fn(x, t), grid.shape).astype(float).copy())
-
     def copy(self) -> "Field2D":
         """A copy in the memory layout of ``values`` (``simulate`` returns a transposed view)."""
         return Field2D(self.grid, self.values.copy(order="K"))
@@ -137,10 +127,6 @@ def quad_weights(grid: SpaceTimeGrid) -> np.ndarray:
     wx = trapezoid_weights(grid.nx, grid.dx)
     wt = trapezoid_weights(grid.nt, grid.dt)
     return wx[:, None] * wt[None, :]
-
-
-def integrate(f: Field2D) -> float:
-    return float(np.sum(quad_weights(f.grid) * f.values))
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +224,6 @@ def field_to_csv(f: Field2D) -> str:
     buf.write(f"# grid {g.x_min!r} {g.x_max!r} {g.t_max!r} {g.nx} {g.nt}\n")
     np.savetxt(buf, f.values, delimiter=",", fmt="%.17g")
     return buf.getvalue()
-
-
-def field_from_csv(text: str) -> Field2D:
-    lines = text.strip().splitlines()
-    header = lines[0]
-    if not header.startswith("# grid"):
-        raise ValueError("missing '# grid' header line")
-    parts = header.split()
-    x_min, x_max, t_max = (float(p) for p in parts[2:5])
-    nx, nt = int(parts[5]), int(parts[6])
-    grid = SpaceTimeGrid(x_min, x_max, t_max, nx, nt)
-    values = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",")
-    return Field2D(grid, values.reshape(grid.shape))
 
 
 def signal_to_csv(s: Signal) -> str:

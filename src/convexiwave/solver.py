@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.integrate import cumulative_trapezoid
 
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
-from .errors import FloorViolation, SingularSystem
+from .errors import SingularSystem
 from .forward import MediumProfile
 from .grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from .transform import (
@@ -29,6 +29,7 @@ from .transform import (
     QField,
     boundary_traces_from_data,
     c_from_q,
+    checked_trace,
     q_floor_from_c_upper,
 )
 
@@ -247,9 +248,7 @@ def correction_step(
     grid = q_tilde.grid
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
-    r = q_tilde.initial_trace()
-    if np.any(r < q_tilde.q_floor - 1e-12):
-        raise FloorViolation("frozen t=0 row below the admissible floor")
+    r = checked_trace(q_tilde.values.values, q_tilde.q_floor)
     s = ops.Gx1d @ r
     a = np.repeat(1.0 / (2.0 * r**2), Q)
     b_coef = s / (2.0 * r**3)

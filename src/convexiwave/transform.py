@@ -17,7 +17,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from .errors import FloorViolation, HorizonTooShort, InvalidInput
 from .forward import MediumProfile, tikhonov_differentiate
-from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid, operators_for
+from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid
 
 DEFAULT_C_UPPER = 15.0
 
@@ -29,6 +29,18 @@ FRONT_OFFSET = 0.1
 def q_floor_from_c_upper(c_upper: float) -> float:
     """Admissible lower bound on q(x, 0) implied by a known upper bound on c."""
     return 1.0 / (2.0 * c_upper**0.25)
+
+
+def checked_trace(v: np.ndarray, floor: float) -> np.ndarray:
+    """The t=0 row of the nodal values ``v`` of q.
+
+    Raises FloorViolation, with the row's minimum and the floor, if the row
+    dips more than 1e-12 below ``floor``.
+    """
+    trace = v[:, 0]
+    if np.any(trace < floor - 1e-12):
+        raise FloorViolation(f"q(x,0) dips to {trace.min():.6g} below the floor {floor:.6g}")
+    return trace
 
 
 @dataclass
@@ -61,17 +73,7 @@ class QField:
             raise ValueError("field grid does not match")
         if self.q_floor <= 0:
             raise ValueError("q_floor must be positive")
-        if np.any(self.values.values[:, 0] < self.q_floor - 1e-12):
-            raise FloorViolation(
-                f"q(x,0) dips to {self.values.values[:, 0].min():.6g} "
-                f"below the floor {self.q_floor:.6g}"
-            )
-
-    def initial_trace(self) -> np.ndarray:
-        return self.values.values[:, 0]
-
-    def copy(self) -> "QField":
-        return QField(self.grid, self.values.copy(), self.q_floor)
+        checked_trace(self.values.values, self.q_floor)
 
 
 @dataclass
@@ -132,16 +134,9 @@ def q_from_u(u: Field2D, tau: TravelTime, grid_q: SpaceTimeGrid) -> QField:
     return QField(grid_q, Field2D(grid_q, vals), floor)
 
 
-def _checked_trace(v: np.ndarray, floor: float) -> np.ndarray:
-    trace = v[:, 0]
-    if np.any(trace < floor - 1e-12):
-        raise FloorViolation("q(x,0) below the admissible floor")
-    return trace
-
-
 def c_from_q(q: QField) -> MediumProfile:
     """Pointwise inverse c(x) = 1 / (16 q(x,0)^4) on the inversion interval."""
-    c = 1.0 / (16.0 * _checked_trace(q.values.values, q.q_floor) ** 4)
+    c = 1.0 / (16.0 * checked_trace(q.values.values, q.q_floor) ** 4)
     return MediumProfile(q.grid.x_nodes(), c)
 
 
@@ -154,7 +149,7 @@ def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
     and s = r_x. Raises FloorViolation if r dips below ``floor``.
     Returns (r, s, a, b, q_xt, q_t, F) as node arrays.
     """
-    r = _checked_trace(v, floor)
+    r = checked_trace(v, floor)
     s = ops.Gx1d @ r
     Bq = ops.apply2d(ops.Dxt, v)
     Cq = ops.apply2d(ops.Dt, v)
@@ -162,16 +157,6 @@ def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
     b = s / (2.0 * r**3)
     F = ops.apply2d(ops.Dxx, v) - a[:, None] * Bq + b[:, None] * Cq
     return r, s, a, b, Bq, Cq, F
-
-
-def residual_F(q: QField) -> Field2D:
-    """The nonlinear nonlocal residual whose root characterizes the exact q.
-
-    F(q) = q_xx - q_xt / (2 q(x,0)^2) + q_t q_x(x,0) / (2 q(x,0)^3), with the
-    t=0 traces read from the field's initial row.
-    """
-    F = residual_parts(q.values.values, operators_for(q.grid), q.q_floor)[-1]
-    return Field2D(q.grid, F)
 
 
 def boundary_traces_from_data(

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convexiwave.cli import main
 from convexiwave.config import (
@@ -15,10 +17,13 @@ from convexiwave.config import (
     InversionConfig,
     RunConfig,
     load_config,
-    save_config,
 )
 from convexiwave.fixtures import synthesize_raw_trace
-from convexiwave.grid import signal_from_csv, signal_to_csv
+from convexiwave.grid import Signal, signal_from_csv, signal_to_csv
+
+
+def _write_config(cfg, path):
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +35,8 @@ def test_runconfig_json_roundtrip():
     cfg.forward.medium = [{"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 10.0}]
     cfg.inversion.nx = 40
     cfg.descent = dataclasses.replace(cfg.descent, max_iters=7)
-    back = RunConfig.from_json(cfg.to_json())
-    assert back.to_dict() == cfg.to_dict()
+    back = RunConfig.from_json(json.dumps(dataclasses.asdict(cfg)))
+    assert dataclasses.asdict(back) == dataclasses.asdict(cfg)
 
 
 def test_runconfig_defaults_match_production_values():
@@ -57,8 +62,8 @@ def test_load_save_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     cfg = RunConfig()
     cfg.inversion.nt = 30
-    save_config(cfg, str(path))
-    assert load_config(str(path)).to_dict() == cfg.to_dict()
+    _write_config(cfg, path)
+    assert dataclasses.asdict(load_config(str(path))) == dataclasses.asdict(cfg)
 
 
 def test_config_validation():
@@ -84,7 +89,7 @@ def _small_cfg(tmp_path):
         cfg.descent, max_iters=5, redescent_iters=5, max_corrections=0
     )
     path = tmp_path / "cfg.json"
-    save_config(cfg, str(path))
+    _write_config(cfg, path)
     return path
 
 
@@ -172,6 +177,7 @@ def test_cli_missing_file_exit_code(tmp_path):
         "config_not_json",
         "medium_unknown_kind",
         "medium_piece_lacks_key",
+        "inversion_c_upper_at_most_1",
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
@@ -192,6 +198,8 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         cfg = {"forward": {"medium": [{"kind": "blob"}]}}
     elif case == "medium_piece_lacks_key":
         cfg = {"forward": {"medium": [{"kind": "bump", "center": 0.5, "halfwidth": 0.2}]}}
+    elif case == "inversion_c_upper_at_most_1":
+        cfg = {"inversion": {"c_upper": 1.0}}
     g1_times = {"g1_shorter": times[:-1], "g1_other_dt": [0.0, 0.6, 1.2, 1.8]}.get(case, times)
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
@@ -247,28 +255,40 @@ def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, ca
     assert err["error"] == "InvalidInput" and err["message"]
 
 
-def test_reproduce_fixtures_rejects_unknown_fixture_with_exit_2(tmp_path, capsys, monkeypatch):
-    """An unknown name is rejected before --out is created or any fixture runs."""
+@pytest.mark.parametrize(
+    "fixtures, message",
+    [("test1,nope", "unknown fixture(s) nope;"), (",", "names no fixture")],
+    ids=["unknown_name", "no_name"],
+)
+def test_reproduce_fixtures_rejects_unknown_fixture_with_exit_2(
+    tmp_path, capsys, monkeypatch, fixtures, message
+):
+    """An unknown or empty name list is rejected before --out is created or
+    any fixture runs."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_fixtures.py"
     reproduce = runpy.run_path(str(script))["main"]
     out = tmp_path / "runs"
-    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out), "--fixtures", "test1,nope"])
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out), "--fixtures", fixtures])
     with pytest.raises(SystemExit) as exc:
         reproduce()
     assert exc.value.code == 2
     assert not out.exists()
-    assert "unknown fixture(s) nope;" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
-def test_cli_domain_error_exit_code(tmp_path):
-    # boundary data shorter than the required horizon -> domain error (exit 2)
-    from convexiwave.grid import Signal
-
-    short = Signal(0.0, 0.1, np.full(11, 0.5))  # ends at t = 1 < T + eps
+@given(n=st.integers(2, 60))
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_cli_domain_error_exit_code(tmp_path, capsys, n):
+    """Boundary data that end before T + eps (t = 6 by default) exit 2 with
+    HorizonTooShort, whatever their length."""
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
-    g0.write_text(signal_to_csv(short))
-    g1.write_text(signal_to_csv(Signal(0.0, 0.1, np.zeros(11))))
+    g0.write_text(signal_to_csv(Signal(0.0, 0.1, np.full(n, 0.5))))  # ends at t <= 5.9
+    g1.write_text(signal_to_csv(Signal(0.0, 0.1, np.zeros(n))))
     rc = main(["invert", "--g0", str(g0), "--g1", str(g1),
                "--out", str(tmp_path / "c.csv")])
     assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "HorizonTooShort"

@@ -24,9 +24,8 @@ from convexiwave.grid import Signal, SpaceTimeGrid
 
 
 def _constant_medium(c_value, grid):
-    return MediumProfile.from_callable(
-        lambda x: np.full_like(x, float(c_value)), grid.x_min, grid.x_max, grid.nx
-    )
+    x = np.linspace(grid.x_min, grid.x_max, grid.nx + 1)
+    return MediumProfile(x, np.full(x.size, float(c_value)))
 
 
 def _layered_medium(grid):
@@ -84,7 +83,8 @@ def test_simulate_is_bit_identical_to_column_major_stepper():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_simulate_raises_singular_system_on_non_finite_step(monkeypatch, bad):
-    """A step that goes non-finite is caught by the one check after the loop."""
+    """A step that goes non-finite is caught by the one finiteness check, the
+    ``Field2D`` construction of the result."""
     real_splu = spla.splu
 
     class _BadFactor:

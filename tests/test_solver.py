@@ -46,14 +46,14 @@ def test_initial_guess_background():
     q0, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig())
     assert np.max(np.abs(Q0.values)) < 1e-6
     assert np.allclose(q0.values.values, 0.5, atol=1e-6)
-    assert np.allclose(q0.initial_trace(), 0.5)
+    assert np.allclose(q0.values.values[:, 0], 0.5)
 
 
 def test_initial_guess_c_init_is_one_for_background():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 30, 30)
     q_eps, qx_eps = _const_signals(g)
     q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
-    c_init = 1.0 / (16.0 * q0.initial_trace() ** 4)
+    c_init = 1.0 / (16.0 * q0.values.values[:, 0] ** 4)
     assert np.allclose(c_init, 1.0)
 
 
@@ -144,13 +144,13 @@ def test_descend_floor_clamp_maintained():
     vals[:, 0] = FLOOR
     q0 = QField(g, Field2D(g, vals), FLOOR)
     q, _ = descend(q0, ctx, DescentConfig(max_iters=100))
-    assert np.all(q.initial_trace() >= FLOOR - 1e-12)
+    assert np.all(q.values.values[:, 0] >= FLOOR - 1e-12)
 
 
 def _reference_descend(q0, ctx, cfg):
     """Armijo descent written with evaluate_J/gradient_J and a QField per
     trial; returns (q, info, number of trials the floor clamp changed)."""
-    q = q0.copy()
+    q = q0
     J = evaluate_J(q, ctx)
     info = {"J": [J], "grad_norm": [], "steps": []}
     clamped = 0
@@ -255,7 +255,7 @@ def test_correction_output_respects_floor():
     q_eps, qx_eps = _const_signals(g, q_val=0.3)
     q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q1 = correction_step(q, q_eps, qx_eps, QRConfig())
-    assert np.all(q1.initial_trace() >= FLOOR - 1e-12)
+    assert np.all(q1.values.values[:, 0] >= FLOOR - 1e-12)
 
 
 def test_solve_quadratic_rejects_large_normal_residual(monkeypatch):

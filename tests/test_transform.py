@@ -1,5 +1,7 @@
 """Travel-time change of variables and the q-field machinery."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,15 @@ from cached_data import cached_boundary_data
 from convexiwave.errors import FloorViolation, HorizonTooShort
 from convexiwave.fixtures import DEFAULT_BOX, DEFAULT_FORWARD_GRID, fixture_medium
 from convexiwave.forward import MediumProfile, SourceModel, correct_near_origin, simulate
-from convexiwave.grid import Field2D, SpaceTimeGrid
+from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
+from convexiwave.solver import QRConfig, correction_step
 from convexiwave.transform import (
     QField,
     boundary_traces_from_data,
     c_from_q,
     q_floor_from_c_upper,
     q_from_u,
-    residual_F,
+    residual_parts,
     travel_time,
 )
 
@@ -74,6 +77,25 @@ def test_c_from_q_floor_violation():
         c_from_q(QField(g, Field2D(g, vals), FLOOR))
 
 
+@pytest.mark.parametrize("site", ["qfield", "residual_parts", "c_from_q", "correction_step"])
+def test_floor_violation_names_the_minimum_and_the_floor(site):
+    """Every consumer of the t=0 row refuses a row below the floor, with one message."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
+    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q.values.values[3, 0] = FLOOR - 0.01  # after the constructor's check
+    vals = q.values.values
+    traces = Signal(0.0, g.dt, np.full(g.nt + 1, 0.5))
+    calls = {
+        "qfield": lambda: QField(g, Field2D(g, vals), FLOOR),
+        "residual_parts": lambda: residual_parts(vals, operators_for(g), FLOOR),
+        "c_from_q": lambda: c_from_q(q),
+        "correction_step": lambda: correction_step(q, traces, traces, QRConfig()),
+    }
+    message = re.escape(f"dips to {FLOOR - 0.01:.6g} below the floor {FLOOR:.6g}")
+    with pytest.raises(FloorViolation, match=message):
+        calls[site]()
+
+
 def test_q_from_u_background_row():
     """For c = 1, q(x, 0) = 1/2 along the whole inversion interval."""
     # resolved grid: the coarse default (nt=300) smears the front by dispersion
@@ -83,7 +105,7 @@ def test_q_from_u_background_row():
     tau = travel_time(medium)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
     q = q_from_u(u, tau, gq)
-    assert np.allclose(q.initial_trace(), 0.5, atol=0.01)
+    assert np.allclose(q.values.values[:, 0], 0.5, atol=0.01)
 
 
 def test_q_from_u_horizon_guard():
@@ -100,7 +122,8 @@ def test_residual_zero_for_consistent_constant():
     """A field constant in space and time annihilates the residual."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 25, 25)
     q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    assert np.max(np.abs(residual_F(q).values)) < 1e-12
+    F = residual_parts(q.values.values, operators_for(g), FLOOR)[-1]
+    assert np.max(np.abs(F)) < 1e-12
 
 
 def test_residual_zero_for_transport_family():
@@ -116,9 +139,9 @@ def test_residual_zero_for_transport_family():
     # additive ramp vanishing at t=0 keeps the nonlocal row at 1/2
     vals = vals + 0.05 * t * np.ones((g.nx + 1, 1))
     q = QField(g, Field2D(g, vals), FLOOR)
-    F = residual_F(q)
+    F = residual_parts(q.values.values, operators_for(g), FLOOR)[-1]
     # q_xx = 0, q_xt = 0, q_t = const, q_x(x,0) = 0 -> F = 0
-    assert np.max(np.abs(F.values)) < 1e-10
+    assert np.max(np.abs(F)) < 1e-10
 
 
 def test_boundary_traces_resampling():
