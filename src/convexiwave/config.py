@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .convexify import ConvexParams
 from .errors import InvalidInput
-from .fixtures import check_piece
+from .fixtures import check_piece, is_finite_number
 from .forward import CorrectionBox, SourceModel
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
@@ -23,7 +25,7 @@ class GridConfig:
     nt: int = 300
 
     def __post_init__(self):
-        if self.a <= 0 or self.T <= 0 or self.nx < 2 or self.nt < 2:
+        if not (0 < self.a < math.inf and 0 < self.T < math.inf) or self.nx < 2 or self.nt < 2:
             raise ValueError("grid parameters out of range")
 
 
@@ -33,8 +35,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be nonnegative and finite")
 
 
 @dataclass
@@ -64,14 +66,14 @@ class InversionConfig:
     freeze_time_derivative: bool = True
 
     def __post_init__(self):
-        if not (0 <= self.eps < self.M):
-            raise ValueError("need 0 <= eps < M")
-        if self.T <= 0 or self.nx < 2 or self.nt < 2:
+        if not (0 <= self.eps < self.M < math.inf):
+            raise ValueError("need 0 <= eps < M < inf")
+        if not 0 < self.T < math.inf or self.nx < 2 or self.nt < 2:
             raise ValueError("inversion grid parameters out of range")
-        if self.c_upper <= 1.0:
-            raise ValueError("c_upper must exceed the background value 1")
-        if self.diff_reg <= 0:
-            raise ValueError("diff_reg must be positive")
+        if not 1.0 < self.c_upper < math.inf:
+            raise ValueError("c_upper must be finite and exceed the background value 1")
+        if not 0 < self.diff_reg < math.inf:
+            raise ValueError("diff_reg must be positive and finite")
 
 
 @dataclass
@@ -80,7 +82,7 @@ class PreprocessConfig:
     diff_reg: float = 1e-6
 
     def __post_init__(self):
-        if self.half_width_steps < 0 or self.diff_reg <= 0:
+        if self.half_width_steps < 0 or not 0 < self.diff_reg < math.inf:
             raise ValueError("preprocess parameters out of range")
 
 
@@ -97,8 +99,9 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """Build a config from its JSON object; missing keys take their defaults.
 
-        Raises InvalidInput, naming the section and key, for an unknown key
-        or a value that a section rejects.
+        Raises InvalidInput, naming the section and key, for an unknown key,
+        a value of the wrong JSON type (see ``_scalar``) or a value that a
+        section rejects.
         """
         return _build(cls, data, "")
 
@@ -111,6 +114,30 @@ class RunConfig:
         return cls.from_dict(data)
 
 
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _scalar(name: str, value, kind):
+    """Check a JSON value against the field type ``kind`` and return it.
+
+    A ``bool`` field takes true/false only, an ``int`` field an integer only
+    (a JSON boolean is not a number here) and a ``float`` field a finite
+    number, returned as a float. Other field types are not checked. Raises
+    InvalidInput, naming the key, for a value of the wrong type.
+    """
+    if kind not in _EXPECTED:
+        return value
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = is_finite_number(value)
+    if not ok:
+        raise InvalidInput(f"config {name} must be {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def _build(klass, data, section: str):
     """Instantiate a config dataclass from a JSON object, recursing into nested sections."""
     if data is None:
@@ -119,13 +146,17 @@ def _build(klass, data, section: str):
     if not isinstance(data, dict):
         raise InvalidInput(f"config {where} must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(klass)}
+    kinds = typing.get_type_hints(klass)
     kwargs = {}
     for key, value in data.items():
         name = f"{section}.{key}" if section else key
         if key not in fields:
             raise InvalidInput(f"unknown config key {name}")
         factory = fields[key].default_factory
-        kwargs[key] = _build(factory, value, name) if dataclasses.is_dataclass(factory) else value
+        if dataclasses.is_dataclass(factory):
+            kwargs[key] = _build(factory, value, name)
+        else:
+            kwargs[key] = _scalar(name, value, kinds[key])
     try:
         return klass(**kwargs)
     except (TypeError, ValueError) as exc:

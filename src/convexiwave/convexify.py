@@ -8,9 +8,13 @@ objective, its gradient and the convexity probes; the residual comes from
 Gram matrix from ``grid.operators_for``. ``evaluate`` returns the objective
 together with every stencil image its gradient needs, and ``gradient`` builds
 the gradient from that record alone, so a descent step that accepts a trial
-point never applies a stencil to it again. The gradient is the exact
+point never applies a stencil to it again. Per evaluation the stencil images
+are q_t = Dt v (the one full-size matvec), q_xt = Gx1d q_t and
+q_xx = Gxx1d v (1D x-stencils on the (P, Q) array), q_x at the two ends only
+(``Gx_ends`` v, a 2-row product) and H2 v. The gradient is the exact
 derivative of the discretized objective: the chain rule runs through the
-stencil transposes, the nonlocal t=0 row, the weight, and the penalties.
+stencil transposes, with Dxt^T = Dt^T Dx^T so the PDE term's adjoint takes one
+full-size matvec, then the nonlocal t=0 row, the weight, and the penalties.
 Convexity on the admissible set is probed numerically through
 Bregman-divergence sampling.
 """
@@ -58,15 +62,22 @@ def carleman_weight(grid: SpaceTimeGrid, lam: float, alpha: float) -> Field2D:
 
 @dataclass
 class ObjectiveContext:
-    """Immutable bundle of everything the objective needs besides the iterate."""
+    """Immutable bundle of everything the objective needs besides the iterate.
+
+    The Carleman weight W enters only through the products the objective
+    multiplies by: ``w2W`` = w2 W (area quadrature) and ``wtW0``/``wtWM`` =
+    wt W at x_min/x_max (time-line quadrature at the two ends).
+    """
 
     grid: SpaceTimeGrid
     q_eps: np.ndarray
     qx_eps: np.ndarray
     params: ConvexParams
     q_floor: float
-    weight: np.ndarray = field(init=False)
     ops: DiscreteOperators = field(init=False)
+    w2W: np.ndarray = field(init=False)
+    wtW0: np.ndarray = field(init=False)
+    wtWM: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.q_eps = np.asarray(self.q_eps, dtype=float)
@@ -74,8 +85,11 @@ class ObjectiveContext:
         Q = self.grid.nt + 1
         if self.q_eps.shape != (Q,) or self.qx_eps.shape != (Q,):
             raise ValueError("boundary traces must be sampled on the grid's t-nodes")
-        self.weight = carleman_weight(self.grid, self.params.lam, self.params.alpha).values
+        W = carleman_weight(self.grid, self.params.lam, self.params.alpha).values
         self.ops = operators_for(self.grid)
+        self.w2W = self.ops.w2 * W
+        self.wtW0 = self.ops.wt * W[0]
+        self.wtWM = self.ops.wt * W[-1]
 
 
 def make_context(
@@ -95,7 +109,9 @@ class Evaluation:
     """The objective at one iterate and the pieces its gradient reuses.
 
     ``v`` holds the iterate's nodal values; ``r`` to ``F`` are the outputs of
-    ``transform.residual_parts``; ``qx`` = Dx v and ``H2v`` = H2 v, flattened.
+    ``transform.residual_parts``; ``qx_ends`` = ``Gx_ends`` v holds q_x on
+    the rows x_min and x_max, shape (2, Q), the only rows of Dx v the
+    boundary penalties read; ``H2v`` = H2 v, flattened.
     """
 
     v: np.ndarray
@@ -106,7 +122,7 @@ class Evaluation:
     Bq: np.ndarray
     Cq: np.ndarray
     F: np.ndarray
-    qx: np.ndarray
+    qx_ends: np.ndarray
     H2v: np.ndarray
     J: float
 
@@ -118,43 +134,36 @@ def evaluate(v: np.ndarray, ctx: ObjectiveContext) -> Evaluation:
     """
     ops = ctx.ops
     r, s, a, b, Bq, Cq, F = residual_parts(v, ops, ctx.q_floor)
-    W = ctx.weight
-    total = float(np.sum(ops.w2 * W * F**2))
+    total = float((ctx.w2W * F**2).sum())
     # boundary penalties: value and x-derivative at x_min, x-derivative at x_max
-    qx = ops.apply2d(ops.Dx, v)
-    total += float(np.sum(ops.wt * W[0] * (v[0] - ctx.q_eps) ** 2))
-    total += float(np.sum(ops.wt * W[0] * (qx[0] - ctx.qx_eps) ** 2))
-    total += float(np.sum(ops.wt * W[-1] * qx[-1] ** 2))
+    qx_ends = ops.Gx_ends @ v
+    total += float((ctx.wtW0 * (v[0] - ctx.q_eps) ** 2).sum())
+    total += float((ctx.wtW0 * (qx_ends[0] - ctx.qx_eps) ** 2).sum())
+    total += float((ctx.wtWM * qx_ends[1] ** 2).sum())
     H2v = ops.H2 @ v.ravel()
     total += ctx.params.beta * float(v.ravel() @ H2v)
-    return Evaluation(v, r, s, a, b, Bq, Cq, F, qx, H2v, total)
+    return Evaluation(v, r, s, a, b, Bq, Cq, F, qx_ends, H2v, total)
 
 
 def gradient(e: Evaluation, ctx: ObjectiveContext) -> np.ndarray:
     """Exact gradient of the discretized objective at ``e.v``, from its evaluation alone."""
     ops = ctx.ops
-    P, Q = ops.P, ops.Q
-    W = ctx.weight
-    MF = ops.w2 * W * e.F
-    grad = 2.0 * (
-        (ops.DxxT @ MF.ravel())
-        - (ops.DxtT @ (e.a[:, None] * MF).ravel())
-        + (ops.DtT @ (e.b[:, None] * MF).ravel())
-    ).reshape(P, Q)
+    dF = 2.0 * ctx.w2W * e.F  # dJ/dF
+    # Dxx^T dF - Dxt^T (a dF) + Dt^T (b dF), with Dxt^T = Dt^T Dx^T
+    grad = ops.Gxx1dT @ dF + ops.apply2d(
+        ops.DtT, e.b[:, None] * dF - ops.Gx1dT @ (e.a[:, None] * dF)
+    )
     # chain rule through the nonlocal t=0 traces r = q(.,0), s = r_x
-    sum_B = np.sum(MF * e.Bq, axis=1)
-    sum_C = np.sum(MF * e.Cq, axis=1)
+    sum_B = (dF * e.Bq).sum(axis=1)
+    sum_C = (dF * e.Cq).sum(axis=1)
     trace_grad = sum_B / e.r**3 - sum_C * (3.0 * e.s) / (2.0 * e.r**4)
-    trace_grad = trace_grad + ops.Gx1dT @ (sum_C / (2.0 * e.r**3))
-    grad[:, 0] += 2.0 * trace_grad
-    # boundary penalties
-    grad[0] += 2.0 * ops.wt * W[0] * (e.v[0] - ctx.q_eps)
-    Z = np.zeros((P, Q))
-    Z[0] = ops.wt * W[0] * (e.qx[0] - ctx.qx_eps)
-    Z[-1] = ops.wt * W[-1] * e.qx[-1]
-    grad += 2.0 * (ops.DxT @ Z.ravel()).reshape(P, Q)
+    grad[:, 0] += trace_grad + ops.Gx1dT @ (sum_C / (2.0 * e.r**3))
+    # boundary penalties; the x-derivative ones through the 2-row Gx_ends^T
+    grad[0] += 2.0 * ctx.wtW0 * (e.v[0] - ctx.q_eps)
+    dqx_ends = np.array([ctx.wtW0 * (e.qx_ends[0] - ctx.qx_eps), ctx.wtWM * e.qx_ends[1]])
+    grad += ops.Gx_endsT @ (2.0 * dqx_ends)
     # H2 regularization
-    grad += 2.0 * ctx.params.beta * e.H2v.reshape(P, Q)
+    grad += 2.0 * ctx.params.beta * e.H2v.reshape(grad.shape)
     return grad
 
 
@@ -276,7 +285,7 @@ def convexity_scan(
         for q_vals, h in pairs:
             q = QField(grid, q_vals, floor)
             d = bregman_divergence(q, h, ctx)
-            h_sq = float(np.sum(ctx.ops.w2 * ctx.weight * h.values**2))
+            h_sq = float(np.sum(ctx.w2W * h.values**2))
             best = min(best, d / h_sq)
         result[float(lam)] = float(best)
     return result

@@ -9,6 +9,7 @@ so the preprocessing path can be exercised without field data.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,13 +43,16 @@ PIECE_KEYS = {
 }
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def is_finite_number(value) -> bool:
+    """True for a JSON number that is finite as a float: not a boolean, NaN,
+    +-inf or an integer beyond the float range."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
 
 
 def check_piece(piece) -> None:
     """Raise ValueError unless ``piece`` is a dict with a known ``kind`` and
-    exactly that kind's keys, holding numbers (lists of numbers for "table")."""
+    exactly that kind's keys, holding finite numbers (lists of them for "table")."""
     if not isinstance(piece, dict):
         raise ValueError(f"medium piece {piece!r} is not an object")
     kind = piece.get("kind")
@@ -63,10 +67,10 @@ def check_piece(piece) -> None:
     if kind == "table":
         xs, cs = piece["x"], piece["c"]
         if not (isinstance(xs, list) and isinstance(cs, list) and 0 < len(xs) == len(cs)
-                and all(map(_is_number, xs + cs))):
-            raise ValueError("table piece needs x and c as equal-length lists of numbers")
-    elif not all(_is_number(piece[key]) for key in piece.keys() - {"kind"}):
-        raise ValueError(f"{kind} piece values must be numbers")
+                and all(map(is_finite_number, xs + cs))):
+            raise ValueError("table piece needs x and c as equal-length lists of finite numbers")
+    elif not all(is_finite_number(piece[key]) for key in piece.keys() - {"kind"}):
+        raise ValueError(f"{kind} piece values must be finite numbers")
 
 
 def _piece_values(piece: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

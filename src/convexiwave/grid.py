@@ -160,7 +160,15 @@ def d2_matrix(n: int, h: float) -> sp.csr_matrix:
 class DiscreteOperators:
     """Sparse stencil matrices and quadrature weights for one grid.
 
-    Fields are flattened row-major, index = i * (nt + 1) + j.
+    Fields are flattened row-major, index = i * (nt + 1) + j, so a field is
+    also a (P, Q) = (nx + 1, nt + 1) array with x along axis 0. The full-size
+    operators are Kronecker products of the 1D stencils, e.g.
+    Dx = Gx1d (x) I_t and Dxx = Gxx1d (x) I_t, and Dxt = Dx Dt. An x-stencil
+    therefore also acts on the (P, Q) array directly, ``Gx1d @ V``, which is
+    how the objective applies Gx1d, Gxx1d and their transposes: a (P, P)
+    sparse product over Q columns instead of a (PQ, PQ) matvec. ``Gx_ends``
+    holds rows 0 and P-1 of Gx1d, the x-derivative at the two ends only.
+    The QR solves and the H2 Gram matrix use the assembled operators.
     """
 
     def __init__(self, grid: SpaceTimeGrid):
@@ -170,15 +178,17 @@ class DiscreteOperators:
         Ix = sp.identity(P, format="csr")
         It = sp.identity(Q, format="csr")
         self.Gx1d = d1_matrix(grid.nx, grid.dx)
+        self.Gxx1d = d2_matrix(grid.nx, grid.dx)
+        self.Gx_ends = self.Gx1d[[0, P - 1]]
         self.Dx = sp.kron(self.Gx1d, It, format="csr")
         self.Dt = sp.kron(Ix, d1_matrix(grid.nt, grid.dt), format="csr")
-        self.Dxx = sp.kron(d2_matrix(grid.nx, grid.dx), It, format="csr")
+        self.Dxx = sp.kron(self.Gxx1d, It, format="csr")
         self.Dtt = sp.kron(Ix, d2_matrix(grid.nt, grid.dt), format="csr")
         self.Dxt = (self.Dx @ self.Dt).tocsr()
         # CSR transposes for the objective's gradient: ``.T`` of a CSR matrix
         # builds a new CSC object on every access.
-        self.DxxT, self.DxtT, self.DtT, self.DxT, self.Gx1dT = (
-            m.T.tocsr() for m in (self.Dxx, self.Dxt, self.Dt, self.Dx, self.Gx1d)
+        self.DtT, self.Gx1dT, self.Gxx1dT, self.Gx_endsT = (
+            m.T.tocsr() for m in (self.Dt, self.Gx1d, self.Gxx1d, self.Gx_ends)
         )
         self.w2 = quad_weights(grid)          # (P, Q) area quadrature
         self.wt = trapezoid_weights(grid.nt, grid.dt)  # (Q,) time-line quadrature

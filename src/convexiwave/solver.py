@@ -41,8 +41,8 @@ class QRConfig:
     reg_eta: float = 1e-11
 
     def __post_init__(self):
-        if self.reg_eta <= 0:
-            raise ValueError("reg_eta must be positive")
+        if not 0 < self.reg_eta < np.inf:
+            raise ValueError("reg_eta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ class DescentConfig:
     redescent_iters: int = 2000
 
     def __post_init__(self):
-        if min(self.eta_step, self.grad_tol, self.armijo_c1, self.stop_linf) <= 0:
-            raise ValueError("all tolerances and steps must be positive")
+        if not all(
+            0 < x < np.inf for x in (self.eta_step, self.grad_tol, self.armijo_c1, self.stop_linf)
+        ):
+            raise ValueError("all tolerances and steps must be positive and finite")
         if not (0 < self.backtrack < 1):
             raise ValueError("backtrack factor must lie in (0, 1)")
         if self.max_iters < 1 or self.redescent_iters < 1 or self.max_corrections < 0:

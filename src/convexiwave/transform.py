@@ -146,16 +146,19 @@ def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
 
     F(q) = q_xx - a q_xt + b q_t with the nonlocal coefficients
     a = 1 / (2 r^2) and b = s / (2 r^3) read from the t=0 traces r = q(x,0)
-    and s = r_x. Raises FloorViolation if r dips below ``floor``.
-    Returns (r, s, a, b, q_xt, q_t, F) as node arrays.
+    and s = r_x. The stencils go through their 1D factors on the (P, Q)
+    array: q_t = Dt v, then q_xt = Gx1d q_t and q_xx = Gxx1d v, which equal
+    Dxt v and Dxx v up to roundoff, so q_t is the one full-size matvec.
+    Raises FloorViolation if r dips below ``floor``. Returns
+    (r, s, a, b, q_xt, q_t, F) as node arrays.
     """
     r = checked_trace(v, floor)
     s = ops.Gx1d @ r
-    Bq = ops.apply2d(ops.Dxt, v)
     Cq = ops.apply2d(ops.Dt, v)
+    Bq = ops.Gx1d @ Cq
     a = 1.0 / (2.0 * r**2)
     b = s / (2.0 * r**3)
-    F = ops.apply2d(ops.Dxx, v) - a[:, None] * Bq + b[:, None] * Cq
+    F = ops.Gxx1d @ v - a[:, None] * Bq + b[:, None] * Cq
     return r, s, a, b, Bq, Cq, F
 
 

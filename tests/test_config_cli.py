@@ -15,11 +15,14 @@ from convexiwave.cli import main
 from convexiwave.config import (
     GridConfig,
     InversionConfig,
+    NoiseConfig,
+    PreprocessConfig,
     RunConfig,
     load_config,
 )
 from convexiwave.fixtures import synthesize_raw_trace
 from convexiwave.grid import Signal, signal_from_csv, signal_to_csv
+from convexiwave.solver import DescentConfig, QRConfig
 
 
 def _write_config(cfg, path):
@@ -73,6 +76,30 @@ def test_config_validation():
         InversionConfig(eps=4.0, M=3.0)
     with pytest.raises(ValueError):
         InversionConfig(c_upper=0.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (DescentConfig, "eta_step"),
+        (DescentConfig, "grad_tol"),
+        (DescentConfig, "armijo_c1"),
+        (DescentConfig, "stop_linf"),
+        (QRConfig, "reg_eta"),
+        (InversionConfig, "M"),
+        (InversionConfig, "T"),
+        (InversionConfig, "c_upper"),
+        (InversionConfig, "diff_reg"),
+        (GridConfig, "a"),
+        (GridConfig, "T"),
+        (NoiseConfig, "delta"),
+        (PreprocessConfig, "diff_reg"),
+    ],
+)
+def test_config_sections_reject_non_finite_values(section, key, value):
+    with pytest.raises(ValueError):
+        section(**{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -164,42 +191,61 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert rc == 3
 
 
+NAN, INF = float("nan"), float("inf")
+
+# Each bad config, with the subcommand that reads it.
+BAD_CONFIGS = {
+    "inversion_nx_1": ("invert", {"inversion": {"nx": 1}}),
+    "convex_eta_step": ("invert", {"convex": {"eta_step": 0.5}}),
+    "redescent_iters_null": ("invert", {"descent": {"redescent_iters": None}}),
+    "medium_unknown_kind": ("forward", {"forward": {"medium": [{"kind": "blob"}]}}),
+    "medium_piece_lacks_key": (
+        "forward", {"forward": {"medium": [{"kind": "bump", "center": 0.5, "halfwidth": 0.2}]}}
+    ),
+    "inversion_c_upper_at_most_1": ("invert", {"inversion": {"c_upper": 1.0}}),
+    "medium_piece_nan": (
+        "forward", {"forward": {"medium": [{"kind": "bump", "center": NAN, "halfwidth": 0.2,
+                                           "amplitude": 10.0}]}}
+    ),
+    "medium_table_inf": (
+        "forward", {"forward": {"medium": [{"kind": "table", "x": [0.0, 1.0], "c": [1.0, INF]}]}}
+    ),
+    "armijo_c1_nan": ("invert", {"descent": {"armijo_c1": NAN}}),
+    "grad_tol_nan": ("invert", {"descent": {"grad_tol": NAN}}),
+    "stop_linf_nan": ("invert", {"descent": {"stop_linf": NAN}}),
+    "eta_step_nan": ("invert", {"descent": {"eta_step": NAN}}),
+    "eta_step_inf": ("invert", {"descent": {"eta_step": INF}}),
+    "inversion_diff_reg_nan": ("invert", {"inversion": {"diff_reg": NAN}}),
+    "inversion_c_upper_nan": ("invert", {"inversion": {"c_upper": NAN}}),
+    "noise_delta_nan": ("forward", {"forward": {"noise": {"delta": NAN}}}),
+    "max_iters_fractional": ("invert", {"descent": {"max_iters": 2.5}}),
+    "max_corrections_fractional": ("invert", {"descent": {"max_corrections": 0.5}}),
+    "forward_grid_nx_fractional": ("forward", {"forward": {"grid": {"nx": 300.5}}}),
+    "inversion_nx_fractional": ("invert", {"inversion": {"nx": 20.5}}),
+    "max_iters_bool": ("invert", {"descent": {"max_iters": True}}),
+    "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
         "nan_sample",
         "non_uniform_times",
-        "inversion_nx_1",
-        "convex_eta_step",
         "g1_shorter",
         "g1_other_dt",
-        "redescent_iters_null",
         "config_not_json",
-        "medium_unknown_kind",
-        "medium_piece_lacks_key",
-        "inversion_c_upper_at_most_1",
+        *BAD_CONFIGS,
     ],
 )
 def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     times = [0.0, 0.5, 1.0, 1.5]
     g0_vals = [0.5, 0.5, 0.5, 0.5]
-    cfg = {}
     if case == "nan_sample":
         g0_vals[2] = float("nan")
     elif case == "non_uniform_times":
         times = [0.0, 0.1, 0.5, 0.55]
-    elif case == "inversion_nx_1":
-        cfg = {"inversion": {"nx": 1}}
-    elif case == "convex_eta_step":
-        cfg = {"convex": {"eta_step": 0.5}}
-    elif case == "redescent_iters_null":
-        cfg = {"descent": {"redescent_iters": None}}
-    elif case == "medium_unknown_kind":
-        cfg = {"forward": {"medium": [{"kind": "blob"}]}}
-    elif case == "medium_piece_lacks_key":
-        cfg = {"forward": {"medium": [{"kind": "bump", "center": 0.5, "halfwidth": 0.2}]}}
-    elif case == "inversion_c_upper_at_most_1":
-        cfg = {"inversion": {"c_upper": 1.0}}
+    command, cfg = BAD_CONFIGS.get(case, ("invert", {}))
     g1_times = {"g1_shorter": times[:-1], "g1_other_dt": [0.0, 0.6, 1.2, 1.8]}.get(case, times)
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
@@ -207,7 +253,7 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     g0.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, g0_vals)))
     g1.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in g1_times))
     cfg_path.write_text('{"inversion": ' if case == "config_not_json" else json.dumps(cfg))
-    if case.startswith("medium"):
+    if command == "forward":
         argv = ["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)]
     else:
         argv = ["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
@@ -216,6 +262,10 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]
+    if case in BAD_CONFIGS:
+        section, fields = next(iter(cfg.items()))
+        key = next(iter(fields))
+        assert section in err["message"] and key in err["message"]
 
 
 @pytest.mark.parametrize(

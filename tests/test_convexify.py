@@ -10,7 +10,9 @@ from convexiwave.convexify import (
     bregman_divergence,
     carleman_weight,
     convexity_scan,
+    evaluate,
     evaluate_J,
+    gradient,
     gradient_J,
     make_context,
     random_smooth_field,
@@ -18,7 +20,7 @@ from convexiwave.convexify import (
 )
 from convexiwave.errors import FloorViolation
 from convexiwave.grid import Field2D, SpaceTimeGrid
-from convexiwave.transform import QField, q_floor_from_c_upper
+from convexiwave.transform import QField, q_floor_from_c_upper, residual_parts
 
 FLOOR = q_floor_from_c_upper(15.0)
 
@@ -99,6 +101,67 @@ def test_gradient_matches_finite_differences(seed):
     qm = QField(g, Field2D(g, q_field.values - s * h.values), FLOOR)
     fd = (evaluate_J(qp, ctx) - evaluate_J(qm, ctx)) / (2 * s)
     assert abs(analytic - fd) / max(abs(fd), 1e-12) < 1e-5
+
+
+def _relative_error(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+def test_objective_matches_assembled_operators():
+    """The factored stencils of ``residual_parts``, ``evaluate`` and ``gradient``
+    give the objective written with the assembled sparse operators.
+
+    The grid is not square, so an x-factor swapped for a t-factor cannot pass
+    on shapes alone. A small exponent and a large beta let the right-end
+    penalty and the H2 term weigh in.
+    """
+    grid = SpaceTimeGrid(0.0, 3.0, 6.0, 17, 23)
+    rng = np.random.Generator(np.random.Philox(11))
+    q_field, _ = sample_admissible_pair(grid, rng, 5.0, FLOOR)
+    P, Q = grid.shape
+    q_eps = 0.5 + 0.05 * rng.normal(size=Q)
+    qx_eps = 0.2 * rng.normal(size=Q)
+    ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=0.5, beta=1e-3))
+    ops, beta = ctx.ops, ctx.params.beta
+    W = carleman_weight(grid, ctx.params.lam, ctx.params.alpha).values
+    v = q_field.values
+    apply = ops.apply2d
+
+    # the q-PDE residual and the objective, with the assembled operators
+    r = v[:, 0]
+    s = apply(ops.Dx, v)[:, 0]
+    a = 1.0 / (2.0 * r**2)
+    b = s / (2.0 * r**3)
+    q_xt, q_t, qx = apply(ops.Dxt, v), apply(ops.Dt, v), apply(ops.Dx, v)
+    F = apply(ops.Dxx, v) - a[:, None] * q_xt + b[:, None] * q_t
+    J = (
+        np.sum(ops.w2 * W * F**2)
+        + np.sum(ops.wt * W[0] * (v[0] - q_eps) ** 2)
+        + np.sum(ops.wt * W[0] * (qx[0] - qx_eps) ** 2)
+        + np.sum(ops.wt * W[-1] * qx[-1] ** 2)
+        + beta * v.ravel() @ (ops.H2 @ v.ravel())
+    )
+    # its gradient, through the assembled transposes
+    MF = ops.w2 * W * F
+    grad = 2.0 * (
+        apply(ops.Dxx.T, MF) - apply(ops.Dxt.T, a[:, None] * MF) + apply(ops.Dt.T, b[:, None] * MF)
+    )
+    sum_B = np.sum(MF * q_xt, axis=1)
+    sum_C = np.sum(MF * q_t, axis=1)
+    grad[:, 0] += 2.0 * (
+        sum_B / r**3 - sum_C * 3.0 * s / (2.0 * r**4) + ops.Gx1d.T @ (sum_C / (2.0 * r**3))
+    )
+    grad[0] += 2.0 * ops.wt * W[0] * (v[0] - q_eps)
+    Z = np.zeros((P, Q))
+    Z[0] = ops.wt * W[0] * (qx[0] - qx_eps)
+    Z[-1] = ops.wt * W[-1] * qx[-1]
+    grad += 2.0 * apply(ops.Dx.T, Z)
+    grad += 2.0 * beta * (ops.H2 @ v.ravel()).reshape(P, Q)
+
+    assert _relative_error(residual_parts(v, ops, FLOOR)[-1], F) <= 1e-12
+    e = evaluate(v, ctx)
+    assert abs(e.J - J) <= 1e-12 * J
+    assert _relative_error(gradient(e, ctx), grad) <= 1e-12
 
 
 def test_gradient_zero_rows_where_objective_flat():
