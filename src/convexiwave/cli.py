@@ -4,24 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fixtures
 from .config import RunConfig, invert_from_config, load_config
 from .convexify import ConvexParams, convexity_scan, gradient_audit
 from .errors import ConvexiwaveError, InvalidInput
-from .forward import add_noise, correct_near_origin, extract_boundary, simulate
+from .forward import BoundaryData, boundary_data
 from .grid import SpaceTimeGrid, field_to_csv, profile_to_csv, signal_from_csv, signal_to_csv
 from .preprocess import CalibrationResult, MediumMode, RawTrace, preprocess_pipeline
-from .transform import BoundaryData
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("CONVEXIWAVE_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _read(path) -> str:
@@ -35,21 +26,15 @@ def _write(path, text):
 
 
 def cmd_forward(args) -> int:
-    cfg = load_config(args.config)
-    g = cfg.forward.grid
+    cfg = load_config(args.config).forward
+    g = cfg.grid
     grid = SpaceTimeGrid(-g.a, g.a, g.T, g.nx, g.nt)
-    medium = fixtures.medium_from_pieces(cfg.forward.medium, -g.a, g.a, g.nx)
-    u = simulate(medium, grid, cfg.forward.source)
-    u = correct_near_origin(u, cfg.forward.correction)
-    d = extract_boundary(u, 0.0, g.T)
-    g0, g1 = d.g0, d.g1
-    if cfg.forward.noise.delta > 0:
-        g0 = add_noise(g0, cfg.forward.noise.delta, cfg.forward.noise.seed)
-        g1 = add_noise(g1, cfg.forward.noise.delta, cfg.forward.noise.seed + 1)
+    medium = fixtures.medium_from_pieces(cfg.medium, grid)
+    u, d = boundary_data(medium, grid, cfg.source, cfg.correction, cfg.noise.delta, cfg.noise.seed)
     if args.out:
         _write(args.out, field_to_csv(u))
-    _write(args.g0, signal_to_csv(g0))
-    _write(args.g1, signal_to_csv(g1))
+    _write(args.g0, signal_to_csv(d.g0))
+    _write(args.g1, signal_to_csv(d.g1))
     return 0
 
 
@@ -82,7 +67,7 @@ def cmd_preprocess(args) -> int:
         raise InvalidInput(f"calibration file {args.cal} is not valid JSON: {exc}") from exc
     if not isinstance(cal_data, dict) or not isinstance(cal_data.get("mu"), (int, float)):
         raise InvalidInput(f"calibration file {args.cal} has no numeric 'mu' entry")
-    cal = CalibrationResult(mu=cal_data["mu"], reference_name=cal_data.get("reference_name", ""))
+    cal = CalibrationResult(mu=cal_data["mu"])
     data = preprocess_pipeline(
         RawTrace(raw_signal, mode),
         cal,
@@ -204,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -10,19 +10,21 @@ from dataclasses import dataclass, field
 
 from .convexify import ConvexParams
 from .errors import InvalidInput
-from .fixtures import check_piece, is_finite_number
-from .forward import CorrectionBox, SourceModel
+from .fixtures import DEFAULT_FORWARD_GRID, check_piece, is_finite_number
+from .forward import BoundaryData, CorrectionBox, SourceModel
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
-from .transform import BoundaryData
 
 
 @dataclass
 class GridConfig:
-    a: float = 5.0
-    T: float = 6.0
-    nx: int = 3000
-    nt: int = 300
+    """The forward grid [-a, a] x [0, T] with nx x nt intervals; the defaults
+    are the fixtures' ``DEFAULT_FORWARD_GRID``."""
+
+    a: float = DEFAULT_FORWARD_GRID.x_max
+    T: float = DEFAULT_FORWARD_GRID.t_max
+    nx: int = DEFAULT_FORWARD_GRID.nx
+    nt: int = DEFAULT_FORWARD_GRID.nt
 
     def __post_init__(self):
         if not (0 < self.a < math.inf and 0 < self.T < math.inf) or self.nx < 2 or self.nt < 2:

@@ -79,10 +79,6 @@ class Field2D:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
 
-    def copy(self) -> "Field2D":
-        """A copy in the memory layout of ``values`` (``simulate`` returns a transposed view)."""
-        return Field2D(self.grid, self.values.copy(order="K"))
-
 
 @dataclass
 class Signal:

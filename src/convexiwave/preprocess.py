@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousExtrema, InvalidInput, ZeroSignal
-from .forward import tikhonov_differentiate
+from .forward import BoundaryData, tikhonov_differentiate
 from .grid import Signal
-from .transform import BoundaryData
 
 
 class MediumMode(enum.Enum):
@@ -46,7 +45,6 @@ class RawTrace:
 @dataclass
 class CalibrationResult:
     mu: float
-    reference_name: str = ""
 
     def __post_init__(self):
         if not self.mu > 0:

@@ -36,6 +36,9 @@ SIMULATED_BANDS = {
 
 EXPERIMENTAL_REL_TOL = 0.25
 
+# Seed of the delta = 0.05 noise on a simulated fixture's data.
+NOISE_SEED = 1
+
 
 def j_monotone_within_legs(diagnostics, rel_slack: float = 1e-12) -> bool:
     """True if J never increases across accepted steps within a descent leg.
@@ -55,12 +58,13 @@ def j_monotone_within_legs(diagnostics, rel_slack: float = 1e-12) -> bool:
     return True
 
 
-def run_fixture(name: str, cfg: RunConfig | None = None, out_dir: str | None = None, seed: int = 1):
-    """Execute one golden fixture end to end and compare against its bands."""
-    cfg = cfg or RunConfig()
+def run_fixture(name: str, out_dir: str | None = None):
+    """Execute one golden fixture end to end, with the production config, and
+    compare against its bands."""
+    cfg = RunConfig()
     checks = []
     if name in SIMULATED_TESTS:
-        data = simulated_boundary_data(name, delta=0.05, seed=seed)
+        data = simulated_boundary_data(name, delta=0.05, seed=NOISE_SEED)
         result = invert_from_config(data, cfg)
         x = result.c_comp.x
         c = result.c_comp.c

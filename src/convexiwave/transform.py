@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import FloorViolation, HorizonTooShort, InvalidInput
-from .forward import MediumProfile, tikhonov_differentiate
+from .errors import FloorViolation, HorizonTooShort
+from .forward import BoundaryData, MediumProfile, tikhonov_differentiate
 from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid
 
 DEFAULT_C_UPPER = 15.0
@@ -74,23 +74,6 @@ class QField:
         if self.q_floor <= 0:
             raise ValueError("q_floor must be positive")
         checked_trace(self.values.values, self.q_floor)
-
-
-@dataclass
-class BoundaryData:
-    """The measured pair (g0, g1) at the observation point, covering [0, T+eps]."""
-
-    g0: Signal
-    g1: Signal
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if abs(self.g0.t0 - self.g1.t0) > 1e-12 or abs(self.g0.dt - self.g1.dt) > 1e-12:
-            raise InvalidInput("g0 and g1 must share t-sampling")
-        if self.g0.samples.size != self.g1.samples.size:
-            raise InvalidInput("g0 and g1 must have the same length")
-        if self.eps < 0:
-            raise InvalidInput("eps must be nonnegative")
 
 
 def travel_time(c: MediumProfile) -> TravelTime:

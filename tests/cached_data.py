@@ -8,13 +8,8 @@ from __future__ import annotations
 
 import functools
 
-from convexiwave.fixtures import (
-    DEFAULT_BOX,
-    DEFAULT_FORWARD_GRID,
-    medium_from_pieces,
-    simulated_boundary_data,
-)
-from convexiwave.forward import SourceModel, correct_near_origin, extract_boundary, simulate
+from convexiwave.fixtures import DEFAULT_FORWARD_GRID, medium_from_pieces, simulated_boundary_data
+from convexiwave.forward import CorrectionBox, SourceModel, boundary_data
 from convexiwave.grid import SpaceTimeGrid
 
 INVERSION_GRID = SpaceTimeGrid(0.0, 3.0, 6.0, 60, 60)
@@ -28,7 +23,5 @@ def cached_boundary_data(name: str, delta: float = 0.0, seed: int = 0):
 @functools.lru_cache(maxsize=4)
 def null_boundary_data():
     """Boundary data of the homogeneous medium on the production forward grid."""
-    fg = DEFAULT_FORWARD_GRID
-    medium = medium_from_pieces([], fg.x_min, fg.x_max, fg.nx)
-    u = correct_near_origin(simulate(medium, fg, SourceModel()), DEFAULT_BOX)
-    return extract_boundary(u, 0.0, fg.t_max)
+    medium = medium_from_pieces([], DEFAULT_FORWARD_GRID)
+    return boundary_data(medium, DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox())[1]

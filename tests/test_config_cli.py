@@ -153,7 +153,7 @@ def test_cli_preprocess(tmp_path):
     raw_path = tmp_path / "raw.csv"
     raw_path.write_text(signal_to_csv(raw.signal))
     cal_path = tmp_path / "cal.json"
-    cal_path.write_text(json.dumps({"mu": cal.mu, "reference_name": cal.reference_name}))
+    cal_path.write_text(json.dumps({"mu": cal.mu}))
     out = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
     rc = main([
@@ -226,6 +226,38 @@ BAD_CONFIGS = {
     "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
 }
 
+# Finite medium pieces outside the ranges that keep c > 0 (or, for a table,
+# with x not strictly increasing), and the piece key the error must name.
+OUT_OF_RANGE_PIECES = {
+    "medium_bump_halfwidth_negative": (
+        "halfwidth", {"kind": "bump", "center": 0.5, "halfwidth": -0.2, "amplitude": 10.0}
+    ),
+    "medium_step_halfwidth_zero": (
+        "halfwidth", {"kind": "step", "center": 0.5, "halfwidth": 0.0, "value": 2.0}
+    ),
+    "medium_step_value_negative": (
+        "value", {"kind": "step", "center": 0.5, "halfwidth": 0.2, "value": -1.0}
+    ),
+    "medium_bump_amplitude_minus_5": (
+        "amplitude", {"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": -5.0}
+    ),
+    "medium_bump_amplitude_minus_1": (
+        "amplitude", {"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": -1.0}
+    ),
+    "medium_sine_base_below_amplitude": (
+        "base", {"kind": "sine", "center": 0.8, "halfwidth": 0.6, "base": 0.2, "amplitude": -0.3}
+    ),
+    "medium_table_c_zero": ("c", {"kind": "table", "x": [0.0, 1.0], "c": [1.0, 0.0]}),
+    "medium_table_x_decreasing": (
+        "x", {"kind": "table", "x": [1.0, 0.5, 0.2], "c": [2.0, 2.0, 2.0]}
+    ),
+    "medium_table_x_repeated": ("x", {"kind": "table", "x": [0.0, 0.5, 0.5], "c": [2.0, 2.0, 2.0]}),
+}
+BAD_CONFIGS.update(
+    (case, ("forward", {"forward": {"medium": [piece]}}))
+    for case, (_, piece) in OUT_OF_RANGE_PIECES.items()
+)
+
 
 @pytest.mark.parametrize(
     "case",
@@ -266,6 +298,8 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         section, fields = next(iter(cfg.items()))
         key = next(iter(fields))
         assert section in err["message"] and key in err["message"]
+    if case in OUT_OF_RANGE_PIECES:
+        assert f"piece {OUT_OF_RANGE_PIECES[case][0]} must" in err["message"]
 
 
 @pytest.mark.parametrize(

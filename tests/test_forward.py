@@ -9,14 +9,14 @@ import scipy.sparse.linalg as spla
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import forward
 from convexiwave.errors import OffGridObservation, SingularSystem
-from convexiwave.fixtures import DEFAULT_BOX, DEFAULT_FORWARD_GRID, medium_from_pieces
+from convexiwave.fixtures import DEFAULT_FORWARD_GRID, medium_from_pieces
 from convexiwave.forward import (
+    BoundaryData,
     CorrectionBox,
     MediumProfile,
     SourceModel,
     add_noise,
-    correct_near_origin,
-    extract_boundary,
+    boundary_data,
     simulate,
     tikhonov_differentiate,
 )
@@ -33,7 +33,7 @@ def _layered_medium(grid):
         {"kind": "step", "center": 0.4, "halfwidth": 0.15, "value": 6.0},
         {"kind": "step", "center": 0.9, "halfwidth": 0.2, "value": 2.5},
     ]
-    return medium_from_pieces(pieces, grid.x_min, grid.x_max, grid.nx)
+    return medium_from_pieces(pieces, grid)
 
 
 def _reference_simulate(c, grid, src):
@@ -147,7 +147,7 @@ def test_front_amplitude_closed_form_resolved_grid():
     """
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _constant_medium(1.0, grid)
-    u = correct_near_origin(simulate(medium, grid, SourceModel()), DEFAULT_BOX)
+    u, _ = boundary_data(medium, grid, SourceModel(), CorrectionBox())
     x = grid.x_nodes()
     t = grid.t_nodes()
     X, T = np.meshgrid(x, t, indexing="ij")
@@ -173,25 +173,69 @@ def test_reflection_present_for_inclusion():
     assert np.max(np.abs(d.g0.samples - 0.5)) > 0.05
 
 
-def test_correct_near_origin_box():
-    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 100, 100)
-    u = simulate(_constant_medium(1.0, grid), SpaceTimeGrid(-1.0, 1.0, 1.0, 100, 100))
-    box = CorrectionBox(0.1, 0.2)
-    v = correct_near_origin(u, box)
+def _reference_boundary_data(c, grid, src, box, delta, seed):
+    """The chain that ``boundary_data`` replaces: copy the simulated field,
+    set the box to 1/2 on the copy, read g0 and the one-sided g1 at x = 0,
+    then add the noise pair."""
+    u = simulate(c, grid, src)
+    out = u.values.copy(order="K")
     x = grid.x_nodes()
     t = grid.t_nodes()
-    inside_x = (x >= 0.0) & (x <= 0.1)
-    inside_t = t <= 0.2
-    assert np.all(v.values[np.ix_(inside_x, inside_t)] == 0.5)
-    outside = ~np.isin(np.arange(x.size), np.nonzero(inside_x)[0])
-    assert np.array_equal(v.values[outside], u.values[outside])
+    out[np.ix_((x >= 0.0) & (x <= box.x_hi), t <= box.t_hi)] = 0.5
+    i = int(round((0.0 - grid.x_min) / grid.dx))
+    m = min(int(round(grid.t_max / grid.dt)), grid.nt)
+    ux = (-3.0 * out[i] + 4.0 * out[i + 1] - out[i + 2]) / (2.0 * grid.dx)
+    g0 = Signal(0.0, grid.dt, out[i, : m + 1].copy())
+    g1 = Signal(0.0, grid.dt, ux[: m + 1].copy())
+    if delta > 0:
+        g0 = add_noise(g0, delta, seed)
+        g1 = add_noise(g1, delta, seed + 1)
+    return out, BoundaryData(g0=g0, g1=g1, eps=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.05])
+def test_boundary_data_matches_reference_chain(delta):
+    """Correcting in place and reading the traces once changes no bit of u,
+    g0 or g1, without noise and with it."""
+    grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
+    medium = _layered_medium(grid)
+    args = (medium, grid, SourceModel(), CorrectionBox(0.05, 0.3), delta, 7)
+    u, d = boundary_data(*args)
+    u_ref, d_ref = _reference_boundary_data(*args)
+    assert np.array_equal(u.values, u_ref)
+    assert np.array_equal(d.g0.samples, d_ref.g0.samples)
+    assert np.array_equal(d.g1.samples, d_ref.g1.samples)
+    assert (d.g0.dt, d.g1.dt, d.eps) == (d_ref.g0.dt, d_ref.g1.dt, d_ref.eps)
+
+
+def test_correct_near_origin_box():
+    """``boundary_data`` sets exactly the box [0, x_hi] x [0, t_hi] to 1/2
+    and leaves the rest of the simulated field untouched."""
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 100, 100)
+    medium = _constant_medium(1.0, grid)
+    raw = simulate(medium, grid, SourceModel())
+    u, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(0.105, 0.205))
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[50:56, :21] = True  # x = 0, 0.02, ..., 0.1 and t = 0, 0.01, ..., 0.2
+    assert np.all(u.values[inside] == 0.5)
+    assert np.array_equal(u.values[~inside], raw.values[~inside])
+    assert np.array_equal(d.g0.samples, u.values[50])
 
 
 def test_extract_boundary_off_grid():
-    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 20, 20)
-    u = simulate(_constant_medium(1.0, grid), grid)
-    with pytest.raises(OffGridObservation):
-        extract_boundary(u, 5.0, 1.0)
+    """x = 0 must be a node with two nodes to its right: an odd nx, nx = 2 and
+    a grid starting right of 0 raise OffGridObservation."""
+    for grid in (
+        SpaceTimeGrid(-1.0, 1.0, 1.0, 21, 20),
+        SpaceTimeGrid(-1.0, 1.0, 1.0, 601, 20),
+        SpaceTimeGrid(-1.0, 1.0, 1.0, 2, 20),
+        SpaceTimeGrid(0.5, 1.5, 1.0, 20, 20),
+    ):
+        with pytest.raises(OffGridObservation):
+            boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox())
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 4, 20)  # x = 0 is node 2 of 4: just enough
+    _, d = boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox())
+    assert d.g0.samples.size == d.g1.samples.size == 21
 
 
 def test_add_noise_scale_and_determinism():

@@ -151,17 +151,3 @@ def test_field_shape_mismatch_rejected():
     g = SpaceTimeGrid(0.0, 1.0, 1.0, 4, 4)
     with pytest.raises(ValueError):
         Field2D(g, np.zeros((3, 5)))
-
-
-@pytest.mark.parametrize("time_major", [False, True], ids=["x_major", "time_major"])
-def test_field_copy_keeps_memory_layout(time_major):
-    """A copy of a transposed (time-major) field stays time-major, so copying
-    the output of ``simulate`` is one contiguous pass."""
-    g = SpaceTimeGrid(0.0, 1.0, 1.0, 6, 4)
-    rng = np.random.Generator(np.random.Philox(0))
-    values = rng.standard_normal((g.nt + 1, g.nx + 1)).T if time_major else rng.standard_normal(g.shape)
-    c = Field2D(g, values).copy()
-    assert np.array_equal(c.values, values)
-    assert not np.shares_memory(c.values, values)
-    assert c.values.flags.f_contiguous == time_major
-    assert c.values.flags.c_contiguous != time_major

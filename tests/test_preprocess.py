@@ -51,7 +51,7 @@ def test_calibrate_reproduces_stored_mu(name):
 
 def test_calibration_result_validation():
     with pytest.raises(ValueError):
-        CalibrationResult(mu=0.0, reference_name="x")
+        CalibrationResult(mu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_pipeline_scale_equivariance():
     scaled_raw = RawTrace(
         Signal(raw.signal.t0, raw.signal.dt, k * raw.signal.samples), raw.medium_mode
     )
-    scaled_cal = CalibrationResult(mu=cal.mu / k, reference_name=cal.reference_name)
+    scaled_cal = CalibrationResult(mu=cal.mu / k)
     d1 = preprocess_pipeline(raw, cal)
     d2 = preprocess_pipeline(scaled_raw, scaled_cal)
     assert np.allclose(d1.g0.samples, d2.g0.samples)

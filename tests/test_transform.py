@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from cached_data import cached_boundary_data
 from convexiwave.errors import FloorViolation, HorizonTooShort
-from convexiwave.fixtures import DEFAULT_BOX, DEFAULT_FORWARD_GRID, fixture_medium
-from convexiwave.forward import MediumProfile, SourceModel, correct_near_origin, simulate
+from convexiwave.fixtures import fixture_medium
+from convexiwave.forward import CorrectionBox, MediumProfile, SourceModel, boundary_data, simulate
 from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from convexiwave.solver import QRConfig, correction_step
 from convexiwave.transform import (
@@ -101,7 +101,7 @@ def test_q_from_u_background_row():
     # resolved grid: the coarse default (nt=300) smears the front by dispersion
     fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-    u = correct_near_origin(simulate(medium, fg, SourceModel()), DEFAULT_BOX)
+    u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox())
     tau = travel_time(medium)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
     q = q_from_u(u, tau, gq)
