@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import time
 
-from . import fixtures
+from . import fixtures, runner
 from .config import RunConfig, invert_from_config, load_config
 from .convexify import ConvexParams, convexity_scan, gradient_audit
-from .errors import ConvexiwaveError, InvalidInput
+from .errors import ConvexiwaveError, FixtureMissing, InvalidInput
 from .forward import BoundaryData, boundary_data
 from .grid import SpaceTimeGrid, field_to_csv, profile_to_csv, signal_from_csv, signal_to_csv
 from .preprocess import CalibrationResult, MediumMode, RawTrace, preprocess_pipeline
@@ -65,8 +67,8 @@ def cmd_preprocess(args) -> int:
         cal_data = json.loads(_read(args.cal))
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"calibration file {args.cal} is not valid JSON: {exc}") from exc
-    if not isinstance(cal_data, dict) or not isinstance(cal_data.get("mu"), (int, float)):
-        raise InvalidInput(f"calibration file {args.cal} has no numeric 'mu' entry")
+    if not isinstance(cal_data, dict) or not fixtures.is_finite_number(cal_data.get("mu")):
+        raise InvalidInput(f"calibration file {args.cal} has no finite numeric 'mu' entry")
     cal = CalibrationResult(mu=cal_data["mu"])
     data = preprocess_pipeline(
         RawTrace(raw_signal, mode),
@@ -127,11 +129,23 @@ def cmd_convexity_check(args) -> int:
 
 
 def cmd_run_fixture(args) -> int:
-    from .runner import run_fixture
-
-    report = run_fixture(args.name, out_dir=args.out)
-    print(json.dumps(report, indent=2))
-    return 0 if report["passed"] else 1
+    names = args.names or list(fixtures.FIXTURE_NAMES)
+    if unknown := [n for n in names if n not in fixtures.FIXTURE_NAMES]:
+        raise FixtureMissing(
+            f"unknown fixture(s) {', '.join(map(repr, unknown))}; "
+            f"known: {', '.join(fixtures.FIXTURE_NAMES)}"
+        )
+    reports = []
+    for name in names:
+        t0 = time.perf_counter()
+        report = runner.run_fixture(name, out_dir=args.out)
+        report["seconds"] = round(time.perf_counter() - t0, 2)
+        reports.append(report)
+    text = json.dumps(reports, indent=2)
+    print(text)
+    if args.out:
+        _write(os.path.join(args.out, "report.json"), text + "\n")
+    return 0 if all(r["passed"] for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--out", default=None)
     cc.set_defaults(fn=cmd_convexity_check)
 
-    rf = sub.add_parser("run-fixture", help="run a golden fixture end to end")
-    rf.add_argument("name", choices=list(fixtures.FIXTURE_NAMES))
+    rf = sub.add_parser("run-fixture", help="run golden fixtures end to end (default: all ten)")
+    rf.add_argument("names", nargs="*", metavar="NAME")
     rf.add_argument("--out", default=None)
     rf.set_defaults(fn=cmd_run_fixture)
     return p

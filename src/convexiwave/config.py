@@ -14,6 +14,7 @@ from .fixtures import DEFAULT_FORWARD_GRID, check_piece, is_finite_number
 from .forward import BoundaryData, CorrectionBox, SourceModel
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
+from .transform import DEFAULT_C_UPPER
 
 
 @dataclass
@@ -63,7 +64,7 @@ class InversionConfig:
     T: float = 6.0
     nx: int = 60
     nt: int = 60
-    c_upper: float = 15.0
+    c_upper: float = DEFAULT_C_UPPER
     diff_reg: float = 1e-6
     freeze_time_derivative: bool = True
 

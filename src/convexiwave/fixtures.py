@@ -124,49 +124,30 @@ def medium_from_pieces(pieces, grid: SpaceTimeGrid) -> MediumProfile:
     return MediumProfile(x, c)
 
 
-SIMULATED_TESTS: dict[str, dict] = {
-    "test1": {
-        "pieces": [{"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 10.0}],
-        "true_max": 11.0,
-        "centers": [0.5],
-    },
-    "test2": {
-        "pieces": [
-            {"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 3.0},
-            {"kind": "bump", "center": 1.4, "halfwidth": 0.3, "amplitude": 5.0},
-        ],
-        "true_max": 6.0,
-        "centers": [0.5, 1.4],
-    },
-    "test3": {
-        "pieces": [{"kind": "step", "center": 0.6, "halfwidth": 0.1, "value": 6.0}],
-        "true_max": 6.0,
-        "centers": [0.6],
-    },
-    "test4": {
-        "pieces": [
-            {"kind": "step", "center": 0.3, "halfwidth": 0.1, "value": 3.0},
-            {"kind": "step", "center": 0.8, "halfwidth": 0.15, "value": 5.0},
-            {"kind": "step", "center": 1.5, "halfwidth": 0.2, "value": 7.0},
-        ],
-        "true_max": 7.0,
-        "centers": [0.3, 0.8, 1.5],
-    },
-    "test5": {
-        "pieces": [
-            {
-                "kind": "sine",
-                "center": 0.8,
-                "halfwidth": 0.6,
-                "base": 3.0,
-                "amplitude": 0.3,
-                "phase_center": 1.25,
-            },
-            {"kind": "step", "center": 2.0, "halfwidth": 0.3, "value": 7.0},
-        ],
-        "true_max": 7.0,
-        "centers": [0.8, 2.0],
-    },
+# The medium pieces of each simulated fixture.
+SIMULATED_TESTS: dict[str, list[dict]] = {
+    "test1": [{"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 10.0}],
+    "test2": [
+        {"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 3.0},
+        {"kind": "bump", "center": 1.4, "halfwidth": 0.3, "amplitude": 5.0},
+    ],
+    "test3": [{"kind": "step", "center": 0.6, "halfwidth": 0.1, "value": 6.0}],
+    "test4": [
+        {"kind": "step", "center": 0.3, "halfwidth": 0.1, "value": 3.0},
+        {"kind": "step", "center": 0.8, "halfwidth": 0.15, "value": 5.0},
+        {"kind": "step", "center": 1.5, "halfwidth": 0.2, "value": 7.0},
+    ],
+    "test5": [
+        {
+            "kind": "sine",
+            "center": 0.8,
+            "halfwidth": 0.6,
+            "base": 3.0,
+            "amplitude": 0.3,
+            "phase_center": 1.25,
+        },
+        {"kind": "step", "center": 2.0, "halfwidth": 0.3, "value": 7.0},
+    ],
 }
 
 # Experimental-style fixtures: relative-dielectric profiles, reported bands,
@@ -182,15 +163,15 @@ MU_GROUND = 189445.0
 # g1 ~ g0' approximations shift amplitudes) reports c_rel. halfwidth: the
 # inclusion size; dips reflect weakly and need to be wider than bumps.
 EXPERIMENTAL_TESTS: dict[str, dict] = {
-    "bush": {"c_rel": 6.76, "mode": MediumMode.AIR, "mu": MU_AIR, "c_bckgr": 1.0,
+    "bush": {"c_rel": 6.76, "mode": MediumMode.AIR, "mu": MU_AIR,
              "synth_c": 5.8, "halfwidth": 0.2},
-    "wood": {"c_rel": 2.22, "mode": MediumMode.AIR, "mu": MU_AIR, "c_bckgr": 1.0,
+    "wood": {"c_rel": 2.22, "mode": MediumMode.AIR, "mu": MU_AIR,
              "synth_c": 2.05, "halfwidth": 0.2},
-    "metalbox": {"c_rel": 5.2, "mode": MediumMode.GROUND, "mu": MU_GROUND, "c_bckgr": 4.0,
+    "metalbox": {"c_rel": 5.2, "mode": MediumMode.GROUND, "mu": MU_GROUND,
                  "synth_c": 4.15, "halfwidth": 0.2},
-    "metalcyl": {"c_rel": 4.7, "mode": MediumMode.GROUND, "mu": MU_GROUND, "c_bckgr": 4.0,
+    "metalcyl": {"c_rel": 4.7, "mode": MediumMode.GROUND, "mu": MU_GROUND,
                  "synth_c": 3.76, "halfwidth": 0.2},
-    "plastic": {"c_rel": 0.37, "mode": MediumMode.GROUND, "mu": MU_GROUND, "c_bckgr": 4.0,
+    "plastic": {"c_rel": 0.37, "mode": MediumMode.GROUND, "mu": MU_GROUND,
                 "synth_c": 0.22, "halfwidth": 0.45},
 }
 
@@ -204,7 +185,7 @@ FIXTURE_NAMES = tuple(SIMULATED_TESTS) + tuple(EXPERIMENTAL_TESTS)
 def fixture_medium(name: str) -> MediumProfile:
     """The named fixture's medium, sampled on ``DEFAULT_FORWARD_GRID``."""
     if name in SIMULATED_TESTS:
-        return medium_from_pieces(SIMULATED_TESTS[name]["pieces"], DEFAULT_FORWARD_GRID)
+        return medium_from_pieces(SIMULATED_TESTS[name], DEFAULT_FORWARD_GRID)
     if name in EXPERIMENTAL_TESTS:
         spec = EXPERIMENTAL_TESTS[name]
         piece = {

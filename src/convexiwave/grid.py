@@ -104,9 +104,6 @@ class Signal:
     def t_end(self) -> float:
         return self.t0 + self.dt * (self.samples.size - 1)
 
-    def copy(self) -> "Signal":
-        return Signal(self.t0, self.dt, self.samples.copy())
-
 
 # ---------------------------------------------------------------------------
 # Quadrature

@@ -63,28 +63,13 @@ def calibrate(raw_ref: RawTrace, sim_ref: Signal) -> CalibrationResult:
 def _local_extrema(samples: np.ndarray):
     """Indices of strict local minima and maxima; plateaus take the leftmost point."""
     d = np.diff(samples)
-    sign = np.sign(d)
-    # carry the last nonzero slope across plateaus so a flat top still counts once
-    carried = sign.copy()
-    for i in range(1, carried.size):
-        if carried[i] == 0:
-            carried[i] = carried[i - 1]
-    minima, maxima = [], []
-    prev = carried[0]
-    for i in range(1, carried.size):
-        cur = carried[i]
-        if cur == prev or cur == 0:
-            continue
-        # turning point between slope prev and cur; leftmost index of the plateau
-        j = i
-        while j > 0 and d[j - 1] == 0:
-            j -= 1
-        if prev < 0 < cur:
-            minima.append(j)
-        elif prev > 0 > cur:
-            maxima.append(j)
-        prev = cur
-    return np.array(minima, dtype=int), np.array(maxima, dtype=int)
+    nz = np.flatnonzero(d)
+    s = np.sign(d[nz])
+    # a turn is a sign change between consecutive nonzero slopes; the point
+    # after the earlier slope is the turning point, the left end of a plateau
+    turn = np.flatnonzero(s[1:] != s[:-1])
+    j = nz[turn] + 1
+    return j[s[turn] < 0], j[s[turn] > 0]
 
 
 def detect_contrast_sign(s: Signal) -> ContrastSign:
@@ -123,8 +108,6 @@ def envelope(s: Signal, side: EnvelopeSide) -> Signal:
 def truncate_window(s: Signal, half_width_steps: int = 10) -> Signal:
     """Zero everything outside a window around the dominant excursion of |s|."""
     v = s.samples
-    if np.all(v == 0.0):
-        return s.copy()
     k = int(np.argmax(np.abs(v)))
     out = np.zeros_like(v)
     lo = max(0, k - half_width_steps)

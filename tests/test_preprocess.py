@@ -14,6 +14,7 @@ from convexiwave.preprocess import (
     EnvelopeSide,
     MediumMode,
     RawTrace,
+    _local_extrema,
     calibrate,
     detect_contrast_sign,
     envelope,
@@ -81,6 +82,50 @@ def test_contrast_sign_low():
 def test_contrast_sign_ambiguous():
     with pytest.raises(AmbiguousExtrema):
         detect_contrast_sign(_sig(np.linspace(0, 1, 50)))
+
+
+# ---------------------------------------------------------------------------
+# _local_extrema
+# ---------------------------------------------------------------------------
+
+def _loop_local_extrema(samples):
+    """Reference: carry the last nonzero slope across plateaus, then walk back
+    from each turn to the plateau's left end."""
+    d = np.diff(samples)
+    carried = np.sign(d)
+    for i in range(1, carried.size):
+        if carried[i] == 0:
+            carried[i] = carried[i - 1]
+    minima, maxima = [], []
+    prev = carried[0]
+    for i in range(1, carried.size):
+        cur = carried[i]
+        if cur == prev or cur == 0:
+            continue
+        j = i
+        while j > 0 and d[j - 1] == 0:
+            j -= 1
+        if prev < 0 < cur:
+            minima.append(j)
+        elif prev > 0 > cur:
+            maxima.append(j)
+        prev = cur
+    return np.array(minima, dtype=int), np.array(maxima, dtype=int)
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(-2, 2), min_size=2, max_size=39),  # plateau-heavy
+        st.lists(st.floats(-3, 3, allow_nan=False), min_size=2, max_size=39),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_local_extrema_matches_loop_reference(vals):
+    v = np.asarray(vals, dtype=float)
+    got_min, got_max = _local_extrema(v)
+    ref_min, ref_max = _loop_local_extrema(v)
+    assert np.array_equal(got_min, ref_min) and got_min.dtype == ref_min.dtype
+    assert np.array_equal(got_max, ref_max) and got_max.dtype == ref_max.dtype
 
 
 # ---------------------------------------------------------------------------
