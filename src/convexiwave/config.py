@@ -40,6 +40,8 @@ class NoiseConfig:
     def __post_init__(self):
         if not 0 <= self.delta < math.inf:
             raise ValueError("delta must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

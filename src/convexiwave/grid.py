@@ -3,11 +3,11 @@
 This module owns every finite-difference stencil and quadrature rule that the
 inversion uses: second-order central differences with second-order one-sided
 closures at the boundaries, assembled once per grid as sparse matrices in
-``DiscreteOperators``; tensor-product trapezoidal quadrature; and the discrete
-H2 norm built from both. The residual (``transform``), the objective
-(``convexify``) and the quasi-reversibility solves (``solver``) all read their
-operators from ``operators_for``. CSV serialization of fields and signals
-lives here too.
+``DiscreteOperators``; tensor-product and cumulative trapezoidal quadrature;
+and the discrete H2 norm built from both. The residual (``transform``), the
+objective (``convexify``) and the quasi-reversibility solves (``solver``) all
+read their operators from ``operators_for``. CSV serialization of fields and
+signals lives here too.
 """
 
 from __future__ import annotations
@@ -90,8 +90,10 @@ class Signal:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not np.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.samples.size == 0:
             raise ValueError("samples must be non-empty")
         if not np.all(np.isfinite(self.samples)):
@@ -120,6 +122,16 @@ def quad_weights(grid: SpaceTimeGrid) -> np.ndarray:
     wx = trapezoid_weights(grid.nx, grid.dx)
     wt = trapezoid_weights(grid.nt, grid.dt)
     return wx[:, None] * wt[None, :]
+
+
+def cumulative_trapezoid(y: np.ndarray, d) -> np.ndarray:
+    """Running trapezoidal integral of ``y`` along axis 0, starting from 0.
+
+    ``d`` is a scalar spacing or the interval widths, broadcast against
+    ``y[1:]``. The expression is scipy's, so results match it bit for bit.
+    """
+    steps = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros_like(steps[:1]), steps])
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +255,15 @@ def profile_to_csv(x: np.ndarray, c: np.ndarray) -> str:
 
 
 def signal_from_csv(text: str) -> Signal:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if lines and lines[0].lower().startswith("t,"):
         lines = lines[1:]
-    data = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",")
+    if not lines:
+        raise InvalidInput("signal CSV has no data rows")
+    try:
+        data = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",")
+    except ValueError as exc:
+        raise InvalidInput(f"signal CSV is malformed: {exc}") from exc
     data = np.atleast_2d(data)
     t, v = data[:, 0], data[:, 1]
     if t.size < 2:

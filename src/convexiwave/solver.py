@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_trapezoid
 
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
 from .errors import SingularSystem
 from .forward import MediumProfile
-from .grid import Field2D, Signal, SpaceTimeGrid, operators_for
+from .grid import Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid, operators_for
 from .transform import (
     DEFAULT_C_UPPER,
     BoundaryData,
@@ -162,9 +161,7 @@ def initial_guess(
     ]
     sol, _ = solve_quadratic(terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q)
     Qfield = sol.reshape(P, Q)
-    q_vals = q_eps.samples[None, :] + cumulative_trapezoid(
-        Qfield, dx=grid.dx, axis=0, initial=0.0
-    )
+    q_vals = q_eps.samples[None, :] + cumulative_trapezoid(Qfield, grid.dx)
     q_vals[:, 0] = 0.5
     floor = q_floor_from_c_upper(c_upper)
     np.maximum(q_vals[:, 0], floor, out=q_vals[:, 0])

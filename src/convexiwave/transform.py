@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import FloorViolation, HorizonTooShort
 from .forward import BoundaryData, MediumProfile, tikhonov_differentiate
-from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid
+from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid
 
 DEFAULT_C_UPPER = 15.0
 
@@ -78,7 +77,7 @@ class QField:
 
 def travel_time(c: MediumProfile) -> TravelTime:
     """Trapezoidal cumulative quadrature of sqrt(c), anchored so tau(0) = 0."""
-    tau = cumulative_trapezoid(np.sqrt(c.c), c.x, initial=0.0)
+    tau = cumulative_trapezoid(np.sqrt(c.c), np.diff(c.x))
     tau -= np.interp(0.0, c.x, tau)
     return TravelTime(c.x, tau)
 

@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import convexiwave
 from convexiwave.cli import main
 from convexiwave.config import (
     GridConfig,
@@ -188,6 +193,15 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
+    """Every command starts a fresh process; none of them needs these."""
+    code = "import sys, convexiwave.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(convexiwave.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert not {"scipy.integrate", "scipy.optimize", "scipy.special"} & set(proc.stdout.split())
+
+
 NAN, INF = float("nan"), float("inf")
 
 # Each bad config, with the subcommand that reads it.
@@ -215,6 +229,7 @@ BAD_CONFIGS = {
     "inversion_diff_reg_nan": ("invert", {"inversion": {"diff_reg": NAN}}),
     "inversion_c_upper_nan": ("invert", {"inversion": {"c_upper": NAN}}),
     "noise_delta_nan": ("forward", {"forward": {"noise": {"delta": NAN}}}),
+    "noise_seed_negative": ("forward", {"forward": {"noise": {"delta": 0.05, "seed": -1}}}),
     "max_iters_fractional": ("invert", {"descent": {"max_iters": 2.5}}),
     "max_corrections_fractional": ("invert", {"descent": {"max_corrections": 0.5}}),
     "forward_grid_nx_fractional": ("forward", {"forward": {"grid": {"nx": 300.5}}}),
@@ -256,6 +271,14 @@ BAD_CONFIGS.update(
 )
 
 
+# Signal CSVs that np.loadtxt cannot read as a two-column table of floats.
+MALFORMED_G0_CSV = {
+    "non_numeric_sample": "t,value\n0.0,0.5\n0.5,abc\n1.0,0.5\n1.5,0.5\n",
+    "header_only": "t,value\n",
+    "ragged_row": "t,value\n0.0,0.5\n0.5,0.5,0.1\n1.0,0.5\n1.5,0.5\n",
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -264,6 +287,7 @@ BAD_CONFIGS.update(
         "g1_shorter",
         "g1_other_dt",
         "config_not_json",
+        *MALFORMED_G0_CSV,
         *BAD_CONFIGS,
     ],
 )
@@ -279,7 +303,9 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
     cfg_path = tmp_path / "cfg.json"
-    g0.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, g0_vals)))
+    g0.write_text(MALFORMED_G0_CSV.get(
+        case, "t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(times, g0_vals))
+    ))
     g1.write_text("t,value\n" + "".join(f"{t!r},0.0\n" for t in g1_times))
     cfg_path.write_text('{"inversion": ' if case == "config_not_json" else json.dumps(cfg))
     if command == "forward":

@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from convexiwave.grid import (
     Field2D,
     Signal,
     SpaceTimeGrid,
+    cumulative_trapezoid,
     d1_matrix,
     d2_matrix,
     field_to_csv,
@@ -145,6 +147,24 @@ def test_signal_csv_roundtrip(t0, dt, vals):
     assert back.t0 == pytest.approx(s.t0)
     assert back.dt == pytest.approx(s.dt)
     assert np.allclose(back.samples, s.samples)
+
+
+@pytest.mark.parametrize("t0, dt", [(0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (np.inf, 0.1)])
+def test_signal_rejects_non_finite_t0_or_dt(t0, dt):
+    with pytest.raises(ValueError):
+        Signal(t0, dt, np.zeros(4))
+
+
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(0)
+    y2 = rng.standard_normal((61, 61))
+    dx = 3.0 / 60
+    ref2 = scipy.integrate.cumulative_trapezoid(y2, dx=dx, axis=0, initial=0.0)
+    assert np.array_equal(cumulative_trapezoid(y2, dx), ref2)
+    x = np.sort(rng.uniform(-1.0, 2.0, 41))
+    y1 = np.sqrt(1.0 + x**2)
+    ref1 = scipy.integrate.cumulative_trapezoid(y1, x, initial=0.0)
+    assert np.array_equal(cumulative_trapezoid(y1, np.diff(x)), ref1)
 
 
 def test_field_shape_mismatch_rejected():
