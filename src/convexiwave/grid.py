@@ -261,10 +261,11 @@ def signal_from_csv(text: str) -> Signal:
     if not lines:
         raise InvalidInput("signal CSV has no data rows")
     try:
-        data = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",")
+        data = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",", ndmin=2)
     except ValueError as exc:
         raise InvalidInput(f"signal CSV is malformed: {exc}") from exc
-    data = np.atleast_2d(data)
+    if data.shape[1] < 2:
+        raise InvalidInput(f"signal CSV needs two columns (t, value), found {data.shape[1]}")
     t, v = data[:, 0], data[:, 1]
     if t.size < 2:
         raise InvalidInput("signal CSV needs at least two samples")

@@ -23,6 +23,7 @@ from convexiwave.config import (
     load_config,
 )
 from convexiwave.fixtures import FIXTURE_NAMES, synthesize_raw_trace
+from convexiwave.forward import CorrectionBox, SourceModel
 from convexiwave.grid import Signal, signal_from_csv, signal_to_csv
 from convexiwave.solver import DescentConfig, QRConfig
 
@@ -97,6 +98,9 @@ def test_config_validation():
         (GridConfig, "T"),
         (NoiseConfig, "delta"),
         (PreprocessConfig, "diff_reg"),
+        (SourceModel, "k"),
+        (CorrectionBox, "x_hi"),
+        (CorrectionBox, "t_hi"),
     ],
 )
 def test_config_sections_reject_non_finite_values(section, key, value):
@@ -229,6 +233,9 @@ BAD_CONFIGS = {
     "inversion_diff_reg_nan": ("invert", {"inversion": {"diff_reg": NAN}}),
     "inversion_c_upper_nan": ("invert", {"inversion": {"c_upper": NAN}}),
     "noise_delta_nan": ("forward", {"forward": {"noise": {"delta": NAN}}}),
+    "source_k_nan": ("forward", {"forward": {"source": {"k": NAN}}}),
+    "correction_x_hi_inf": ("forward", {"forward": {"correction": {"x_hi": INF}}}),
+    "correction_t_hi_nan": ("forward", {"forward": {"correction": {"t_hi": NAN}}}),
     "noise_seed_negative": ("forward", {"forward": {"noise": {"delta": 0.05, "seed": -1}}}),
     "max_iters_fractional": ("invert", {"descent": {"max_iters": 2.5}}),
     "max_corrections_fractional": ("invert", {"descent": {"max_corrections": 0.5}}),
@@ -276,6 +283,7 @@ MALFORMED_G0_CSV = {
     "non_numeric_sample": "t,value\n0.0,0.5\n0.5,abc\n1.0,0.5\n1.5,0.5\n",
     "header_only": "t,value\n",
     "ragged_row": "t,value\n0.0,0.5\n0.5,0.5,0.1\n1.0,0.5\n1.5,0.5\n",
+    "one_column": "t,value\n0.0\n0.5\n1.0\n1.5\n",
 }
 
 
@@ -317,6 +325,8 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]
+    if case == "one_column":
+        assert "needs two columns (t, value), found 1" in err["message"]
     if case in BAD_CONFIGS:
         section, fields = next(iter(cfg.items()))
         key = next(iter(fields))

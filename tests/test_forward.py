@@ -9,7 +9,12 @@ import scipy.sparse.linalg as spla
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import forward
 from convexiwave.errors import OffGridObservation, SingularSystem
-from convexiwave.fixtures import DEFAULT_FORWARD_GRID, medium_from_pieces
+from convexiwave.fixtures import (
+    DEFAULT_FORWARD_GRID,
+    FIXTURE_NAMES,
+    fixture_medium,
+    medium_from_pieces,
+)
 from convexiwave.forward import (
     BoundaryData,
     CorrectionBox,
@@ -37,8 +42,9 @@ def _layered_medium(grid):
 
 
 def _reference_simulate(c, grid, src):
-    """The column-major stepper: u[:, n] is time level n, the step matrix is
-    assembled from a Python triplet loop and every step is checked."""
+    """The sparse-LU, column-major stepper: u[:, n] is time level n, the full
+    step matrix is assembled from a Python triplet loop, factored by SuperLU,
+    and every step is checked."""
     x = grid.x_nodes()
     nx, nt = grid.nx, grid.nt
     dx, dt = grid.dx, grid.dt
@@ -72,36 +78,66 @@ def _reference_simulate(c, grid, src):
     return u
 
 
-def test_simulate_is_bit_identical_to_column_major_stepper():
-    """Time-major stepping and the vectorized step matrix change no bit of u."""
+def test_simulate_matches_sparse_lu_reference_stepper():
+    """The tridiagonal stepper reproduces the sparse-LU stepper up to roundoff."""
     grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
     medium = _layered_medium(grid)
     u = simulate(medium, grid, SourceModel())
     assert u.values.shape == grid.shape
-    assert np.array_equal(u.values, _reference_simulate(medium, grid, SourceModel()))
+    ref = _reference_simulate(medium, grid, SourceModel())
+    assert np.max(np.abs(u.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_simulate_matches_sparse_lu_reference_on_fixture_media(name):
+    medium = fixture_medium(name)
+    u = simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
+    ref = _reference_simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
+    assert np.max(np.abs(u.values - ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("nx", [2, 3, 4])
+def test_simulate_matches_sparse_lu_reference_on_coarsest_grids(nx):
+    """With nx = 2 the end stencils reach the far end node, and the interior
+    block is 1x1."""
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, nx, 10)
+    medium = _layered_medium(grid)
+    u = simulate(medium, grid, SourceModel())
+    ref = _reference_simulate(medium, grid, SourceModel())
+    assert np.max(np.abs(u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_simulate_raises_singular_system_on_non_finite_step(monkeypatch, bad):
     """A step that goes non-finite is caught by the one finiteness check, the
     ``Field2D`` construction of the result."""
-    real_splu = spla.splu
+    real_dpttrs = forward.dpttrs
+    calls = []
 
-    class _BadFactor:
-        def __init__(self, lu):
-            self.lu = lu
-            self.calls = 0
+    def bad_dpttrs(d, e, b, overwrite_b=0):
+        calls.append(1)
+        x, info = real_dpttrs(d, e, b, overwrite_b=overwrite_b)
+        if len(calls) == 5:
+            x[len(x) // 2] = bad
+        return x, info
 
-        def solve(self, rhs):
-            self.calls += 1
-            out = self.lu.solve(rhs)
-            if self.calls == 5:
-                out[len(out) // 2] = bad
-            return out
-
-    monkeypatch.setattr(forward.spla, "splu", lambda A: _BadFactor(real_splu(A)))
+    monkeypatch.setattr(forward, "dpttrs", bad_dpttrs)
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 60, 30)
     with pytest.raises(SingularSystem, match="non-finite"):
+        simulate(_layered_medium(grid), grid, SourceModel())
+    assert len(calls) == grid.nt
+
+
+def test_simulate_raises_singular_system_when_factorization_fails(monkeypatch):
+    real_dpttrf = forward.dpttrf
+
+    def failing_dpttrf(d, e):
+        d, e, _ = real_dpttrf(d, e)
+        return d, e, 3
+
+    monkeypatch.setattr(forward, "dpttrf", failing_dpttrf)
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 60, 30)
+    with pytest.raises(SingularSystem, match="singular"):
         simulate(_layered_medium(grid), grid, SourceModel())
 
 
