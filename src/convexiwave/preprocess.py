@@ -47,8 +47,8 @@ class CalibrationResult:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise InvalidInput("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise InvalidInput("mu must be positive and finite")
 
 
 def calibrate(raw_ref: RawTrace, sim_ref: Signal) -> CalibrationResult:

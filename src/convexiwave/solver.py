@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.blas import dsyrk, dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
 from .errors import SingularSystem
@@ -67,14 +68,182 @@ class DescentConfig:
 
 
 # ---------------------------------------------------------------------------
+# Nested-dissection multifrontal Cholesky on the row-major (P, Q) grid
+# ---------------------------------------------------------------------------
+
+# Largest box of grid nodes eliminated as one dense front.
+LEAF_SIZE = 128
+# Separator width in grid lines. The normal matrices couple nodes at most two
+# lines apart, except the one-sided end stencils, which couple lines 0 and 3
+# (and the last and fourth-last). A box is split only above LEAF_SIZE nodes,
+# so its longer side has at least 12 lines and each half keeps at least 5: no
+# separator falls between lines 0 and 3, and two lines cut every coupling.
+SEPARATOR = 2
+
+
+@dataclass(frozen=True)
+class _Front:
+    """One dense front of the elimination.
+
+    It eliminates positions [start, stop) of the elimination order. ``rows``
+    holds its positions in increasing order: the pivots, then the later
+    positions that its update matrix reaches. ``extend[c]`` lists the runs
+    (row in this front, row in the update, length) along which the update of
+    child ``children[c]`` adds into this front.
+    """
+
+    start: int
+    stop: int
+    rows: np.ndarray
+    children: tuple[int, ...]
+    extend: tuple[tuple[tuple[int, int, int], ...], ...]
+
+
+@dataclass(frozen=True)
+class _DissectionTree:
+    order: np.ndarray  # order[k] is the node eliminated k-th
+    position: np.ndarray  # position[order[k]] == k
+    fronts: tuple[_Front, ...]  # every child before its parent
+
+
+def _runs(dest: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    """(dest[s], s, length) of each run of consecutive values in ``dest``."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(dest) != 1) + 1))
+    lengths = np.diff(np.append(starts, dest.size))
+    return tuple(zip(dest[starts].tolist(), starts.tolist(), lengths.tolist()))
+
+
+def _build_tree(P: int, Q: int) -> _DissectionTree:
+    def nodes(i0, i1, j0, j1):
+        return (np.arange(i0, i1)[:, None] * Q + np.arange(j0, j1)).ravel()
+
+    parts = []  # (pivot nodes, boundary nodes, children), children first
+
+    def dissect(i0, i1, j0, j1):
+        # the boundary is every node within SEPARATOR lines of the box, all
+        # of which lie on the separators of enclosing boxes
+        halo = nodes(max(i0 - SEPARATOR, 0), min(i1 + SEPARATOR, P),
+                     max(j0 - SEPARATOR, 0), min(j1 + SEPARATOR, Q))
+        i, j = np.divmod(halo, Q)
+        boundary = halo[(i < i0) | (i >= i1) | (j < j0) | (j >= j1)]
+        if (i1 - i0) * (j1 - j0) <= LEAF_SIZE:
+            pivots, children = nodes(i0, i1, j0, j1), ()
+        elif i1 - i0 >= j1 - j0:
+            s = i0 + (i1 - i0 - SEPARATOR) // 2
+            children = (dissect(i0, s, j0, j1), dissect(s + SEPARATOR, i1, j0, j1))
+            pivots = nodes(s, s + SEPARATOR, j0, j1)
+        else:
+            s = j0 + (j1 - j0 - SEPARATOR) // 2
+            children = (dissect(i0, i1, j0, s), dissect(i0, i1, s + SEPARATOR, j1))
+            pivots = nodes(i0, i1, s, s + SEPARATOR)
+        parts.append((pivots, boundary, children))
+        return len(parts) - 1
+
+    dissect(0, P, 0, Q)
+    order = np.concatenate([pivots for pivots, _, _ in parts])
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    fronts = []
+    start = 0
+    for pivots, boundary, children in parts:
+        stop = start + pivots.size
+        rows = np.concatenate((np.arange(start, stop), np.sort(position[boundary])))
+        extend = tuple(
+            _runs(np.searchsorted(rows, fronts[c].rows[fronts[c].stop - fronts[c].start:]))
+            for c in children
+        )
+        fronts.append(_Front(start, stop, rows, children, extend))
+        start = stop
+    return _DissectionTree(order, position, tuple(fronts))
+
+
+_TREE_CACHE: dict[tuple[int, int], _DissectionTree] = {}
+
+
+def dissection_tree(P: int, Q: int) -> _DissectionTree:
+    tree = _TREE_CACHE.get((P, Q))
+    if tree is None:
+        tree = _build_tree(P, Q)
+        _TREE_CACHE[(P, Q)] = tree
+    return tree
+
+
+class GridCholesky:
+    """Cholesky factor of a symmetric positive definite matrix on a (P, Q) grid.
+
+    Unknown i * Q + j is grid node (i, j). The grid is bisected recursively
+    along its longer side by separators SEPARATOR lines wide (George's nested
+    dissection), and every box of at most LEAF_SIZE nodes, and every
+    separator, is eliminated as one dense front (Duff and Reid's multifrontal
+    method): its pivot columns are scattered from the matrix, its children's
+    update matrices are added in, and dpotrf, dtrsm and dsyrk factor it. Only
+    the lower triangle of each front is used. Raises ValueError if the matrix
+    couples two nodes that no front holds together, and SingularSystem if a
+    pivot is not positive.
+    """
+
+    def __init__(self, matrix: sp.spmatrix, shape: tuple[int, int]):
+        self.tree = tree = dissection_tree(*shape)
+        n = tree.order.size
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix of shape {matrix.shape} does not fit a {shape} grid")
+        coo = matrix.tocoo()
+        r, c = tree.position[coo.row], tree.position[coo.col]
+        upper = c >= r
+        A = sp.csr_matrix((coo.data[upper], (r[upper], c[upper])), shape=(n, n))
+        self.factors = []  # (L11, L21) per front
+        updates = {}
+        for f in tree.fronts:
+            m, k = f.rows.size, f.stop - f.start
+            lo, hi = A.indptr[f.start], A.indptr[f.stop]
+            cols = A.indices[lo:hi]
+            local = np.minimum(np.searchsorted(f.rows, cols), m - 1)
+            if np.any(f.rows[local] != cols):
+                raise ValueError(
+                    f"matrix couples grid nodes across a separator of the {shape} grid"
+                )
+            front = np.zeros((m, m), order="F")
+            front[local, np.repeat(np.arange(k), np.diff(A.indptr[f.start:f.stop + 1]))] = (
+                A.data[lo:hi]
+            )
+            for child, runs in zip(f.children, f.extend):
+                update = updates.pop(child)
+                for n_run, (d1, s1, l1) in enumerate(runs):
+                    for d2, s2, l2 in runs[: n_run + 1]:
+                        front[d1:d1 + l1, d2:d2 + l2] += update[s1:s1 + l1, s2:s2 + l2]
+            L11, info = dpotrf(front[:k, :k], lower=1)
+            if info > 0:
+                node = tree.order[f.start + info - 1]
+                raise SingularSystem(
+                    f"matrix is singular or indefinite: the pivot of unknown {node} is not positive"
+                )
+            L21 = dtrsm(1.0, L11, front[k:, :k], side=1, lower=1, trans_a=1)
+            if m > k:
+                updates[len(self.factors)] = dsyrk(-1.0, L21, beta=1.0, c=front[k:, k:], lower=1)
+            self.factors.append((L11, L21))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Forward then back substitution over the fronts."""
+        fronts = self.tree.fronts
+        y = b[self.tree.order]
+        for f, (L11, L21) in zip(fronts, self.factors):
+            piv = dtrsv(L11, y[f.start:f.stop], lower=1)
+            y[f.start:f.stop] = piv
+            y[f.rows[piv.size:]] -= L21 @ piv
+        for f, (L11, L21) in zip(reversed(fronts), reversed(self.factors)):
+            rhs = y[f.start:f.stop] - L21.T @ y[f.rows[f.stop - f.start:]]
+            y[f.start:f.stop] = dtrsv(L11, rhs, lower=1, trans=1)
+        return y[self.tree.position]
+
+
+# ---------------------------------------------------------------------------
 # Quadratic least-squares machinery shared by both quasi-reversibility solves
 # ---------------------------------------------------------------------------
 
 # Largest relative normal-equation residual accepted from a direct solve. The
-# normal matrices are positive definite, so the diagonal-pivot factorization
-# is backward stable: on the benchmark's five simulated media at seeds 1 and 2
-# the worst residual is 2.2e-12 on the 60x60 grid and 3.9e-11 on the 200x200
-# grid (7.2e-11 with the partial-pivoting solve it replaced).
+# normal matrices are positive definite, so Cholesky is backward stable: on
+# the benchmark's five simulated media at seeds 1 and 2 the worst residual is
+# 2.1e-12 on the 60x60 grid and 3.5e-11 on the 200x200 grid.
 QR_RESIDUAL_TOL = 1e-6
 
 
@@ -83,20 +252,21 @@ def _row_selector(P: int, Q: int, row: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(Q), (np.arange(Q), cols)), shape=(Q, P * Q))
 
 
-def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
+def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shape=None):
     """Minimize sum_k ||w_k^(1/2) (L_k v - b_k)||^2 + reg_eta * sum_j ||w^(1/2) R_j v||^2.
 
-    Assembles the normal equations and solves them by a sparse LU
-    factorization with a symmetric fill-reducing ordering and the pivots
-    taken on the diagonal. With positive weights the normal matrix is
-    symmetric positive semidefinite, and positive definite once a term or
-    ``reg_ops`` (the H2 operators include the identity) covers every
-    unknown. Gaussian elimination of a positive definite matrix needs no
-    pivoting for stability, so the diagonal pivots are safe; an unknown that
-    nothing covers leaves an exactly zero pivot, which SuperLU reports.
-    Returns (solution, relative_normal_residual); raises SingularSystem if
-    the factorization fails, the solution is non-finite or its relative
-    residual exceeds ``QR_RESIDUAL_TOL``.
+    Assembles the normal equations and solves them by a nested-dissection
+    multifrontal Cholesky factorization (``GridCholesky``) over the
+    row-major grid ``shape``, which defaults to (1, n_unknowns); a system of
+    at most LEAF_SIZE unknowns is one dense front. With positive weights the
+    normal matrix is symmetric positive semidefinite, and positive definite
+    once a term or ``reg_ops`` (the H2 operators include the identity)
+    covers every unknown; an unknown that nothing covers leaves a zero
+    pivot, which dpotrf reports. Returns (solution, relative_normal_residual);
+    raises SingularSystem if a pivot is not positive, the solution is
+    non-finite or its relative residual exceeds ``QR_RESIDUAL_TOL``, and
+    ValueError if the normal matrix couples nodes across a separator of
+    ``shape``.
     """
     normal = sp.csr_matrix((n_unknowns, n_unknowns))
     rhs = np.zeros(n_unknowns)
@@ -107,19 +277,7 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
             rhs = rhs + Lw @ b
     for R in reg_ops:
         normal = normal + reg_eta * (R.T @ sp.diags(reg_weight_vec) @ R)
-    # The symmetric ordering pays only with the pivots kept on the diagonal:
-    # with partial pivoting it took 534 s on the 200x200 correction system
-    # (2-core VM), where all three settings together take under 2 s.
-    try:
-        factor = spla.splu(
-            normal.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:
-        raise SingularSystem(f"quasi-reversibility normal equations failed: {exc}") from exc
-    sol = factor.solve(rhs)
+    sol = GridCholesky(normal, shape or (1, n_unknowns)).solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("quasi-reversibility solve produced non-finite values")
     res = normal @ sol - rhs
@@ -159,7 +317,9 @@ def initial_guess(
         (S0, ops.wt, qx_eps.samples),
         (SM, ops.wt, np.zeros(Q)),
     ]
-    sol, _ = solve_quadratic(terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q)
+    sol, _ = solve_quadratic(
+        terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q, shape=grid.shape
+    )
     Qfield = sol.reshape(P, Q)
     q_vals = q_eps.samples[None, :] + cumulative_trapezoid(Qfield, grid.dx)
     q_vals[:, 0] = 0.5
@@ -266,7 +426,9 @@ def correction_step(
         ((S0 @ ops.Dx).tocsr(), ops.wt, qx_eps.samples),
         ((SM @ ops.Dx).tocsr(), ops.wt, np.zeros(Q)),
     ]
-    sol, _ = solve_quadratic(terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q)
+    sol, _ = solve_quadratic(
+        terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q, shape=grid.shape
+    )
     vals = sol.reshape(P, Q)
     np.maximum(vals[:, 0], q_tilde.q_floor, out=vals[:, 0])
     return QField(grid, Field2D(grid, vals), q_tilde.q_floor)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexiwave.errors import AmbiguousExtrema, ZeroSignal
+from convexiwave.errors import AmbiguousExtrema, InvalidInput, ZeroSignal
 from convexiwave.fixtures import EXPERIMENTAL_TESTS, synthesize_raw_trace
 from convexiwave.grid import Signal
 from convexiwave.preprocess import (
@@ -53,6 +53,12 @@ def test_calibrate_reproduces_stored_mu(name):
 def test_calibration_result_validation():
     with pytest.raises(ValueError):
         CalibrationResult(mu=0.0)
+
+
+@pytest.mark.parametrize("mu", [float("inf"), float("nan")])
+def test_calibration_result_rejects_a_non_finite_mu(mu):
+    with pytest.raises(InvalidInput, match="positive and finite"):
+        CalibrationResult(mu=mu)
 
 
 # ---------------------------------------------------------------------------

@@ -263,16 +263,12 @@ def test_solve_quadratic_rejects_large_normal_residual(monkeypatch):
     is refused rather than returned."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     q_eps, qx_eps = _const_signals(g, qx_val=0.1)
-    exact = solver.spla.splu
+    exact = solver.GridCholesky.solve
 
-    class Perturbed:
-        def __init__(self, *args, **kwargs):
-            self.factor = exact(*args, **kwargs)
+    def perturbed(self, b):
+        return exact(self, b) * (1.0 + 1e-3)
 
-        def solve(self, b):
-            return self.factor.solve(b) * (1.0 + 1e-3)
-
-    monkeypatch.setattr(solver.spla, "splu", Perturbed)
+    monkeypatch.setattr(solver.GridCholesky, "solve", perturbed)
     with pytest.raises(SingularSystem, match="residual"):
         initial_guess(q_eps, qx_eps, g, QRConfig())
 
@@ -285,27 +281,57 @@ def test_solve_quadratic_rejects_an_unknown_no_term_touches():
         solver.solve_quadratic([(L, np.ones(2), np.ones(2))], (), np.ones(3), 1e-11, 3)
 
 
+def _grid_system(extra_term):
+    """A 20x20-node grid system: the identity plus ``extra_term``."""
+    n = 400
+    return [(sp.identity(n, format="csr"), np.ones(n), np.ones(n)), extra_term], n
+
+
+def test_solve_quadratic_rejects_a_coupling_across_a_separator():
+    """A term linking opposite corners of the grid couples two nodes that no
+    front holds together; the factorization refuses it instead of dropping it."""
+    terms, n = _grid_system(
+        (sp.csr_matrix(([1.0, 1.0], ([0, 0], [0, 399])), shape=(1, 400)), np.ones(1), None)
+    )
+    with pytest.raises(ValueError, match="separator"):
+        solver.solve_quadratic(terms, (), np.ones(n), 1e-11, n, shape=(20, 20))
+
+
+def test_solve_quadratic_rejects_an_indefinite_normal_matrix():
+    """A negative weight on one node makes the normal matrix indefinite;
+    its pivot is negative and dpotrf reports it."""
+    w = np.ones(400)
+    w[210] = -2.0
+    terms, n = _grid_system((sp.identity(400, format="csr"), w, None))
+    with pytest.raises(SingularSystem, match="singular"):
+        solver.solve_quadratic(terms, (), np.ones(n), 1e-11, n, shape=(20, 20))
+
+
 def test_quasi_reversibility_solves_match_dense_solve(monkeypatch):
-    """Every QR system of an initialization and both correction variants on
-    a 10x10 grid agrees with a dense solve of the same normal equations."""
-    g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
-    t = g.t_nodes()
-    q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
-    qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
+    """Every QR system of an initialization and both correction variants
+    agrees with a dense solve of the same normal equations, on a 10x10 grid
+    (one dense front) and a 23x31 grid (fronts split in both directions)."""
     systems = []
     exact = solver.solve_quadratic
 
-    def recorded(*args):
-        out = exact(*args)
-        systems.append((args, out[0].copy()))
+    def recorded(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        systems.append((args, kwargs, out[0].copy()))
         return out
 
     monkeypatch.setattr(solver, "solve_quadratic", recorded)
-    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
-    for freeze in (True, False):
-        correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
-    assert len(systems) == 3
-    for (terms, reg_ops, reg_w, reg_eta, n), sol in systems:
+    for nx, nt in [(10, 10), (23, 31)]:
+        g = SpaceTimeGrid(0.0, 3.0, 6.0, nx, nt)
+        t = g.t_nodes()
+        q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
+        qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
+        q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
+        for freeze in (True, False):
+            correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
+    assert [kwargs for _, kwargs, _ in systems] == [{"shape": (11, 11)}] * 3 + [
+        {"shape": (24, 32)}
+    ] * 3
+    for (terms, reg_ops, reg_w, reg_eta, n), _, sol in systems:
         A = np.zeros((n, n))
         b = np.zeros(n)
         for L, w, target in terms:
@@ -318,6 +344,22 @@ def test_quasi_reversibility_solves_match_dense_solve(monkeypatch):
             A += reg_eta * R.T @ (reg_w[:, None] * R)
         ref = np.linalg.solve(A, b)
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_dissection_tree_of_the_23x31_grid_splits_both_directions():
+    """Every node is eliminated once, leaves hold at most LEAF_SIZE nodes,
+    and separators run along both grid directions."""
+    P, Q = 24, 32
+    tree = solver.dissection_tree(P, Q)
+    assert np.array_equal(np.sort(tree.order), np.arange(P * Q))
+    directions = set()
+    for f in tree.fronts:
+        i = tree.order[f.start:f.stop] // Q
+        if f.children:
+            directions.add("x" if np.unique(i).size == solver.SEPARATOR else "t")
+        else:
+            assert f.stop - f.start <= solver.LEAF_SIZE
+    assert directions == {"x", "t"}
 
 
 # ---------------------------------------------------------------------------
