@@ -173,7 +173,10 @@ class DiscreteOperators:
     how the objective applies Gx1d, Gxx1d and their transposes: a (P, P)
     sparse product over Q columns instead of a (PQ, PQ) matvec. ``Gx_ends``
     holds rows 0 and P-1 of Gx1d, the x-derivative at the two ends only.
-    The QR solves and the H2 Gram matrix use the assembled operators.
+    The QR solves assemble their normal equations from the full-size
+    operators. ``H2``, the Gram matrix of the discrete H2 norm, comes from
+    ``weighted_gram``, whose memo the QR solves read too, so the objective
+    and both solves share one matrix per grid.
     """
 
     def __init__(self, grid: SpaceTimeGrid):
@@ -205,11 +208,35 @@ class DiscreteOperators:
     @functools.cached_property
     def H2(self) -> sp.csr_matrix:
         """Gram matrix of the discrete H2 norm, sum over h2_ops of R^T diag(w2) R."""
-        W = sp.diags(self.w2.ravel())
-        return sum(R.T @ W @ R for R in self.h2_ops).tocsr()
+        return weighted_gram(self.h2_ops, self.w2.ravel())
 
     def apply2d(self, op: sp.spmatrix, v: np.ndarray) -> np.ndarray:
         return (op @ v.ravel()).reshape(self.P, self.Q)
+
+
+# Gram matrices kept by ``weighted_gram``, newest first.
+GRAMS_KEPT = 4
+_GRAMS: list = []  # (ops, weights, Gram)
+
+
+def weighted_gram(ops, weights: np.ndarray) -> sp.csr_matrix:
+    """Sum over the sparse matrices ``ops`` of R^T diag(weights) R, memoized.
+
+    A call with the ``ops`` object and the weight values of a kept entry
+    returns that entry's matrix, so the H2 Gram that the objective applies
+    and the one the quasi-reversibility solves add are one matrix, built
+    once per grid. The memo keeps the GRAMS_KEPT newest entries; a rebuilt
+    entry is the same sum, so it has the same values. It holds ``ops``
+    itself, whose matrices must not be changed in place.
+    """
+    for held, w, gram in _GRAMS:
+        if held is ops and np.array_equal(w, weights):
+            return gram
+    W = sp.diags(weights)
+    gram = sum(R.T @ W @ R for R in ops).tocsr()
+    _GRAMS.insert(0, (ops, np.array(weights, dtype=float), gram))
+    del _GRAMS[GRAMS_KEPT:]
+    return gram
 
 
 _OPS_CACHE: dict[SpaceTimeGrid, DiscreteOperators] = {}

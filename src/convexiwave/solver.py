@@ -22,7 +22,14 @@ from scipy.linalg.lapack import dpotrf
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
 from .errors import SingularSystem
 from .forward import MediumProfile
-from .grid import Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid, operators_for
+from .grid import (
+    Field2D,
+    Signal,
+    SpaceTimeGrid,
+    cumulative_trapezoid,
+    operators_for,
+    weighted_gram,
+)
 from .transform import (
     DEFAULT_C_UPPER,
     BoundaryData,
@@ -86,17 +93,20 @@ class _Front:
     """One dense front of the elimination.
 
     It eliminates positions [start, stop) of the elimination order. ``rows``
-    holds its positions in increasing order: the pivots, then the later
-    positions that its update matrix reaches. ``extend[c]`` lists the runs
-    (row in this front, row in the update, length) along which the update of
-    child ``children[c]`` adds into this front.
+    holds its positions in increasing order: the k pivots, then the later
+    positions that its update matrix reaches. The front is held as three
+    Fortran-ordered blocks, A11 (pivot rows and columns), A21 (later rows,
+    pivot columns) and A22 (later rows and columns), so that LAPACK and BLAS
+    work on each in place. ``extend[c]`` lists the additions (block, its rows,
+    its columns, update rows, update columns), each a slice, that add the
+    lower triangle of child ``children[c]``'s update matrix into this front.
     """
 
     start: int
     stop: int
     rows: np.ndarray
     children: tuple[int, ...]
-    extend: tuple[tuple[tuple[int, int, int], ...], ...]
+    extend: tuple[tuple[tuple[int, slice, slice, slice, slice], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -106,11 +116,24 @@ class _DissectionTree:
     fronts: tuple[_Front, ...]  # every child before its parent
 
 
-def _runs(dest: np.ndarray) -> tuple[tuple[int, int, int], ...]:
-    """(dest[s], s, length) of each run of consecutive values in ``dest``."""
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(dest) != 1) + 1))
+def _extend_adds(dest: np.ndarray, k: int) -> tuple[tuple[int, slice, slice, slice, slice], ...]:
+    """The block additions of an update matrix whose row s lands on front row dest[s].
+
+    ``dest`` increases, so it splits into runs of consecutive rows, cut also
+    where the front's later rows begin at k. Each pair of runs, the second
+    at or before the first, is one rectangle of the lower triangle.
+    """
+    starts = np.concatenate(([0], np.flatnonzero((np.diff(dest) != 1) | (dest[1:] == k)) + 1))
     lengths = np.diff(np.append(starts, dest.size))
-    return tuple(zip(dest[starts].tolist(), starts.tolist(), lengths.tolist()))
+    runs = list(zip(dest[starts].tolist(), starts.tolist(), lengths.tolist()))
+    adds = []
+    for n_run, (d1, s1, l1) in enumerate(runs):
+        for d2, s2, l2 in runs[: n_run + 1]:
+            block = 2 if d2 >= k else 1 if d1 >= k else 0
+            r0, c0 = d1 - k * (block > 0), d2 - k * (block > 1)
+            adds.append((block, slice(r0, r0 + l1), slice(c0, c0 + l2),
+                         slice(s1, s1 + l1), slice(s2, s2 + l2)))
+    return tuple(adds)
 
 
 def _build_tree(P: int, Q: int) -> _DissectionTree:
@@ -149,7 +172,10 @@ def _build_tree(P: int, Q: int) -> _DissectionTree:
         stop = start + pivots.size
         rows = np.concatenate((np.arange(start, stop), np.sort(position[boundary])))
         extend = tuple(
-            _runs(np.searchsorted(rows, fronts[c].rows[fronts[c].stop - fronts[c].start:]))
+            _extend_adds(
+                np.searchsorted(rows, fronts[c].rows[fronts[c].stop - fronts[c].start:]),
+                pivots.size,
+            )
             for c in children
         )
         fronts.append(_Front(start, stop, rows, children, extend))
@@ -168,6 +194,77 @@ def dissection_tree(P: int, Q: int) -> _DissectionTree:
     return tree
 
 
+@dataclass(frozen=True)
+class _Analysis:
+    """The symbolic phase of ``GridCholesky`` for one CSR pattern on one grid.
+
+    ``indptr`` and ``indices`` are the pattern it was built for. It reads the
+    upper triangle in elimination order, whose entries land in the pivot
+    columns of their fronts: in block A11 or A21. Group 2f + b, for front f
+    and block b, holds the entries ``data[src[bounds[g]:bounds[g + 1]]]``, and
+    ``dst`` the offset of each in its block, flattened in Fortran order.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    bounds: np.ndarray
+
+
+def _analyze(tree: _DissectionTree, A: sp.csr_matrix, shape: tuple[int, int]) -> _Analysis:
+    n = tree.order.size
+    starts = np.array([f.start for f in tree.fronts])
+    pivots = np.array([f.stop - f.start for f in tree.fronts])
+    sizes = np.array([f.rows.size for f in tree.fronts])
+    # front f's rows, shifted by f * n, increase through every front in turn,
+    # so one sorted search finds each entry's row in its own front
+    keys = np.concatenate([i * n + f.rows for i, f in enumerate(tree.fronts)])
+    r = tree.position[np.repeat(np.arange(n), np.diff(A.indptr))]
+    c = tree.position[A.indices]
+    src = np.flatnonzero(c >= r)
+    r, c = r[src], c[src]
+    front = np.searchsorted(starts, r, side="right") - 1
+    found = np.minimum(np.searchsorted(keys, front * n + c), keys.size - 1)
+    if np.any(keys[found] != front * n + c):
+        raise ValueError(f"matrix couples grid nodes across a separator of the {shape} grid")
+    row = found - (np.cumsum(sizes) - sizes)[front]
+    col = r - starts[front]
+    k = pivots[front]
+    later = row >= k
+    dst = np.where(later, row - k + col * (sizes[front] - k), row + col * k)
+    group = 2 * front + later
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[by_group], np.arange(2 * len(tree.fronts) + 1))
+    return _Analysis(
+        A.indptr.copy(), A.indices.copy(), _compact(src[by_group]), _compact(dst[by_group]),
+        bounds,
+    )
+
+
+def _compact(index: np.ndarray) -> np.ndarray:
+    return index.astype(np.int32) if index.size == 0 or index.max() < 2**31 else index
+
+
+# Analyses kept per grid shape, newest first. Each QR stage assembles one
+# pattern on every call, so a few cover the initial guess and both
+# correction variants.
+ANALYSES_PER_SHAPE = 4
+_ANALYSIS_CACHE: dict[tuple[int, int], list[_Analysis]] = {}
+
+
+def analysis_for(A: sp.csr_matrix, shape: tuple[int, int]) -> _Analysis:
+    """The cached analysis of A's pattern on the grid ``shape``, built on a miss."""
+    cached = _ANALYSIS_CACHE.setdefault(shape, [])
+    for an in cached:
+        if np.array_equal(an.indptr, A.indptr) and np.array_equal(an.indices, A.indices):
+            return an
+    an = _analyze(dissection_tree(*shape), A, shape)
+    cached.insert(0, an)
+    del cached[ANALYSES_PER_SHAPE:]
+    return an
+
+
 class GridCholesky:
     """Cholesky factor of a symmetric positive definite matrix on a (P, Q) grid.
 
@@ -175,11 +272,16 @@ class GridCholesky:
     along its longer side by separators SEPARATOR lines wide (George's nested
     dissection), and every box of at most LEAF_SIZE nodes, and every
     separator, is eliminated as one dense front (Duff and Reid's multifrontal
-    method): its pivot columns are scattered from the matrix, its children's
-    update matrices are added in, and dpotrf, dtrsm and dsyrk factor it. Only
-    the lower triangle of each front is used. Raises ValueError if the matrix
-    couples two nodes that no front holds together, and SingularSystem if a
-    pivot is not positive.
+    method). The work splits in two phases. The symbolic phase
+    (``analysis_for``) depends only on the grid and the matrix's CSR pattern
+    and is cached: it maps each entry of the upper triangle, in elimination
+    order, to its place in its front, and raises ValueError if the matrix
+    couples two nodes that no front holds together. The numeric phase gathers
+    each front's entries from the matrix, adds its children's update matrices
+    in, and factors it in place with dpotrf, dtrsm and dsyrk. Only the lower
+    triangle of each front is used, and the arithmetic does not depend on
+    whether the analysis was cached, so equal matrices give equal factors.
+    Raises SingularSystem if a pivot is not positive.
     """
 
     def __init__(self, matrix: sp.spmatrix, shape: tuple[int, int]):
@@ -187,39 +289,38 @@ class GridCholesky:
         n = tree.order.size
         if matrix.shape != (n, n):
             raise ValueError(f"matrix of shape {matrix.shape} does not fit a {shape} grid")
-        coo = matrix.tocoo()
-        r, c = tree.position[coo.row], tree.position[coo.col]
-        upper = c >= r
-        A = sp.csr_matrix((coo.data[upper], (r[upper], c[upper])), shape=(n, n))
+        A = sp.csr_matrix(matrix)
+        if not A.has_canonical_format:
+            A = A.copy()
+            A.sum_duplicates()
+        an = analysis_for(A, tuple(shape))
+        values = A.data[an.src]
         self.factors = []  # (L11, L21) per front
         updates = {}
-        for f in tree.fronts:
+        for i, f in enumerate(tree.fronts):
             m, k = f.rows.size, f.stop - f.start
-            lo, hi = A.indptr[f.start], A.indptr[f.stop]
-            cols = A.indices[lo:hi]
-            local = np.minimum(np.searchsorted(f.rows, cols), m - 1)
-            if np.any(f.rows[local] != cols):
-                raise ValueError(
-                    f"matrix couples grid nodes across a separator of the {shape} grid"
-                )
-            front = np.zeros((m, m), order="F")
-            front[local, np.repeat(np.arange(k), np.diff(A.indptr[f.start:f.stop + 1]))] = (
-                A.data[lo:hi]
+            blocks = (
+                np.zeros((k, k), order="F"),
+                np.zeros((m - k, k), order="F"),
+                np.zeros((m - k, m - k), order="F"),
             )
-            for child, runs in zip(f.children, f.extend):
+            for block, g in zip(blocks, (2 * i, 2 * i + 1)):
+                lo, hi = an.bounds[g], an.bounds[g + 1]
+                block.reshape(-1, order="F")[an.dst[lo:hi]] = values[lo:hi]
+            for child, adds in zip(f.children, f.extend):
                 update = updates.pop(child)
-                for n_run, (d1, s1, l1) in enumerate(runs):
-                    for d2, s2, l2 in runs[: n_run + 1]:
-                        front[d1:d1 + l1, d2:d2 + l2] += update[s1:s1 + l1, s2:s2 + l2]
-            L11, info = dpotrf(front[:k, :k], lower=1)
+                for b, rows, cols, u_rows, u_cols in adds:
+                    dest = blocks[b][rows, cols]
+                    np.add(dest, update[u_rows, u_cols], out=dest)
+            L11, info = dpotrf(blocks[0], lower=1, overwrite_a=1)
             if info > 0:
                 node = tree.order[f.start + info - 1]
                 raise SingularSystem(
                     f"matrix is singular or indefinite: the pivot of unknown {node} is not positive"
                 )
-            L21 = dtrsm(1.0, L11, front[k:, :k], side=1, lower=1, trans_a=1)
+            L21 = dtrsm(1.0, L11, blocks[1], side=1, lower=1, trans_a=1, overwrite_b=1)
             if m > k:
-                updates[len(self.factors)] = dsyrk(-1.0, L21, beta=1.0, c=front[k:, k:], lower=1)
+                updates[i] = dsyrk(-1.0, L21, beta=1.0, c=blocks[2], lower=1, overwrite_c=1)
             self.factors.append((L11, L21))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -258,7 +359,14 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
     Assembles the normal equations and solves them by a nested-dissection
     multifrontal Cholesky factorization (``GridCholesky``) over the
     row-major grid ``shape``, which defaults to (1, n_unknowns); a system of
-    at most LEAF_SIZE unknowns is one dense front. With positive weights the
+    at most LEAF_SIZE unknowns is one dense front. The regularization adds
+    reg_eta times the Gram matrix sum_j R_j^T diag(w) R_j from
+    ``grid.weighted_gram``, built once for each ``reg_ops`` object and
+    weight vector: both QR stages pass the grid's H2 operators and area
+    weights, so they add the very matrix ``DiscreteOperators.H2`` that the
+    objective applies. The factorization's symbolic analysis is cached per
+    grid and normal-matrix pattern, so repeated solves on one grid pay only
+    the numeric factorization. With positive weights the
     normal matrix is symmetric positive semidefinite, and positive definite
     once a term or ``reg_ops`` (the H2 operators include the identity)
     covers every unknown; an unknown that nothing covers leaves a zero
@@ -275,8 +383,8 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
         normal = normal + Lw @ L
         if b is not None:
             rhs = rhs + Lw @ b
-    for R in reg_ops:
-        normal = normal + reg_eta * (R.T @ sp.diags(reg_weight_vec) @ R)
+    if reg_ops:
+        normal = normal + reg_eta * weighted_gram(reg_ops, reg_weight_vec)
     sol = GridCholesky(normal, shape or (1, n_unknowns)).solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("quasi-reversibility solve produced non-finite values")

@@ -9,7 +9,7 @@ from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import solver
 from convexiwave.convexify import ConvexParams, evaluate_J, gradient_J, make_context
 from convexiwave.errors import SingularSystem
-from convexiwave.grid import Field2D, Signal, SpaceTimeGrid
+from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from convexiwave.solver import (
     DescentConfig,
     QRConfig,
@@ -360,6 +360,155 @@ def test_dissection_tree_of_the_23x31_grid_splits_both_directions():
         else:
             assert f.stop - f.start <= solver.LEAF_SIZE
     assert directions == {"x", "t"}
+
+
+# ---------------------------------------------------------------------------
+# GridCholesky's cached analysis
+# ---------------------------------------------------------------------------
+
+CACHE_SHAPE = (20, 23)  # 460 unknowns: several leaves and separators
+
+
+def _neighbour_pairs(P, Q):
+    """Each node with its right and lower neighbour: a 5-point pattern."""
+    node = np.arange(P * Q).reshape(P, Q)
+    return list(zip(node[:, :-1].ravel(), node[:, 1:].ravel())) + list(
+        zip(node[:-1].ravel(), node[1:].ravel())
+    )
+
+
+def _grid_matrix(pairs, seed, shape=CACHE_SHAPE):
+    """A symmetric, strictly diagonally dominant matrix coupling ``pairs``."""
+    n = shape[0] * shape[1]
+    i, j = np.array(pairs).T
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, i.size)
+    off = sp.csr_matrix((values, (i, j)), shape=(n, n))
+    off = off + off.T
+    return (off + sp.diags(1.0 + abs(off).sum(axis=1).A1)).tocsr()
+
+
+def _assert_matches_dense(A, shape=CACHE_SHAPE):
+    b = np.random.default_rng(7).normal(size=A.shape[0])
+    x = solver.GridCholesky(A, shape).solve(b.copy())
+    ref = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    return x
+
+
+@pytest.fixture
+def empty_analysis_cache(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(solver, "_ANALYSIS_CACHE", cache)
+    return cache
+
+
+def test_analysis_is_reused_for_new_values_on_one_pattern(empty_analysis_cache):
+    pairs = _neighbour_pairs(*CACHE_SHAPE)
+    A1, A2 = _grid_matrix(pairs, 1), _grid_matrix(pairs, 2)
+    assert np.array_equal(A1.indices, A2.indices) and not np.array_equal(A1.data, A2.data)
+    _assert_matches_dense(A1)
+    (analysis,) = empty_analysis_cache[CACHE_SHAPE]
+    _assert_matches_dense(A2)
+    assert empty_analysis_cache[CACHE_SHAPE] == [analysis]
+
+
+def test_analysis_misses_a_new_pattern_with_the_same_nnz(empty_analysis_cache):
+    """Moving one coupling from a neighbour to a diagonal neighbour keeps the
+    shape and nnz; the cached analysis must not be applied to it."""
+    P, Q = CACHE_SHAPE
+    pairs = _neighbour_pairs(P, Q)
+    moved = pairs[:-1] + [(5 * Q + 5, 6 * Q + 6)]
+    A1, A2 = _grid_matrix(pairs, 1), _grid_matrix(moved, 1)
+    assert A1.nnz == A2.nnz and not np.array_equal(A1.indices, A2.indices)
+    _assert_matches_dense(A1)
+    _assert_matches_dense(A2)
+    assert len(empty_analysis_cache[CACHE_SHAPE]) == 2
+
+
+def test_separator_check_runs_after_a_valid_pattern_was_cached(empty_analysis_cache):
+    P, Q = CACHE_SHAPE
+    pairs = _neighbour_pairs(P, Q)
+    _assert_matches_dense(_grid_matrix(pairs, 1))
+    corner_to_corner = _grid_matrix(pairs + [(0, P * Q - 1)], 1)
+    with pytest.raises(ValueError, match="separator"):
+        solver.GridCholesky(corner_to_corner, CACHE_SHAPE)
+
+
+def test_cold_and_warm_factorizations_are_identical(empty_analysis_cache):
+    A = _grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 3)
+    b = np.random.default_rng(0).normal(size=A.shape[0])
+    cold = solver.GridCholesky(A, CACHE_SHAPE)
+    assert len(empty_analysis_cache[CACHE_SHAPE]) == 1
+    warm = solver.GridCholesky(A, CACHE_SHAPE)
+    for (c11, c21), (w11, w21) in zip(cold.factors, warm.factors):
+        assert np.array_equal(c11, w11) and np.array_equal(c21, w21)
+    assert np.array_equal(cold.solve(b.copy()), warm.solve(b.copy()))
+
+
+def test_duplicate_entries_are_summed(empty_analysis_cache):
+    """A CSR matrix that stores each entry twice, as two halves, factors as A."""
+    A = _grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 4)
+    rows = [slice(A.indptr[i], A.indptr[i + 1]) for i in range(A.shape[0])]
+    split = sp.csr_matrix(
+        (np.concatenate([np.tile(A.data[r] / 2, 2) for r in rows]),
+         np.concatenate([np.tile(A.indices[r], 2) for r in rows]),
+         2 * A.indptr),
+        shape=A.shape,
+    )
+    assert not split.has_canonical_format
+    assert np.array_equal(_assert_matches_dense(split), _assert_matches_dense(A))
+
+
+def test_analysis_cache_stays_bounded(empty_analysis_cache):
+    P, Q = CACHE_SHAPE
+    pairs = _neighbour_pairs(P, Q)
+    for k in range(3 * solver.ANALYSES_PER_SHAPE):
+        extra = (k * Q + 2, (k + 1) * Q + 3)  # one diagonal coupling per pattern
+        _assert_matches_dense(_grid_matrix(pairs + [extra], k))
+        assert len(empty_analysis_cache[CACHE_SHAPE]) == min(k + 1, solver.ANALYSES_PER_SHAPE)
+
+
+# ---------------------------------------------------------------------------
+# The memoized regularization Gram
+# ---------------------------------------------------------------------------
+
+def test_regularization_gram_follows_the_weights():
+    """One reg_ops object with two weight vectors: each solve matches the
+    normal equations with the regularization rebuilt from those weights."""
+    g = SpaceTimeGrid(0.0, 1.0, 1.0, 9, 11)
+    ops = operators_for(g)
+    n = ops.P * ops.Q
+    rng = np.random.default_rng(0)
+    terms = [(ops.Dx, rng.uniform(0.5, 2.0, n), rng.normal(size=n))]
+    for w in (ops.w2.ravel(), rng.uniform(0.1, 1.0, n)):
+        sol, _ = solver.solve_quadratic(terms, ops.h2_ops, w, 1e-2, n, shape=g.shape)
+        Dx = ops.Dx.toarray()
+        A = Dx.T @ (terms[0][1][:, None] * Dx)
+        for R in ops.h2_ops:
+            R = R.toarray()
+            A += 1e-2 * R.T @ (w[:, None] * R)
+        ref = np.linalg.solve(A, Dx.T @ (terms[0][1] * terms[0][2]))
+        assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_qr_solves_add_the_objectives_h2_gram(monkeypatch):
+    """initial_guess adds operators_for(g).H2 itself, and that matrix is the
+    sum of R^T diag(w2) R over the H2 operators."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 13, 17)  # a grid no other test uses
+    added = []
+    exact = solver.weighted_gram
+
+    def recorded(reg_ops, weights):
+        added.append(exact(reg_ops, weights))
+        return added[-1]
+
+    monkeypatch.setattr(solver, "weighted_gram", recorded)
+    q_eps, qx_eps = _const_signals(g, qx_val=0.1)
+    initial_guess(q_eps, qx_eps, g, QRConfig())
+    ops = operators_for(g)
+    assert len(added) == 1 and added[0] is ops.H2
+    explicit = sum(R.T.toarray() @ (ops.w2.ravel()[:, None] * R.toarray()) for R in ops.h2_ops)
+    assert np.allclose(ops.H2.toarray(), explicit, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
