@@ -1,17 +1,14 @@
-"""End-to-end inversion: initialization, gradient descent, correction steps.
+"""End-to-end inversion: initialization, descent, one correction step, descent.
 
 The initial iterate comes from a quasi-reversibility solve of the transport
 problem satisfied by q_x when the nonlocal term is dropped. Descent minimizes
-the weighted objective with Armijo backtracking. Whenever descent exhausts its
-iteration budget without reaching the gradient tolerance, a correction step
+the weighted objective with Armijo backtracking, and the correction step
 solves the frozen-coefficient linear boundary value problem by the same
-quasi-reversibility machinery and descent restarts from its solution; the
-loop stops when two consecutive reconstructed profiles agree uniformly.
+quasi-reversibility machinery. ``invert`` runs them as three literal stages.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +33,7 @@ from .transform import (
     QField,
     boundary_traces_from_data,
     c_from_q,
-    checked_trace,
+    nonlocal_coefficients,
     q_floor_from_c_upper,
 )
 
@@ -54,23 +51,25 @@ class QRConfig:
 
 @dataclass(frozen=True)
 class DescentConfig:
-    eta_step: float = 0.1
+    """The budgets of ``invert``'s two descent legs and their gradient tolerance.
+
+    The two budgets act as the regularizer: the answer is the correction
+    output damped by exactly ``redescent_iters`` Armijo steps, after
+    ``max_iters`` steps before the correction. The minimizer of J is not
+    near the truth. At the true q, J reads 38, 85 and 111 on ``test1``,
+    ``test3`` and ``test4``, against 0.39, 0.16 and 0.28 at the answers
+    (ROADMAP, re-anchor measurements), so running either leg longer drifts
+    away from the truth. ``grad_tol`` ends a leg early; no fixture meets it.
+    """
+
     max_iters: int = 300
     grad_tol: float = 1e-7
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    max_corrections: int = 1
-    stop_linf: float = 1e-3
     redescent_iters: int = 2000
 
     def __post_init__(self):
-        if not all(
-            0 < x < np.inf for x in (self.eta_step, self.grad_tol, self.armijo_c1, self.stop_linf)
-        ):
-            raise ValueError("all tolerances and steps must be positive and finite")
-        if not (0 < self.backtrack < 1):
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if self.max_iters < 1 or self.redescent_iters < 1 or self.max_corrections < 0:
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
+        if self.max_iters < 1 or self.redescent_iters < 1:
             raise ValueError("iteration budgets must be positive")
 
 
@@ -440,53 +439,57 @@ def initial_guess(
 # Descent
 # ---------------------------------------------------------------------------
 
-def descend(q0: QField, ctx: ObjectiveContext, cfg: DescentConfig):
+# Armijo line search: first trial step, sufficient-decrease constant,
+# backtracking factor and smallest trial step.
+ETA_STEP = 0.1
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+MIN_STEP = 1e-14
+# A correction that moves c by less than this at every node ends the run. Of
+# the fixtures and the null scatterer, only the null scatterer stops here.
+STOP_LINF = 1e-3
+
+
+def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
     """Armijo-backtracked gradient descent with floor clamping on the t=0 row.
 
-    Iterates on nodal arrays: each trial point is evaluated once, and the
-    accepted trial's evaluation supplies the next gradient. A non-finite
-    trial raises ValueError, and a t=0 row below ``ctx.q_floor`` raises
-    FloorViolation. Returns (q, info) where info records per-iteration
+    Runs ``max_iters`` steps, or fewer if the gradient norm falls to
+    ``grad_tol``. Iterates on nodal arrays: each trial point is evaluated
+    once, and the accepted trial's evaluation supplies the next gradient. A
+    non-finite trial raises ValueError, and a t=0 row below ``ctx.q_floor``
+    raises FloorViolation. Returns (q, info) where info records per-iteration
     objective values and gradient norms, the accepted step sizes, and the
     termination reason.
     """
     e = evaluate(q0.values.values.copy(), ctx)
-    info = {
-        "J": [e.J],
-        "grad_norm": [],
-        "steps": [],
-        "converged": False,
-        "reason": "max_iters",
-    }
-    min_step = 1e-14
+    info = {"J": [e.J], "grad_norm": [], "steps": [], "reason": "max_iters"}
     # Warm-start the line search from the previously accepted step so the
     # search does not pay the full backtracking cost every iteration.
-    step_start = cfg.eta_step
-    for _ in range(cfg.max_iters):
+    step_start = ETA_STEP
+    for _ in range(max_iters):
         g = gradient(e, ctx)
         gnorm = float(np.linalg.norm(g))
         info["grad_norm"].append(gnorm)
-        if gnorm <= cfg.grad_tol:
-            info["converged"] = True
+        if gnorm <= grad_tol:
             info["reason"] = "grad_tol"
             break
         gg = gnorm * gnorm
         step = step_start
         accepted = False
-        while step >= min_step:
+        while step >= MIN_STEP:
             trial = e.v - step * g
             np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
             if not np.all(np.isfinite(trial)):
                 raise ValueError("descent trial contains non-finite values")
             e_trial = evaluate(trial, ctx)
-            if e_trial.J <= e.J - cfg.armijo_c1 * step * gg:
+            if e_trial.J <= e.J - ARMIJO_C1 * step * gg:
                 accepted = True
                 break
-            step *= cfg.backtrack
+            step *= BACKTRACK
         if not accepted:
             info["reason"] = "no_decrease"
             break
-        step_start = min(step / cfg.backtrack, cfg.eta_step)
+        step_start = min(step / BACKTRACK, ETA_STEP)
         e = e_trial
         info["J"].append(e.J)
         info["steps"].append(step)
@@ -515,11 +518,8 @@ def correction_step(
     grid = q_tilde.grid
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
-    r = checked_trace(q_tilde.values.values, q_tilde.q_floor)
-    s = ops.Gx1d @ r
-    a = np.repeat(1.0 / (2.0 * r**2), Q)
-    b_coef = s / (2.0 * r**3)
-    L = (ops.Dxx - sp.diags(a) @ ops.Dxt).tocsr()
+    _, _, a, b_coef = nonlocal_coefficients(q_tilde.values.values, ops, q_tilde.q_floor)
+    L = (ops.Dxx - sp.diags(np.repeat(a, Q)) @ ops.Dxt).tocsr()
     if freeze_time_derivative:
         dq_t = ops.apply2d(ops.Dt, q_tilde.values.values)
         target = (-(dq_t * b_coef[:, None])).ravel()
@@ -568,53 +568,37 @@ def invert(
 ) -> InversionResult:
     """Reconstruct the dielectric profile from boundary data.
 
-    Initialization, then descent; if descent exits on its iteration budget, a
-    correction step is applied and descent restarts, until two consecutive
-    reconstructions agree within ``stop_linf`` uniformly or the correction
-    budget runs out.
+    After the quasi-reversibility initialization, three stages run: leg 1
+    (``max_iters`` descent steps), one ``correction_step``, then leg 2
+    (``redescent_iters`` steps from the corrected iterate). A leg that meets
+    ``grad_tol`` ends the run, and so does a correction that moves c by less
+    than ``STOP_LINF`` at every node, which keeps the leg-1 answer; both set
+    ``converged``. ``corrections`` is 0 if leg 1 ended the run, else 1, and
+    each diagnostics row is one accepted step, with its leg as
+    ``correction_count``.
     """
     params = params or ConvexParams()
     qr_cfg = qr_cfg or QRConfig()
-    descent_cfg = descent_cfg or DescentConfig()
+    cfg = descent_cfg or DescentConfig()
     q_eps, qx_eps = boundary_traces_from_data(d, grid, diff_reg)
     ctx = make_context(grid, q_eps.samples, qx_eps.samples, params, c_upper)
     q0, _ = initial_guess(q_eps, qx_eps, grid, qr_cfg, c_upper)
     c_init = c_from_q(q0)
-
     diagnostics = []
-    q = q0
-    converged = False
-    corrections = 0
-    redescent_cfg = dataclasses.replace(descent_cfg, max_iters=descent_cfg.redescent_iters)
-    for k in range(descent_cfg.max_corrections + 1):
-        q, info = descend(q, ctx, descent_cfg if k == 0 else redescent_cfg)
-        for i, J in enumerate(info["J"][1:]):
-            diagnostics.append(
-                {
-                    "iteration": len(diagnostics),
-                    "J": J,
-                    "grad_norm": info["grad_norm"][i],
-                    "correction_count": k,
-                }
-            )
-        c_tilde = c_from_q(q)
-        if info["converged"]:
-            converged = True
-            break
-        if k == descent_cfg.max_corrections:
-            break
-        q_corr = correction_step(q, q_eps, qx_eps, qr_cfg, freeze_time_derivative)
-        corrections += 1
-        c_corr = c_from_q(q_corr)
-        if float(np.max(np.abs(c_tilde.c - c_corr.c))) < descent_cfg.stop_linf:
-            converged = True
-            break
-        q = q_corr
-    return InversionResult(
-        c_comp=c_from_q(q),
-        c_init=c_init,
-        q=q,
-        diagnostics=diagnostics,
-        corrections=corrections,
-        converged=converged,
-    )
+
+    def leg(q, budget, correction_count):
+        q, info = descend(q, ctx, budget, cfg.grad_tol)
+        for J, grad_norm in zip(info["J"][1:], info["grad_norm"]):
+            diagnostics.append({"iteration": len(diagnostics), "J": J, "grad_norm": grad_norm,
+                                "correction_count": correction_count})
+        return q, info["reason"] == "grad_tol"
+
+    q, met_tol = leg(q0, cfg.max_iters, 0)
+    if met_tol:
+        return InversionResult(c_from_q(q), c_init, q, diagnostics, corrections=0, converged=True)
+    q_corr = correction_step(q, q_eps, qx_eps, qr_cfg, freeze_time_derivative)
+    c_leg1 = c_from_q(q)
+    if float(np.max(np.abs(c_leg1.c - c_from_q(q_corr).c))) < STOP_LINF:
+        return InversionResult(c_leg1, c_init, q, diagnostics, corrections=1, converged=True)
+    q, met_tol = leg(q_corr, cfg.redescent_iters, 1)
+    return InversionResult(c_from_q(q), c_init, q, diagnostics, corrections=1, converged=met_tol)

@@ -4,7 +4,9 @@ The wave u(x, t) is re-clocked along the wavefront, q(x, t) = u(x, t + tau(x)),
 which turns the unknown-coefficient wave equation into a nonlinear nonlocal
 PDE for q alone; its t=0 trace recovers c through c = 1 / (16 q(x,0)^4).
 This module owns that PDE's residual (``residual_parts``, which the objective
-in ``convexify`` also evaluates) and the only q -> c conversion (``c_from_q``).
+in ``convexify`` also evaluates), its nonlocal coefficients
+(``nonlocal_coefficients``, which the correction step also freezes) and the
+only q -> c conversion (``c_from_q``).
 Its stencils come from ``grid.operators_for``.
 """
 
@@ -122,24 +124,30 @@ def c_from_q(q: QField) -> MediumProfile:
     return MediumProfile(q.grid.x_nodes(), c)
 
 
+def nonlocal_coefficients(v: np.ndarray, ops: DiscreteOperators, floor: float):
+    """The t=0 trace r = q(x,0) of the nodal values ``v``, s = r_x, and the
+    q-PDE's nonlocal coefficients a = 1 / (2 r^2) and b = s / (2 r^3), one
+    value per x-node. Raises FloorViolation if r dips below ``floor``.
+    """
+    r = checked_trace(v, floor)
+    s = ops.Gx1d @ r
+    return r, s, 1.0 / (2.0 * r**2), s / (2.0 * r**3)
+
+
 def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
     """The residual F of the q-PDE at the nodal values ``v`` of q, and the
     pieces its derivative reuses.
 
-    F(q) = q_xx - a q_xt + b q_t with the nonlocal coefficients
-    a = 1 / (2 r^2) and b = s / (2 r^3) read from the t=0 traces r = q(x,0)
-    and s = r_x. The stencils go through their 1D factors on the (P, Q)
-    array: q_t = Dt v, then q_xt = Gx1d q_t and q_xx = Gxx1d v, which equal
-    Dxt v and Dxx v up to roundoff, so q_t is the one full-size matvec.
-    Raises FloorViolation if r dips below ``floor``. Returns
+    F(q) = q_xx - a q_xt + b q_t with the coefficients of
+    ``nonlocal_coefficients``. The stencils go through their 1D factors on
+    the (P, Q) array: q_t = Dt v, then q_xt = Gx1d q_t and q_xx = Gxx1d v,
+    which equal Dxt v and Dxx v up to roundoff, so q_t is the one full-size
+    matvec. Raises FloorViolation if r dips below ``floor``. Returns
     (r, s, a, b, q_xt, q_t, F) as node arrays.
     """
-    r = checked_trace(v, floor)
-    s = ops.Gx1d @ r
+    r, s, a, b = nonlocal_coefficients(v, ops, floor)
     Cq = ops.apply2d(ops.Dt, v)
     Bq = ops.Gx1d @ Cq
-    a = 1.0 / (2.0 * r**2)
-    b = s / (2.0 * r**3)
     F = ops.Gxx1d @ v - a[:, None] * Bq + b[:, None] * Cq
     return r, s, a, b, Bq, Cq, F
 

@@ -85,10 +85,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "section, key",
     [
-        (DescentConfig, "eta_step"),
         (DescentConfig, "grad_tol"),
-        (DescentConfig, "armijo_c1"),
-        (DescentConfig, "stop_linf"),
         (QRConfig, "reg_eta"),
         (InversionConfig, "M"),
         (InversionConfig, "T"),
@@ -118,9 +115,7 @@ def _small_cfg(tmp_path):
     cfg.forward.medium = [{"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 10.0}]
     cfg.inversion.nx = 20
     cfg.inversion.nt = 20
-    cfg.descent = dataclasses.replace(
-        cfg.descent, max_iters=5, redescent_iters=5, max_corrections=0
-    )
+    cfg.descent = dataclasses.replace(cfg.descent, max_iters=5, redescent_iters=5)
     path = tmp_path / "cfg.json"
     _write_config(cfg, path)
     return path
@@ -226,11 +221,7 @@ BAD_CONFIGS = {
     "medium_table_inf": (
         "forward", {"forward": {"medium": [{"kind": "table", "x": [0.0, 1.0], "c": [1.0, INF]}]}}
     ),
-    "armijo_c1_nan": ("invert", {"descent": {"armijo_c1": NAN}}),
     "grad_tol_nan": ("invert", {"descent": {"grad_tol": NAN}}),
-    "stop_linf_nan": ("invert", {"descent": {"stop_linf": NAN}}),
-    "eta_step_nan": ("invert", {"descent": {"eta_step": NAN}}),
-    "eta_step_inf": ("invert", {"descent": {"eta_step": INF}}),
     "inversion_diff_reg_nan": ("invert", {"inversion": {"diff_reg": NAN}}),
     "inversion_c_upper_nan": ("invert", {"inversion": {"c_upper": NAN}}),
     "noise_delta_nan": ("forward", {"forward": {"noise": {"delta": NAN}}}),
@@ -239,11 +230,16 @@ BAD_CONFIGS = {
     "correction_t_hi_nan": ("forward", {"forward": {"correction": {"t_hi": NAN}}}),
     "noise_seed_negative": ("forward", {"forward": {"noise": {"delta": 0.05, "seed": -1}}}),
     "max_iters_fractional": ("invert", {"descent": {"max_iters": 2.5}}),
-    "max_corrections_fractional": ("invert", {"descent": {"max_corrections": 0.5}}),
     "forward_grid_nx_fractional": ("forward", {"forward": {"grid": {"nx": 300.5}}}),
     "inversion_nx_fractional": ("invert", {"inversion": {"nx": 20.5}}),
     "max_iters_bool": ("invert", {"descent": {"max_iters": True}}),
     "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
+    # descent settings that became solver constants, each at its old default
+    "eta_step_removed": ("invert", {"descent": {"eta_step": 0.1}}),
+    "armijo_c1_removed": ("invert", {"descent": {"armijo_c1": 1e-4}}),
+    "backtrack_removed": ("invert", {"descent": {"backtrack": 0.5}}),
+    "stop_linf_removed": ("invert", {"descent": {"stop_linf": 1e-3}}),
+    "max_corrections_removed": ("invert", {"descent": {"max_corrections": 1}}),
 }
 
 # Finite medium pieces outside the ranges that keep c > 0 (or, for a table,
@@ -332,6 +328,8 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         section, fields = next(iter(cfg.items()))
         key = next(iter(fields))
         assert section in err["message"] and key in err["message"]
+    if case.endswith("_removed"):
+        assert f"unknown config key descent.{key}" in err["message"]
     if case in OUT_OF_RANGE_PIECES:
         assert f"piece {OUT_OF_RANGE_PIECES[case][0]} must" in err["message"]
 

@@ -92,7 +92,7 @@ def test_descend_stationary_start():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 15, 15)
     ctx = make_context(g, np.full(g.nt + 1, 0.5), np.zeros(g.nt + 1), ConvexParams())
     q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q, info = descend(q0, ctx, DescentConfig(max_iters=10, grad_tol=1e-6))
+    q, info = descend(q0, ctx, 10, 1e-6)
     assert info["reason"] in ("grad_tol", "no_decrease")
     assert len(info["steps"]) <= 2
 
@@ -101,7 +101,7 @@ def test_descend_monotone_J():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     ctx = make_context(g, np.full(g.nt + 1, 0.45), np.zeros(g.nt + 1), ConvexParams())
     q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q, info = descend(q0, ctx, DescentConfig(max_iters=50))
+    q, info = descend(q0, ctx, 50, 1e-7)
     J = info["J"]
     assert all(J[i + 1] <= J[i] + 1e-15 for i in range(len(J) - 1))
 
@@ -114,7 +114,7 @@ def test_descend_matches_reference_minimizer():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
     ctx = make_context(g, np.full(g.nt + 1, 0.48), np.zeros(g.nt + 1), ConvexParams())
     q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q, info = descend(q0, ctx, DescentConfig(max_iters=5000, grad_tol=1e-10))
+    q, info = descend(q0, ctx, 5000, 1e-10)
 
     def fun(v):
         qq = QField(g, Field2D(g, v.reshape(g.shape)), FLOOR)
@@ -143,40 +143,41 @@ def test_descend_floor_clamp_maintained():
     vals = np.full(g.shape, 0.5)
     vals[:, 0] = FLOOR
     q0 = QField(g, Field2D(g, vals), FLOOR)
-    q, _ = descend(q0, ctx, DescentConfig(max_iters=100))
+    q, _ = descend(q0, ctx, 100, 1e-7)
     assert np.all(q.values.values[:, 0] >= FLOOR - 1e-12)
 
 
-def _reference_descend(q0, ctx, cfg):
+def _reference_descend(q0, ctx, max_iters, grad_tol):
     """Armijo descent written with evaluate_J/gradient_J and a QField per
-    trial; returns (q, info, number of trials the floor clamp changed)."""
+    trial, with the solver's line-search constants; returns (q, info, number
+    of trials the floor clamp changed)."""
     q = q0
     J = evaluate_J(q, ctx)
     info = {"J": [J], "grad_norm": [], "steps": []}
     clamped = 0
-    step_start = cfg.eta_step
-    for _ in range(cfg.max_iters):
+    step_start = solver.ETA_STEP
+    for _ in range(max_iters):
         g = gradient_J(q, ctx)
         gnorm = float(np.linalg.norm(g.values))
         info["grad_norm"].append(gnorm)
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= grad_tol:
             break
         gg = gnorm * gnorm
         step = step_start
         accepted = False
-        while step >= 1e-14:
+        while step >= solver.MIN_STEP:
             trial = q.values.values - step * g.values
             clamped += bool(np.any(trial[:, 0] < ctx.q_floor))
             np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
             q_trial = QField(q.grid, Field2D(q.grid, trial), q.q_floor)
             J_trial = evaluate_J(q_trial, ctx)
-            if J_trial <= J - cfg.armijo_c1 * step * gg:
+            if J_trial <= J - solver.ARMIJO_C1 * step * gg:
                 accepted = True
                 break
-            step *= cfg.backtrack
+            step *= solver.BACKTRACK
         if not accepted:
             break
-        step_start = min(step / cfg.backtrack, cfg.eta_step)
+        step_start = min(step / solver.BACKTRACK, solver.ETA_STEP)
         q, J = q_trial, J_trial
         info["J"].append(J)
         info["steps"].append(step)
@@ -194,9 +195,8 @@ def test_descend_is_bit_identical_to_reference_loop(clamp):
     if clamp:
         vals[:, 0] = FLOOR
     q0 = QField(g, Field2D(g, vals), FLOOR)
-    cfg = DescentConfig(max_iters=200)
-    q_ref, info_ref, clamped = _reference_descend(q0, ctx, cfg)
-    q, info = descend(q0, ctx, cfg)
+    q_ref, info_ref, clamped = _reference_descend(q0, ctx, 200, 1e-7)
+    q, info = descend(q0, ctx, 200, 1e-7)
     assert (clamped > 0) == clamp
     assert len(info["steps"]) == 200
     assert np.array_equal(q.values.values, q_ref.values.values)
@@ -520,6 +520,16 @@ def test_invert_null_scatterer(inversion_grid):
     res = invert(d, inversion_grid)
     assert np.max(np.abs(res.c_comp.c - 1.0)) < 0.02
     assert np.allclose(res.c_init.c, 1.0, atol=1e-6)
+
+
+def test_invert_stops_when_the_correction_moves_c_little(inversion_grid):
+    """On the null scatterer the correction moves c by less than STOP_LINF,
+    so the run ends with the leg-1 answer and leg 2 never runs."""
+    res = invert(null_boundary_data(), inversion_grid)
+    assert res.corrections == 1
+    assert res.converged is True
+    assert len(res.diagnostics) == DescentConfig().max_iters
+    assert all(row["correction_count"] == 0 for row in res.diagnostics)
 
 
 def test_invert_deterministic(inversion_grid):
