@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -82,7 +83,12 @@ def cmd_preprocess(args) -> int:
 
 
 def _audit_grid(args) -> SpaceTimeGrid:
-    """The [0, 3] x [0, 6] grid of the audit subcommands, sized by --nx/--nt."""
+    """The [0, 3] x [0, 6] grid of the audit subcommands, sized by --nx/--nt.
+
+    Also rejects a negative --seed, which both audit subcommands take.
+    """
+    if args.seed < 0:
+        raise InvalidInput("--seed must be nonnegative")
     try:
         return SpaceTimeGrid(0.0, 3.0, 6.0, args.nx, args.nt)
     except ValueError as exc:
@@ -112,8 +118,8 @@ def cmd_convexity_check(args) -> int:
         raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
     if args.pairs < 1:
         raise InvalidInput("--pairs must be at least 1")
-    if not args.radius > 0:
-        raise InvalidInput("--radius must be positive")
+    if not 0 < args.radius < math.inf:
+        raise InvalidInput("--radius must be positive and finite")
     grid = _audit_grid(args)
     table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
     rows = ["lambda,min_bregman"]

@@ -21,7 +21,7 @@ Bregman-divergence sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,20 +53,27 @@ class ConvexParams:
             raise ValueError("beta must lie in (0, 1)")
 
 
-def carleman_weight(grid: SpaceTimeGrid, lam: float, alpha: float) -> Field2D:
-    """W(x, t) = exp(-2 lam (x + alpha t)) at every node."""
+def carleman_weight(grid: SpaceTimeGrid, lam: float, alpha: float) -> np.ndarray:
+    """W(x, t) = exp(-2 lam (x + alpha t)) at every node.
+
+    Raises ValueError if W is not finite, which a huge ``lam`` can cause.
+    """
     x = grid.x_nodes()[:, None]
     t = grid.t_nodes()[None, :]
-    return Field2D(grid, np.exp(-2.0 * lam * (x + alpha * t)))
+    W = np.exp(-2.0 * lam * (x + alpha * t))
+    if not np.all(np.isfinite(W)):
+        raise ValueError(f"Carleman weight is not finite at lam={lam!r}")
+    return W
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveContext:
-    """Immutable bundle of everything the objective needs besides the iterate.
+    """Frozen bundle of everything the objective needs besides the iterate.
 
-    The Carleman weight W enters only through the products the objective
-    multiplies by: ``w2W`` = w2 W (area quadrature) and ``wtW0``/``wtWM`` =
-    wt W at x_min/x_max (time-line quadrature at the two ends).
+    ``make_context`` builds it. The Carleman weight W enters only through the
+    products the objective multiplies by: ``w2W`` = w2 W (area quadrature)
+    and ``wtW0``/``wtWM`` = wt W at x_min/x_max (time-line quadrature at the
+    two ends).
     """
 
     grid: SpaceTimeGrid
@@ -74,22 +81,10 @@ class ObjectiveContext:
     qx_eps: np.ndarray
     params: ConvexParams
     q_floor: float
-    ops: DiscreteOperators = field(init=False)
-    w2W: np.ndarray = field(init=False)
-    wtW0: np.ndarray = field(init=False)
-    wtWM: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.q_eps = np.asarray(self.q_eps, dtype=float)
-        self.qx_eps = np.asarray(self.qx_eps, dtype=float)
-        Q = self.grid.nt + 1
-        if self.q_eps.shape != (Q,) or self.qx_eps.shape != (Q,):
-            raise ValueError("boundary traces must be sampled on the grid's t-nodes")
-        W = carleman_weight(self.grid, self.params.lam, self.params.alpha).values
-        self.ops = operators_for(self.grid)
-        self.w2W = self.ops.w2 * W
-        self.wtW0 = self.ops.wt * W[0]
-        self.wtWM = self.ops.wt * W[-1]
+    ops: DiscreteOperators
+    w2W: np.ndarray
+    wtW0: np.ndarray
+    wtWM: np.ndarray
 
 
 def make_context(
@@ -99,9 +94,21 @@ def make_context(
     params: ConvexParams,
     c_upper: float = DEFAULT_C_UPPER,
 ) -> ObjectiveContext:
-    qe = q_eps.samples if isinstance(q_eps, Signal) else np.asarray(q_eps, float)
-    qxe = qx_eps.samples if isinstance(qx_eps, Signal) else np.asarray(qx_eps, float)
-    return ObjectiveContext(grid, qe, qxe, params, q_floor_from_c_upper(c_upper))
+    """The objective's context for boundary traces sampled on the grid's t-nodes.
+
+    Raises ValueError if a trace has the wrong length or the Carleman weight
+    is not finite.
+    """
+    qe = np.asarray(q_eps.samples if isinstance(q_eps, Signal) else q_eps, dtype=float)
+    qxe = np.asarray(qx_eps.samples if isinstance(qx_eps, Signal) else qx_eps, dtype=float)
+    if qe.shape != (grid.nt + 1,) or qxe.shape != (grid.nt + 1,):
+        raise ValueError("boundary traces must be sampled on the grid's t-nodes")
+    W = carleman_weight(grid, params.lam, params.alpha)
+    ops = operators_for(grid)
+    return ObjectiveContext(
+        grid, qe, qxe, params, q_floor_from_c_upper(c_upper),
+        ops, ops.w2 * W, ops.wt * W[0], ops.wt * W[-1],
+    )
 
 
 @dataclass(frozen=True)
@@ -177,11 +184,11 @@ def gradient_J(q: QField, ctx: ObjectiveContext) -> Field2D:
     return Field2D(q.grid, gradient(evaluate(q.values.values, ctx), ctx))
 
 
-def bregman_divergence(q: QField, h: Field2D, ctx: ObjectiveContext) -> float:
-    """J(q + h) - J(q) - <grad J(q), h>; nonnegativity over a set certifies convexity."""
-    v = q.values.values
+def bregman_divergence(v: np.ndarray, h: np.ndarray, ctx: ObjectiveContext) -> float:
+    """J(v + h) - J(v) - <grad J(v), h> at nodal values ``v`` and perturbation ``h``;
+    nonnegativity over a set certifies convexity."""
     e = evaluate(v, ctx)
-    return evaluate(v + h.values, ctx).J - e.J - float(np.sum(gradient(e, ctx) * h.values))
+    return evaluate(v + h, ctx).J - e.J - float(np.sum(gradient(e, ctx) * h))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +199,7 @@ def bregman_divergence(q: QField, h: Field2D, ctx: ObjectiveContext) -> float:
 Q_BACKGROUND = 0.5
 
 
-def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator) -> Field2D:
+def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator) -> np.ndarray:
     """Low-frequency random trigonometric field: three modes per axis, unit-scale coefficients."""
     modes = 3
     x = grid.x_nodes()[:, None]
@@ -209,14 +216,7 @@ def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator) -> Field2
             psix = np.sin(np.pi * (k + 1) * (x - grid.x_min) / Lx)
             psit = np.sin(np.pi * (l + 1) * t / Lt)
             vals += akl * phix * phit + bkl * psix * psit
-    return Field2D(grid, vals / modes)
-
-
-def _scaled_to_ball(f: Field2D, radius: float) -> Field2D:
-    norm = np.sqrt(h2_norm_sq(f))
-    if norm == 0:
-        return f
-    return Field2D(f.grid, f.values * (radius / norm))
+    return vals / modes
 
 
 def sample_admissible_pair(
@@ -224,11 +224,15 @@ def sample_admissible_pair(
     rng: np.random.Generator,
     radius: float,
     q_floor: float,
-) -> tuple[Field2D, Field2D]:
-    """A random admissible iterate around the null-scatterer and a perturbation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal values of a random admissible iterate around the null-scatterer and a perturbation.
 
-    Both q and q + h stay inside the H2-ball of the given radius around the
-    constant field ``Q_BACKGROUND`` and keep their t=0 rows above the floor.
+    Each of the two draws is a ``random_smooth_field`` scaled to H2 norm
+    radius / 2 times a uniform factor in [0.3, 1), then shrunk if its t=0 row
+    would use more than half the headroom above the floor. So both q and
+    q + h stay inside the H2-ball of the given radius around the constant
+    field ``Q_BACKGROUND`` and keep their t=0 rows above the floor. Raises
+    ValueError if the pair is not finite.
     """
     margin = 0.02
     headroom = Q_BACKGROUND - q_floor - margin
@@ -236,14 +240,20 @@ def sample_admissible_pair(
         raise ValueError("floor leaves no admissible headroom around the base")
     out = []
     for _ in range(2):
-        f = _scaled_to_ball(random_smooth_field(grid, rng), radius / 2.0 * rng.uniform(0.3, 1.0))
-        peak = np.max(np.abs(f.values[:, 0]))
+        f = random_smooth_field(grid, rng)
+        scale = radius / 2.0 * rng.uniform(0.3, 1.0)
+        norm = np.sqrt(h2_norm_sq(f, grid))
+        if norm != 0:
+            f = f * (scale / norm)
+        peak = np.max(np.abs(f[:, 0]))
         cap = headroom / 2.0
         if peak > cap:
-            f = Field2D(grid, f.values * (cap / peak))
+            f = f * (cap / peak)
         out.append(f)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("sampled pair contains non-finite values")
     h1, h2 = out
-    return Field2D(grid, Q_BACKGROUND + h1.values), h2
+    return Q_BACKGROUND + h1, h2
 
 
 def convexity_scan(
@@ -272,10 +282,7 @@ def convexity_scan(
     pairs = []
     for _ in range(n_pairs):
         q_vals, h = sample_admissible_pair(grid, rng, radius, floor)
-        pairs.append((
-            Field2D(grid, Q_BACKGROUND + (q_vals.values - Q_BACKGROUND) * mask),
-            Field2D(grid, h.values * mask),
-        ))
+        pairs.append((Q_BACKGROUND + (q_vals - Q_BACKGROUND) * mask, h * mask))
     q_eps = np.full(grid.nt + 1, Q_BACKGROUND)
     qx_eps = np.zeros(grid.nt + 1)
     result: dict[float, float] = {}
@@ -283,9 +290,8 @@ def convexity_scan(
         ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=float(lam)))
         best = np.inf
         for q_vals, h in pairs:
-            q = QField(grid, q_vals, floor)
-            d = bregman_divergence(q, h, ctx)
-            h_sq = float(np.sum(ctx.w2W * h.values**2))
+            d = bregman_divergence(q_vals, h, ctx)
+            h_sq = float(np.sum(ctx.w2W * h**2))
             best = min(best, d / h_sq)
         result[float(lam)] = float(best)
     return result
@@ -308,8 +314,7 @@ def gradient_audit(grid: SpaceTimeGrid, trials: int, seed: int = 0) -> list[floa
     s = 1e-6
     errors = []
     for _ in range(trials):
-        q, h = sample_admissible_pair(grid, rng, 5.0, ctx.q_floor)
-        v, dv = q.values, h.values
+        v, dv = sample_admissible_pair(grid, rng, 5.0, ctx.q_floor)
         analytic = float(np.sum(gradient(evaluate(v, ctx), ctx) * dv))
         fd = (evaluate(v + s * dv, ctx).J - evaluate(v - s * dv, ctx).J) / (2.0 * s)
         errors.append(abs(analytic - fd) / max(abs(fd), 1e-300))

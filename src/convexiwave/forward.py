@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidInput, OffGridObservation, SingularSystem
-from .grid import Field2D, Signal, SpaceTimeGrid
+from .grid import Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid
 
 
 @dataclass
@@ -235,17 +235,11 @@ def add_noise(g: Signal, delta: float, seed: int) -> Signal:
 def _tikhonov_system(n: int, dt: float, reg: float):
     """K and the Cholesky factor of K^T K + reg * D^T D for one (n, dt, reg).
 
-    Cached and shared by every caller, so the arrays are read-only.
+    K is ``cumulative_trapezoid`` applied to the identity, and D the forward
+    difference. Cached and shared by every caller, so the arrays are read-only.
     """
-    K = np.zeros((n, n))
-    for i in range(1, n):
-        K[i, 0] = dt / 2.0
-        K[i, 1:i] = dt
-        K[i, i] = dt / 2.0
-    D = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    D[idx, idx] = -1.0 / dt
-    D[idx, idx + 1] = 1.0 / dt
+    K = cumulative_trapezoid(np.eye(n), dt)
+    D = np.diff(np.eye(n), axis=0) / dt
     lhs = K.T @ K + reg * (D.T @ D)
     try:
         factor = scipy.linalg.cho_factor(lhs)

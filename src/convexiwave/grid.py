@@ -250,10 +250,11 @@ def operators_for(grid: SpaceTimeGrid) -> DiscreteOperators:
     return ops
 
 
-def h2_norm_sq(f: Field2D) -> float:
-    """Discrete squared H2 norm: integral of f^2 plus all derivatives up to order 2."""
-    v = f.values.ravel()
-    return float(v @ (operators_for(f.grid).H2 @ v))
+def h2_norm_sq(v: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """Discrete squared H2 norm of the nodal values ``v`` on ``grid``: the
+    integral of v^2 plus all its derivatives up to order 2."""
+    v = v.ravel()
+    return float(v @ (operators_for(grid).H2 @ v))
 
 
 # ---------------------------------------------------------------------------

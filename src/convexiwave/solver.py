@@ -9,6 +9,7 @@ quasi-reversibility machinery. ``invert`` runs them as three literal stages.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,7 +136,10 @@ def _extend_adds(dest: np.ndarray, k: int) -> tuple[tuple[int, slice, slice, sli
     return tuple(adds)
 
 
-def _build_tree(P: int, Q: int) -> _DissectionTree:
+@functools.cache
+def dissection_tree(P: int, Q: int) -> _DissectionTree:
+    """The nested-dissection elimination of the (P, Q) grid, built once per shape."""
+
     def nodes(i0, i1, j0, j1):
         return (np.arange(i0, i1)[:, None] * Q + np.arange(j0, j1)).ravel()
 
@@ -180,17 +184,6 @@ def _build_tree(P: int, Q: int) -> _DissectionTree:
         fronts.append(_Front(start, stop, rows, children, extend))
         start = stop
     return _DissectionTree(order, position, tuple(fronts))
-
-
-_TREE_CACHE: dict[tuple[int, int], _DissectionTree] = {}
-
-
-def dissection_tree(P: int, Q: int) -> _DissectionTree:
-    tree = _TREE_CACHE.get((P, Q))
-    if tree is None:
-        tree = _build_tree(P, Q)
-        _TREE_CACHE[(P, Q)] = tree
-    return tree
 
 
 @dataclass(frozen=True)
@@ -347,11 +340,6 @@ class GridCholesky:
 QR_RESIDUAL_TOL = 1e-6
 
 
-def _row_selector(P: int, Q: int, row: int) -> sp.csr_matrix:
-    cols = row * Q + np.arange(Q)
-    return sp.csr_matrix((np.ones(Q), (np.arange(Q), cols)), shape=(Q, P * Q))
-
-
 def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shape=None):
     """Minimize sum_k ||w_k^(1/2) (L_k v - b_k)||^2 + reg_eta * sum_j ||w^(1/2) R_j v||^2.
 
@@ -362,8 +350,8 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
     reg_eta times the Gram matrix sum_j R_j^T diag(w) R_j from
     ``grid.weighted_gram``, built once for each ``reg_ops`` object and
     weight vector: both QR stages pass the grid's H2 operators and area
-    weights, so they add the very matrix ``DiscreteOperators.H2`` that the
-    objective applies. The factorization's symbolic analysis is cached per
+    weights (``_qr_solve``), so they add the very matrix
+    ``DiscreteOperators.H2`` that the objective applies. The factorization's symbolic analysis is cached per
     grid and normal-matrix pattern, so repeated solves on one grid pay only
     the numeric factorization. With positive weights the
     normal matrix is symmetric positive semidefinite, and positive definite
@@ -396,6 +384,14 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
     return sol, rel_residual
 
 
+def _qr_solve(terms, ops, qr: QRConfig) -> np.ndarray:
+    """``solve_quadratic`` on the grid of ``ops``, regularized by its H2 Gram, as a (P, Q) array."""
+    sol, _ = solve_quadratic(
+        terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, ops.P * ops.Q, shape=ops.grid.shape
+    )
+    return sol.reshape(ops.P, ops.Q)
+
+
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -416,18 +412,11 @@ def initial_guess(
     """
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
-    transport = (ops.Dx - 2.0 * ops.Dt).tocsr()
-    S0 = _row_selector(P, Q, 0)
-    SM = _row_selector(P, Q, P - 1)
-    terms = [
-        (transport, ops.w2.ravel(), None),
-        (S0, ops.wt, qx_eps.samples),
-        (SM, ops.wt, np.zeros(Q)),
-    ]
-    sol, _ = solve_quadratic(
-        terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q, shape=grid.shape
-    )
-    Qfield = sol.reshape(P, Q)
+    Qfield = _qr_solve([
+        ((ops.Dx - 2.0 * ops.Dt).tocsr(), ops.w2.ravel(), None),
+        (sp.eye(Q, P * Q, format="csr"), ops.wt, qx_eps.samples),
+        (sp.eye(Q, P * Q, k=(P - 1) * Q, format="csr"), ops.wt, np.zeros(Q)),
+    ], ops, qr)
     q_vals = q_eps.samples[None, :] + cumulative_trapezoid(Qfield, grid.dx)
     q_vals[:, 0] = 0.5
     floor = q_floor_from_c_upper(c_upper)
@@ -526,18 +515,12 @@ def correction_step(
     else:
         L = (L + sp.diags(np.repeat(b_coef, Q)) @ ops.Dt).tocsr()
         target = None
-    S0 = _row_selector(P, Q, 0)
-    SM = _row_selector(P, Q, P - 1)
-    terms = [
+    vals = _qr_solve([
         (L, ops.w2.ravel(), target),
-        (S0, ops.wt, q_eps.samples),
-        ((S0 @ ops.Dx).tocsr(), ops.wt, qx_eps.samples),
-        ((SM @ ops.Dx).tocsr(), ops.wt, np.zeros(Q)),
-    ]
-    sol, _ = solve_quadratic(
-        terms, ops.h2_ops, ops.w2.ravel(), qr.reg_eta, P * Q, shape=grid.shape
-    )
-    vals = sol.reshape(P, Q)
+        (sp.eye(Q, P * Q, format="csr"), ops.wt, q_eps.samples),
+        (ops.Dx[:Q], ops.wt, qx_eps.samples),
+        (ops.Dx[-Q:], ops.wt, np.zeros(Q)),
+    ], ops, qr)
     np.maximum(vals[:, 0], q_tilde.q_floor, out=vals[:, 0])
     return QField(grid, Field2D(grid, vals), q_tilde.q_floor)
 

@@ -341,10 +341,14 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         ["convexity-check", "--lambdas=1,x"],
         ["convexity-check", "--pairs", "0"],
         ["convexity-check", "--radius", "0"],
+        ["convexity-check", "--radius", "inf"],
+        ["convexity-check", "--seed", "-1"],
         ["gradient-check", "--nx", "1"],
         ["gradient-check", "--trials", "0"],
+        ["gradient-check", "--seed", "-1"],
     ],
-    ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "nx_1", "no_trials"],
+    ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "infinite_radius",
+         "convexity_negative_seed", "nx_1", "no_trials", "gradient_negative_seed"],
 )
 def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.csv"

@@ -50,12 +50,19 @@ def test_carleman_weight_values():
     w = carleman_weight(g, 2.0, 0.3)
     x = g.x_nodes()[:, None]
     t = g.t_nodes()[None, :]
-    assert np.allclose(w.values, np.exp(-2 * 2.0 * (x + 0.3 * t)))
+    assert np.allclose(w, np.exp(-2 * 2.0 * (x + 0.3 * t)))
+
+
+def test_non_finite_carleman_weight_is_rejected():
+    """-2 lam overflows to -inf, and -inf * 0 at the origin is NaN."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 4, 4)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Carleman weight"):
+        _null_context(g, ConvexParams(lam=1e308))
 
 
 def test_carleman_weight_monotone():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
-    w = carleman_weight(g, 2.0, 0.3).values
+    w = carleman_weight(g, 2.0, 0.3)
     assert np.all(np.diff(w, axis=0) < 0)
     assert np.all(np.diff(w, axis=1) < 0)
 
@@ -92,13 +99,12 @@ def test_gradient_matches_finite_differences(seed):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(seed))
-    q_field, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
-    q = QField(g, q_field, FLOOR)
-    grad = gradient_J(q, ctx)
-    analytic = float(np.sum(grad.values * h.values))
+    v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+    grad = gradient_J(QField(g, Field2D(g, v), FLOOR), ctx)
+    analytic = float(np.sum(grad.values * h))
     s = 1e-6
-    qp = QField(g, Field2D(g, q_field.values + s * h.values), FLOOR)
-    qm = QField(g, Field2D(g, q_field.values - s * h.values), FLOOR)
+    qp = QField(g, Field2D(g, v + s * h), FLOOR)
+    qm = QField(g, Field2D(g, v - s * h), FLOOR)
     fd = (evaluate_J(qp, ctx) - evaluate_J(qm, ctx)) / (2 * s)
     assert abs(analytic - fd) / max(abs(fd), 1e-12) < 1e-5
 
@@ -117,14 +123,13 @@ def test_objective_matches_assembled_operators():
     """
     grid = SpaceTimeGrid(0.0, 3.0, 6.0, 17, 23)
     rng = np.random.Generator(np.random.Philox(11))
-    q_field, _ = sample_admissible_pair(grid, rng, 5.0, FLOOR)
+    v, _ = sample_admissible_pair(grid, rng, 5.0, FLOOR)
     P, Q = grid.shape
     q_eps = 0.5 + 0.05 * rng.normal(size=Q)
     qx_eps = 0.2 * rng.normal(size=Q)
     ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=0.5, beta=1e-3))
     ops, beta = ctx.ops, ctx.params.beta
-    W = carleman_weight(grid, ctx.params.lam, ctx.params.alpha).values
-    v = q_field.values
+    W = carleman_weight(grid, ctx.params.lam, ctx.params.alpha)
     apply = ops.apply2d
 
     # the q-PDE residual and the objective, with the assembled operators
@@ -179,9 +184,8 @@ def test_bregman_nonnegative_at_default_weight():
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(7))
     for _ in range(10):
-        q_field, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
-        q = QField(g, q_field, FLOOR)
-        assert bregman_divergence(q, h, ctx) > -1e-10
+        v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+        assert bregman_divergence(v, h, ctx) > -1e-10
 
 
 def test_convexity_scan_shape():
@@ -195,13 +199,20 @@ def test_random_smooth_field_deterministic():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
     f1 = random_smooth_field(g, np.random.Generator(np.random.Philox(5)))
     f2 = random_smooth_field(g, np.random.Generator(np.random.Philox(5)))
-    assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(f1, f2)
 
 
 def test_sample_admissible_pair_respects_floor():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     rng = np.random.Generator(np.random.Philox(2))
     for _ in range(20):
-        q_field, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
-        assert np.all(q_field.values[:, 0] >= FLOOR)
-        assert np.all(q_field.values[:, 0] + h.values[:, 0] >= FLOOR)
+        v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+        assert np.all(v[:, 0] >= FLOOR)
+        assert np.all(v[:, 0] + h[:, 0] >= FLOOR)
+
+
+def test_non_finite_sampled_pair_is_rejected():
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
+    rng = np.random.Generator(np.random.Philox(2))
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_admissible_pair(g, rng, np.nan, FLOOR)

@@ -21,6 +21,7 @@ from convexiwave.solver import (
 from convexiwave.transform import (
     QField,
     boundary_traces_from_data,
+    nonlocal_coefficients,
     q_floor_from_c_upper,
 )
 
@@ -344,6 +345,64 @@ def test_quasi_reversibility_solves_match_dense_solve(monkeypatch):
             A += reg_eta * R.T @ (reg_w[:, None] * R)
         ref = np.linalg.solve(A, b)
         assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _reference_row_selector(P, Q, row):
+    """The (Q, P*Q) matrix that picks grid row ``row``, built entry by entry."""
+    cols = row * Q + np.arange(Q)
+    return sp.csr_matrix((np.ones(Q), (np.arange(Q), cols)), shape=(Q, P * Q))
+
+
+def test_quasi_reversibility_stages_match_selector_built_systems(monkeypatch):
+    """The initialization and both correction variants assemble, to the bit,
+    the normal matrix and right-hand side of their terms written with
+    explicit row selectors, S0 and SM, and the products S0 Dx and SM Dx. The
+    23x31 grid is not square, so a row taken along the wrong axis cannot pass."""
+    assembled = []
+
+    class Recorded(solver.GridCholesky):
+        def __init__(self, matrix, shape):
+            super().__init__(matrix, shape)
+            self.matrix = matrix
+
+        def solve(self, b):
+            assembled.append((self.matrix.toarray(), b.copy()))
+            return super().solve(b)
+
+    monkeypatch.setattr(solver, "GridCholesky", Recorded)
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 23, 31)
+    ops = operators_for(g)
+    P, Q = ops.P, ops.Q
+    w2, wt = ops.w2.ravel(), ops.wt
+    t = g.t_nodes()
+    q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
+    qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
+    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
+    for freeze in (True, False):
+        correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
+    assert len(assembled) == 3
+
+    S0 = _reference_row_selector(P, Q, 0)
+    SM = _reference_row_selector(P, Q, P - 1)
+    v = q0.values.values
+    _, _, a, b_coef = nonlocal_coefficients(v, ops, q0.q_floor)
+    L = (ops.Dxx - sp.diags(np.repeat(a, Q)) @ ops.Dxt).tocsr()
+    ends = [
+        (S0, wt, q_eps.samples),
+        ((S0 @ ops.Dx).tocsr(), wt, qx_eps.samples),
+        ((SM @ ops.Dx).tocsr(), wt, np.zeros(Q)),
+    ]
+    references = [
+        [((ops.Dx - 2.0 * ops.Dt).tocsr(), w2, None), (S0, wt, qx_eps.samples),
+         (SM, wt, np.zeros(Q))],
+        [(L, w2, (-(ops.apply2d(ops.Dt, v) * b_coef[:, None])).ravel())] + ends,
+        [((L + sp.diags(np.repeat(b_coef, Q)) @ ops.Dt).tocsr(), w2, None)] + ends,
+    ]
+    for terms in references:
+        solver.solve_quadratic(terms, ops.h2_ops, w2, QRConfig().reg_eta, P * Q, shape=g.shape)
+    for (A, b), (A_ref, b_ref) in zip(assembled[:3], assembled[3:]):
+        assert np.array_equal(A, A_ref)
+        assert np.array_equal(b, b_ref)
 
 
 def test_dissection_tree_of_the_23x31_grid_splits_both_directions():
