@@ -8,7 +8,7 @@ import math
 import typing
 from dataclasses import dataclass, field
 
-from .convexify import ConvexParams
+from .convexify import ConvexParams, carleman_weight
 from .errors import InvalidInput
 from .fixtures import DEFAULT_FORWARD_GRID, check_piece, is_finite_number
 from .forward import BoundaryData, CorrectionBox, SourceModel
@@ -170,11 +170,20 @@ def _build(klass, data, section: str):
 
 
 def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
-    """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``."""
+    """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``.
+
+    Raises InvalidInput, naming ``convex.lam``, before any work if the
+    Carleman weight is not finite on that grid.
+    """
     inv = cfg.inversion
+    grid = SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt)
+    try:
+        carleman_weight(grid, cfg.convex.lam, cfg.convex.alpha)
+    except ValueError as exc:
+        raise InvalidInput(f"config convex.lam={cfg.convex.lam!r}: {exc}") from exc
     return invert(
         data,
-        SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt),
+        grid,
         cfg.convex,
         cfg.qr,
         cfg.descent,

@@ -113,11 +113,7 @@ def run_fixture(name: str, out_dir: str | None = None):
         os.makedirs(out_dir, exist_ok=True)
         true_medium = fixture_medium(name)
         x = result.c_comp.x
-        for label, xs, cs in (
-            ("c_true", x, true_medium.sample(x)),
-            ("c_init", result.c_init.x, result.c_init.c),
-            ("c_comp", result.c_comp.x, result.c_comp.c),
-        ):
+        for label, c in (("c_true", true_medium.sample(x)), ("c_comp", result.c_comp.c)):
             with open(os.path.join(out_dir, f"{name}_{label}.csv"), "w") as f:
-                f.write(profile_to_csv(xs, cs))
+                f.write(profile_to_csv(x, c))
     return report

@@ -470,8 +470,9 @@ def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
             np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
             if not np.all(np.isfinite(trial)):
                 raise ValueError("descent trial contains non-finite values")
-            e_trial = evaluate(trial, ctx)
-            if e_trial.J <= e.J - ARMIJO_C1 * step * gg:
+            threshold = e.J - ARMIJO_C1 * step * gg
+            e_trial = evaluate(trial, ctx, threshold)
+            if e_trial is not None and e_trial.J <= threshold:
                 accepted = True
                 break
             step *= BACKTRACK
@@ -532,7 +533,6 @@ def correction_step(
 @dataclass
 class InversionResult:
     c_comp: MediumProfile
-    c_init: MediumProfile
     q: QField
     diagnostics: list = field(default_factory=list)
     corrections: int = 0
@@ -566,7 +566,6 @@ def invert(
     q_eps, qx_eps = boundary_traces_from_data(d, grid, diff_reg)
     ctx = make_context(grid, q_eps.samples, qx_eps.samples, params, c_upper)
     q0, _ = initial_guess(q_eps, qx_eps, grid, qr_cfg, c_upper)
-    c_init = c_from_q(q0)
     diagnostics = []
 
     def leg(q, budget, correction_count):
@@ -578,10 +577,10 @@ def invert(
 
     q, met_tol = leg(q0, cfg.max_iters, 0)
     if met_tol:
-        return InversionResult(c_from_q(q), c_init, q, diagnostics, corrections=0, converged=True)
+        return InversionResult(c_from_q(q), q, diagnostics, corrections=0, converged=True)
     q_corr = correction_step(q, q_eps, qx_eps, qr_cfg, freeze_time_derivative)
     c_leg1 = c_from_q(q)
     if float(np.max(np.abs(c_leg1.c - c_from_q(q_corr).c))) < STOP_LINF:
-        return InversionResult(c_leg1, c_init, q, diagnostics, corrections=1, converged=True)
+        return InversionResult(c_leg1, q, diagnostics, corrections=1, converged=True)
     q, met_tol = leg(q_corr, cfg.redescent_iters, 1)
-    return InversionResult(c_from_q(q), c_init, q, diagnostics, corrections=1, converged=met_tol)
+    return InversionResult(c_from_q(q), q, diagnostics, corrections=1, converged=met_tol)

@@ -234,6 +234,8 @@ BAD_CONFIGS = {
     "inversion_nx_fractional": ("invert", {"inversion": {"nx": 20.5}}),
     "max_iters_bool": ("invert", {"descent": {"max_iters": True}}),
     "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
+    # a finite lam whose Carleman weight overflows on the inversion grid
+    "convex_lam_overflows_weight": ("invert", {"convex": {"lam": 1e308}}),
     # descent settings that became solver constants, each at its old default
     "eta_step_removed": ("invert", {"descent": {"eta_step": 0.1}}),
     "armijo_c1_removed": ("invert", {"descent": {"armijo_c1": 1e-4}}),

@@ -1,5 +1,8 @@
 """Carleman-weighted objective: values, exact gradient, convexity probes."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,9 +57,11 @@ def test_carleman_weight_values():
 
 
 def test_non_finite_carleman_weight_is_rejected():
-    """-2 lam overflows to -inf, and -inf * 0 at the origin is NaN."""
+    """-2 lam overflows to -inf, and -inf * 0 at the origin is NaN. The
+    ValueError comes without a numpy RuntimeWarning, which this suite turns
+    into an error."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 4, 4)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="Carleman weight"):
+    with pytest.raises(ValueError, match="Carleman weight"):
         _null_context(g, ConvexParams(lam=1e308))
 
 
@@ -107,6 +112,48 @@ def test_gradient_matches_finite_differences(seed):
     qm = QField(g, Field2D(g, v - s * h), FLOOR)
     fd = (evaluate_J(qp, ctx) - evaluate_J(qm, ctx)) / (2 * s)
     assert abs(analytic - fd) / max(abs(fd), 1e-12) < 1e-5
+
+
+def _partial_sums(v, ctx):
+    """J's running sums, in the order ``evaluate`` adds its five terms."""
+    ops = ctx.ops
+    F = residual_parts(v, ops, ctx.q_floor)[-1]
+    qx_ends = ops.Gx_ends @ v
+    terms = (
+        float((ctx.w2W * F**2).sum()),
+        float((ctx.wtW0 * (v[0] - ctx.q_eps) ** 2).sum()),
+        float((ctx.wtW0 * (qx_ends[0] - ctx.qx_eps) ** 2).sum()),
+        float((ctx.wtWM * qx_ends[1] ** 2).sum()),
+        ctx.params.beta * float(v.ravel() @ (ops.H2 @ v.ravel())),
+    )
+    return list(itertools.accumulate(terms))
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=10, deadline=None)
+def test_evaluate_with_bound_is_none_exactly_above_the_objective(seed):
+    """On both points of a sampled admissible pair, ``evaluate(v, ctx, bound)``
+    is None exactly when J > bound and otherwise equals ``evaluate(v, ctx)``
+    field by field, bit for bit. The bounds sit at, just below and just above
+    J and each partial sum, so every early return is taken; inf and NaN never
+    cut."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
+    ctx = _null_context(g)
+    rng = np.random.Generator(np.random.Philox(seed))
+    v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+    for point in (v, v + h):
+        full = evaluate(point, ctx)
+        partials = _partial_sums(point, ctx)
+        assert partials[-1] == full.J
+        bounds = [np.inf, np.nan]
+        for p in partials:
+            bounds += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+        for bound in bounds:
+            got = evaluate(point, ctx, bound)
+            assert (got is None) == bool(full.J > bound), bound
+            if got is not None:
+                for f in dataclasses.fields(got):
+                    assert np.array_equal(getattr(got, f.name), getattr(full, f.name)), f.name
 
 
 def _relative_error(got, ref):

@@ -21,6 +21,7 @@ from convexiwave.solver import (
 from convexiwave.transform import (
     QField,
     boundary_traces_from_data,
+    c_from_q,
     nonlocal_coefficients,
     q_floor_from_c_upper,
 )
@@ -575,10 +576,15 @@ def test_qr_solves_add_the_objectives_h2_gram(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_invert_null_scatterer(inversion_grid):
+    """The answer is the background, and so is the quasi-reversibility
+    initialization that invert starts from (built here as invert builds it,
+    with its default diff_reg)."""
     d = null_boundary_data()
     res = invert(d, inversion_grid)
     assert np.max(np.abs(res.c_comp.c - 1.0)) < 0.02
-    assert np.allclose(res.c_init.c, 1.0, atol=1e-6)
+    q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, 1e-6)
+    q0, _ = initial_guess(q_eps, qx_eps, inversion_grid, QRConfig())
+    assert np.allclose(c_from_q(q0).c, 1.0, atol=1e-6)
 
 
 def test_invert_stops_when_the_correction_moves_c_little(inversion_grid):
