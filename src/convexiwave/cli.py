@@ -11,7 +11,7 @@ import time
 
 from . import fixtures, runner
 from .config import RunConfig, invert_from_config, load_config
-from .convexify import ConvexParams, convexity_scan, gradient_audit
+from .convexify import ConvexParams, carleman_weight, convexity_scan, gradient_audit
 from .errors import ConvexiwaveError, FixtureMissing, InvalidInput
 from .forward import BoundaryData, boundary_data
 from .grid import SpaceTimeGrid, field_to_csv, profile_to_csv, signal_from_csv, signal_to_csv
@@ -110,17 +110,18 @@ def cmd_gradient_check(args) -> int:
 
 
 def cmd_convexity_check(args) -> int:
-    try:
-        lambdas = [float(s) for s in args.lambdas.split(",")]
-        for lam in lambdas:
-            ConvexParams(lam=lam)
-    except ValueError as exc:
-        raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
     if args.pairs < 1:
         raise InvalidInput("--pairs must be at least 1")
     if not 0 < args.radius < math.inf:
         raise InvalidInput("--radius must be positive and finite")
     grid = _audit_grid(args)
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",")]
+        for lam in lambdas:
+            params = ConvexParams(lam=lam)
+            carleman_weight(grid, params.lam, params.alpha)
+    except ValueError as exc:
+        raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
     table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
     rows = ["lambda,min_bregman"]
     rows += [f"{lam!r},{val!r}" for lam, val in table.items()]

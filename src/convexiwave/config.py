@@ -172,15 +172,16 @@ def _build(klass, data, section: str):
 def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
     """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``.
 
-    Raises InvalidInput, naming ``convex.lam``, before any work if the
-    Carleman weight is not finite on that grid.
+    Raises InvalidInput, naming ``convex.lam`` and ``convex.alpha``, before
+    any work if the Carleman weight is not finite and positive at every node
+    of that grid.
     """
     inv = cfg.inversion
     grid = SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt)
     try:
         carleman_weight(grid, cfg.convex.lam, cfg.convex.alpha)
     except ValueError as exc:
-        raise InvalidInput(f"config convex.lam={cfg.convex.lam!r}: {exc}") from exc
+        raise InvalidInput(f"config convex.lam and convex.alpha: {exc}") from exc
     return invert(
         data,
         grid,

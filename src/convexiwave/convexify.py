@@ -70,14 +70,19 @@ class ConvexParams:
 def carleman_weight(grid: SpaceTimeGrid, lam: float, alpha: float) -> np.ndarray:
     """W(x, t) = exp(-2 lam (x + alpha t)) at every node.
 
-    Raises ValueError if W is not finite, which a huge ``lam`` can cause.
+    Raises ValueError unless W is finite and positive at every node. A huge
+    ``lam`` makes it NaN at the origin; a large ``lam`` or ``alpha`` makes it
+    underflow to 0 far from the origin, which would drop those nodes from J.
     """
     x = grid.x_nodes()[:, None]
     t = grid.t_nodes()[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         W = np.exp(-2.0 * lam * (x + alpha * t))
-    if not np.all(np.isfinite(W)):
-        raise ValueError(f"Carleman weight is not finite at lam={lam!r}")
+    if not (np.all(np.isfinite(W)) and W.min() > 0):
+        raise ValueError(
+            f"Carleman weight is not finite and positive at every node for lam={lam!r}, "
+            f"alpha={alpha!r}"
+        )
     return W
 
 
@@ -112,7 +117,7 @@ def make_context(
     """The objective's context for boundary traces sampled on the grid's t-nodes.
 
     Raises ValueError if a trace has the wrong length or the Carleman weight
-    is not finite.
+    is not finite and positive at every node.
     """
     qe = np.asarray(q_eps.samples if isinstance(q_eps, Signal) else q_eps, dtype=float)
     qxe = np.asarray(qx_eps.samples if isinstance(qx_eps, Signal) else qx_eps, dtype=float)

@@ -126,9 +126,14 @@ def preprocess_pipeline(
 
     Air mode always takes the lower envelope (the backscattering wave is
     non-positive for a target denser than air); ground mode picks the side
-    from the contrast-sign detection.
+    from the contrast-sign detection. Raises InvalidInput if ``cal.mu`` times
+    the raw trace overflows.
     """
-    scaled = Signal(raw.signal.t0, raw.signal.dt, cal.mu * raw.signal.samples)
+    with np.errstate(over="ignore"):
+        samples = cal.mu * raw.signal.samples
+    if not np.all(np.isfinite(samples)):
+        raise InvalidInput(f"calibration mu={cal.mu!r} overflows the scaled raw trace")
+    scaled = Signal(raw.signal.t0, raw.signal.dt, samples)
     if raw.medium_mode is MediumMode.AIR:
         side = EnvelopeSide.LOWER
     else:

@@ -10,12 +10,13 @@ quasi-reversibility machinery. ``invert`` runs them as three literal stages.
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsyrk, dtrsm, dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.blas import dsyrk, dtpsv, dtrsm
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
 from .errors import SingularSystem
@@ -190,21 +191,23 @@ def dissection_tree(P: int, Q: int) -> _DissectionTree:
 class _Analysis:
     """The symbolic phase of ``GridCholesky`` for one CSR pattern on one grid.
 
-    ``indptr`` and ``indices`` are the pattern it was built for. It reads the
-    upper triangle in elimination order, whose entries land in the pivot
-    columns of their fronts: in block A11 or A21. Group 2f + b, for front f
-    and block b, holds the entries ``data[src[bounds[g]:bounds[g + 1]]]``, and
-    ``dst`` the offset of each in its block, flattened in Fortran order.
+    ``key`` is the digest of the pattern it was built for (``_pattern_key``);
+    the pattern itself is not kept. It reads the upper triangle in
+    elimination order, whose entries land in the pivot columns of their
+    fronts: in block A11 or A21. Group 2f + b, for front f and block b, holds
+    the entries ``data[src[bounds[g]:bounds[g + 1]]]``, and ``dst`` the
+    offset of each in its block, flattened in Fortran order.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    key: bytes
     src: np.ndarray
     dst: np.ndarray
     bounds: np.ndarray
 
 
-def _analyze(tree: _DissectionTree, A: sp.csr_matrix, shape: tuple[int, int]) -> _Analysis:
+def _analyze(
+    tree: _DissectionTree, A: sp.csr_matrix, shape: tuple[int, int], key: bytes
+) -> _Analysis:
     n = tree.order.size
     starts = np.array([f.start for f in tree.fronts])
     pivots = np.array([f.stop - f.start for f in tree.fronts])
@@ -228,10 +231,7 @@ def _analyze(tree: _DissectionTree, A: sp.csr_matrix, shape: tuple[int, int]) ->
     group = 2 * front + later
     by_group = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[by_group], np.arange(2 * len(tree.fronts) + 1))
-    return _Analysis(
-        A.indptr.copy(), A.indices.copy(), _compact(src[by_group]), _compact(dst[by_group]),
-        bounds,
-    )
+    return _Analysis(key, _compact(src[by_group]), _compact(dst[by_group]), bounds)
 
 
 def _compact(index: np.ndarray) -> np.ndarray:
@@ -245,13 +245,29 @@ ANALYSES_PER_SHAPE = 4
 _ANALYSIS_CACHE: dict[tuple[int, int], list[_Analysis]] = {}
 
 
+def _pattern_key(A: sp.csr_matrix) -> bytes:
+    """SHA-256 digest of A's CSR pattern: the index dtypes, then indptr and indices.
+
+    The arrays are hashed through memoryviews, so no copy is made.
+    """
+    digest = hashlib.sha256(f"{A.indptr.dtype.str},{A.indices.dtype.str};".encode())
+    for index in (A.indptr, A.indices):
+        digest.update(memoryview(np.ascontiguousarray(index)))
+    return digest.digest()
+
+
 def analysis_for(A: sp.csr_matrix, shape: tuple[int, int]) -> _Analysis:
-    """The cached analysis of A's pattern on the grid ``shape``, built on a miss."""
+    """The cached analysis of A's pattern on the grid ``shape``, built on a miss.
+
+    The cache is keyed by the digest of the pattern (``_pattern_key``), not
+    by a stored copy of it.
+    """
+    key = _pattern_key(A)
     cached = _ANALYSIS_CACHE.setdefault(shape, [])
     for an in cached:
-        if np.array_equal(an.indptr, A.indptr) and np.array_equal(an.indices, A.indices):
+        if an.key == key:
             return an
-    an = _analyze(dissection_tree(*shape), A, shape)
+    an = _analyze(dissection_tree(*shape), A, shape, key)
     cached.insert(0, an)
     del cached[ANALYSES_PER_SHAPE:]
     return an
@@ -269,11 +285,14 @@ class GridCholesky:
     and is cached: it maps each entry of the upper triangle, in elimination
     order, to its place in its front, and raises ValueError if the matrix
     couples two nodes that no front holds together. The numeric phase gathers
-    each front's entries from the matrix, adds its children's update matrices
-    in, and factors it in place with dpotrf, dtrsm and dsyrk. Only the lower
-    triangle of each front is used, and the arithmetic does not depend on
-    whether the analysis was cached, so equal matrices give equal factors.
-    Raises SingularSystem if a pivot is not positive.
+    each front's entries from the matrix's ``data``, adds its children's
+    update matrices in, and factors it in place with dpotrf, dtrsm and dsyrk.
+    Only the lower triangle of each front is used, and the arithmetic does
+    not depend on whether the analysis was cached, so equal matrices give
+    equal factors. ``factors`` holds one pair per front: its pivot block L11,
+    packed by dtrttp into its k(k+1)/2 lower-triangle entries, column by
+    column, and the dense (m - k) x k block L21; ``solve`` reads the packed
+    block with dtpsv. Raises SingularSystem if a pivot is not positive.
     """
 
     def __init__(self, matrix: sp.spmatrix, shape: tuple[int, int]):
@@ -286,8 +305,7 @@ class GridCholesky:
             A = A.copy()
             A.sum_duplicates()
         an = analysis_for(A, tuple(shape))
-        values = A.data[an.src]
-        self.factors = []  # (L11, L21) per front
+        self.factors = []  # (packed L11, L21) per front
         updates = {}
         for i, f in enumerate(tree.fronts):
             m, k = f.rows.size, f.stop - f.start
@@ -298,7 +316,7 @@ class GridCholesky:
             )
             for block, g in zip(blocks, (2 * i, 2 * i + 1)):
                 lo, hi = an.bounds[g], an.bounds[g + 1]
-                block.reshape(-1, order="F")[an.dst[lo:hi]] = values[lo:hi]
+                block.reshape(-1, order="F")[an.dst[lo:hi]] = A.data[an.src[lo:hi]]
             for child, adds in zip(f.children, f.extend):
                 update = updates.pop(child)
                 for b, rows, cols, u_rows, u_cols in adds:
@@ -313,19 +331,21 @@ class GridCholesky:
             L21 = dtrsm(1.0, L11, blocks[1], side=1, lower=1, trans_a=1, overwrite_b=1)
             if m > k:
                 updates[i] = dsyrk(-1.0, L21, beta=1.0, c=blocks[2], lower=1, overwrite_c=1)
-            self.factors.append((L11, L21))
+            self.factors.append((dtrttp(L11, uplo="L")[0], L21))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Forward then back substitution over the fronts."""
         fronts = self.tree.fronts
         y = b[self.tree.order]
         for f, (L11, L21) in zip(fronts, self.factors):
-            piv = dtrsv(L11, y[f.start:f.stop], lower=1)
+            k = f.stop - f.start
+            piv = dtpsv(k, L11, y[f.start:f.stop], lower=1)
             y[f.start:f.stop] = piv
-            y[f.rows[piv.size:]] -= L21 @ piv
+            y[f.rows[k:]] -= L21 @ piv
         for f, (L11, L21) in zip(reversed(fronts), reversed(self.factors)):
-            rhs = y[f.start:f.stop] - L21.T @ y[f.rows[f.stop - f.start:]]
-            y[f.start:f.stop] = dtrsv(L11, rhs, lower=1, trans=1)
+            k = f.stop - f.start
+            rhs = y[f.start:f.stop] - L21.T @ y[f.rows[k:]]
+            y[f.start:f.stop] = dtpsv(k, L11, rhs, lower=1, trans=1)
         return y[self.tree.position]
 
 
@@ -346,14 +366,16 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
     Assembles the normal equations and solves them by a nested-dissection
     multifrontal Cholesky factorization (``GridCholesky``) over the
     row-major grid ``shape``, which defaults to (1, n_unknowns); a system of
-    at most LEAF_SIZE unknowns is one dense front. The regularization adds
-    reg_eta times the Gram matrix sum_j R_j^T diag(w) R_j from
-    ``grid.weighted_gram``, built once for each ``reg_ops`` object and
-    weight vector: both QR stages pass the grid's H2 operators and area
-    weights (``_qr_solve``), so they add the very matrix
-    ``DiscreteOperators.H2`` that the objective applies. The factorization's symbolic analysis is cached per
-    grid and normal-matrix pattern, so repeated solves on one grid pay only
-    the numeric factorization. With positive weights the
+    at most LEAF_SIZE unknowns is one dense front. The factor stores each
+    front's triangular pivot block packed, as its k(k+1)/2 lower entries.
+    The regularization adds reg_eta times the Gram matrix
+    sum_j R_j^T diag(w) R_j from ``grid.weighted_gram``, built once for each
+    ``reg_ops`` object and weight vector: both QR stages pass the grid's H2
+    operators and area weights (``_qr_solve``), so they add the very matrix
+    ``DiscreteOperators.H2`` that the objective applies. The
+    factorization's symbolic analysis is cached per grid and keyed by a
+    digest of the normal matrix's CSR pattern, so repeated solves on one
+    grid pay only the numeric factorization. With positive weights the
     normal matrix is symmetric positive semidefinite, and positive definite
     once a term or ``reg_ops`` (the H2 operators include the identity)
     covers every unknown; an unknown that nothing covers leaves a zero

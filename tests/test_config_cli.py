@@ -236,6 +236,9 @@ BAD_CONFIGS = {
     "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
     # a finite lam whose Carleman weight overflows on the inversion grid
     "convex_lam_overflows_weight": ("invert", {"convex": {"lam": 1e308}}),
+    # a finite lam or alpha whose Carleman weight underflows to 0 off the origin
+    "convex_lam_underflows_weight": ("invert", {"convex": {"lam": 1e300}}),
+    "convex_alpha_underflows_weight": ("invert", {"convex": {"alpha": 1e300}}),
     # descent settings that became solver constants, each at its old default
     "eta_step_removed": ("invert", {"descent": {"eta_step": 0.1}}),
     "armijo_c1_removed": ("invert", {"descent": {"armijo_c1": 1e-4}}),
@@ -348,9 +351,15 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         ["gradient-check", "--nx", "1"],
         ["gradient-check", "--trials", "0"],
         ["gradient-check", "--seed", "-1"],
+        # lambdas whose Carleman weight on the audit grid is NaN at the origin,
+        # 0 everywhere off it, or 0 only near the far corner
+        ["convexity-check", "--lambdas", "1e308", "--pairs", "1", "--nx", "8", "--nt", "8"],
+        ["convexity-check", "--lambdas", "1e300", "--pairs", "1", "--nx", "8", "--nt", "8"],
+        ["convexity-check", "--lambdas", "2,100", "--pairs", "1", "--nx", "8", "--nt", "8"],
     ],
     ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "infinite_radius",
-         "convexity_negative_seed", "nx_1", "no_trials", "gradient_negative_seed"],
+         "convexity_negative_seed", "nx_1", "no_trials", "gradient_negative_seed",
+         "lambda_weight_not_finite", "lambda_weight_zero", "lambda_weight_underflows_at_corner"],
 )
 def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.csv"
@@ -361,14 +370,16 @@ def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "cal",
-    ["{}", '{"mu": -1}', '{"mu": "abc"}', '{"mu": ', '{"mu": true}', '{"mu": 1e400}'],
-    ids=["no_mu", "negative_mu", "text_mu", "not_json", "boolean_mu", "infinite_mu"],
+    "cal, peak",
+    [("{}", 1.0), ('{"mu": -1}', 1.0), ('{"mu": "abc"}', 1.0), ('{"mu": ', 1.0),
+     ('{"mu": true}', 1.0), ('{"mu": 1e400}', 1.0), ('{"mu": 1e308}', 2.0)],
+    ids=["no_mu", "negative_mu", "text_mu", "not_json", "boolean_mu", "infinite_mu",
+         "mu_overflows_trace"],
 )
-def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, cal):
+def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, cal, peak):
     raw = tmp_path / "raw.csv"
     cal_path = tmp_path / "cal.json"
-    raw.write_text("t,value\n0.0,0.0\n0.1,-1.0\n0.2,0.0\n")
+    raw.write_text(f"t,value\n0.0,0.0\n0.1,{-peak!r}\n0.2,0.0\n")
     cal_path.write_text(cal)
     rc = main(["preprocess", "--raw", str(raw), "--mode", "air", "--cal", str(cal_path),
                "--out", str(tmp_path / "g0.csv"), "--g1", str(tmp_path / "g1.csv")])

@@ -65,6 +65,16 @@ def test_non_finite_carleman_weight_is_rejected():
         _null_context(g, ConvexParams(lam=1e308))
 
 
+@pytest.mark.parametrize("lam, alpha", [(1e300, 0.3), (2.0, 1e300), (100.0, 0.3)])
+def test_underflowing_carleman_weight_is_rejected(lam, alpha):
+    """W = 1 at the origin, and it underflows to 0 at every other node, at
+    every node with t > 0, or only near the far corner, where
+    2 lam (x + alpha t) reaches 960."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
+    with pytest.raises(ValueError, match="finite and positive"):
+        carleman_weight(g, lam, alpha)
+
+
 def test_carleman_weight_monotone():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     w = carleman_weight(g, 2.0, 0.3)

@@ -505,6 +505,25 @@ def test_cold_and_warm_factorizations_are_identical(empty_analysis_cache):
     assert np.array_equal(cold.solve(b.copy()), warm.solve(b.copy()))
 
 
+def test_pivot_blocks_are_stored_packed(empty_analysis_cache):
+    """Each front keeps the k(k+1)/2 lower-triangle entries of L11, column by
+    column, beside its dense L21; together they are the Cholesky factor of A
+    in elimination order, and the solve matches a dense solve."""
+    A = _grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 5)
+    chol = solver.GridCholesky(A, CACHE_SHAPE)
+    L = np.zeros(A.shape)
+    for f, (L11, L21) in zip(chol.tree.fronts, chol.factors):
+        k = f.stop - f.start
+        assert L11.shape == (k * (k + 1) // 2,)
+        assert L21.shape == (f.rows.size - k, k)
+        cols, rows = np.triu_indices(k)
+        L[f.start + rows, f.start + cols] = L11
+        L[f.rows[k:], f.start:f.stop] = L21
+    order = chol.tree.order
+    assert np.allclose(L, np.linalg.cholesky(A.toarray()[np.ix_(order, order)]), atol=1e-12)
+    _assert_matches_dense(A)
+
+
 def test_duplicate_entries_are_summed(empty_analysis_cache):
     """A CSR matrix that stores each entry twice, as two halves, factors as A."""
     A = _grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 4)
