@@ -71,26 +71,23 @@ def cmd_preprocess(args) -> int:
     if not isinstance(cal_data, dict) or not fixtures.is_finite_number(cal_data.get("mu")):
         raise InvalidInput(f"calibration file {args.cal} has no finite numeric 'mu' entry")
     cal = CalibrationResult(mu=cal_data["mu"])
-    data = preprocess_pipeline(
-        RawTrace(raw_signal, mode),
-        cal,
-        half_width_steps=cfg.preprocess.half_width_steps,
-        diff_reg=cfg.preprocess.diff_reg,
-    )
+    pp = cfg.preprocess
+    data = preprocess_pipeline(RawTrace(raw_signal, mode), cal, pp.half_width_steps, pp.diff_reg)
     _write(args.out, signal_to_csv(data.g0))
     _write(args.g1, signal_to_csv(data.g1))
     return 0
 
 
 def _audit_grid(args) -> SpaceTimeGrid:
-    """The [0, 3] x [0, 6] grid of the audit subcommands, sized by --nx/--nt.
+    """The audit subcommands' grid: the production inversion domain, sized by --nx/--nt.
 
     Also rejects a negative --seed, which both audit subcommands take.
     """
     if args.seed < 0:
         raise InvalidInput("--seed must be nonnegative")
+    inv = RunConfig().inversion
     try:
-        return SpaceTimeGrid(0.0, 3.0, 6.0, args.nx, args.nt)
+        return SpaceTimeGrid(inv.eps, inv.M, inv.T, args.nx, args.nt)
     except ValueError as exc:
         raise InvalidInput(f"--nx/--nt: {exc}") from exc
 
@@ -122,7 +119,10 @@ def cmd_convexity_check(args) -> int:
             carleman_weight(grid, params.lam, params.alpha)
     except ValueError as exc:
         raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
-    table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
+    try:
+        table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
+    except ValueError as exc:
+        raise InvalidInput(f"--radius={args.radius!r}: {exc}") from exc
     rows = ["lambda,min_bregman"]
     rows += [f"{lam!r},{val!r}" for lam, val in table.items()]
     nonneg = [lam for lam, val in table.items() if val >= 0.0]

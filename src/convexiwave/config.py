@@ -1,4 +1,4 @@
-"""JSON-backed run configuration with the production defaults baked in."""
+"""JSON-backed run configuration; ``RunConfig()`` is the one home of the production settings."""
 
 from __future__ import annotations
 
@@ -170,7 +170,8 @@ def _build(klass, data, section: str):
 
 
 def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
-    """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``.
+    """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``;
+    ``invert_from_config(data, RunConfig())`` is the library's production run.
 
     Raises InvalidInput, naming ``convex.lam`` and ``convex.alpha``, before
     any work if the Carleman weight is not finite and positive at every node
@@ -183,14 +184,8 @@ def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
     except ValueError as exc:
         raise InvalidInput(f"config convex.lam and convex.alpha: {exc}") from exc
     return invert(
-        data,
-        grid,
-        cfg.convex,
-        cfg.qr,
-        cfg.descent,
-        diff_reg=inv.diff_reg,
-        c_upper=inv.c_upper,
-        freeze_time_derivative=inv.freeze_time_derivative,
+        data, grid, cfg.convex, cfg.qr, cfg.descent, diff_reg=inv.diff_reg,
+        c_upper=inv.c_upper, freeze_time_derivative=inv.freeze_time_derivative,
     )
 
 

@@ -112,7 +112,7 @@ def make_context(
     q_eps: Signal | np.ndarray,
     qx_eps: Signal | np.ndarray,
     params: ConvexParams,
-    c_upper: float = DEFAULT_C_UPPER,
+    c_upper: float,
 ) -> ObjectiveContext:
     """The objective's context for boundary traces sampled on the grid's t-nodes.
 
@@ -305,7 +305,8 @@ def convexity_scan(
     Each divergence is reported relative to the Carleman-weighted L2 norm of
     its perturbation: the raw values scale with the total mass of the weight,
     which shrinks with the exponent and would hide the convexification trend.
-    The other objective settings are the ``ConvexParams`` defaults.
+    The other objective settings are the ``ConvexParams`` defaults. Raises
+    ValueError if a perturbation's weighted squared norm underflows to 0.
     """
     floor = q_floor_from_c_upper(DEFAULT_C_UPPER)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -320,11 +321,13 @@ def convexity_scan(
     qx_eps = np.zeros(grid.nt + 1)
     result: dict[float, float] = {}
     for lam in lambdas:
-        ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=float(lam)))
+        ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=float(lam)), DEFAULT_C_UPPER)
         best = np.inf
         for q_vals, h in pairs:
             d = bregman_divergence(q_vals, h, ctx)
             h_sq = float(np.sum(ctx.w2W * h**2))
+            if h_sq == 0:
+                raise ValueError("the weighted squared norm of a perturbation underflows to 0")
             best = min(best, d / h_sq)
         result[float(lam)] = float(best)
     return result
@@ -341,7 +344,8 @@ def gradient_audit(grid: SpaceTimeGrid, trials: int, seed: int = 0) -> list[floa
     objective settings are the ``ConvexParams`` defaults.
     """
     ctx = make_context(
-        grid, np.full(grid.nt + 1, Q_BACKGROUND), np.zeros(grid.nt + 1), ConvexParams()
+        grid, np.full(grid.nt + 1, Q_BACKGROUND), np.zeros(grid.nt + 1), ConvexParams(),
+        DEFAULT_C_UPPER,
     )
     rng = np.random.Generator(np.random.Philox(seed))
     s = 1e-6

@@ -73,7 +73,7 @@ class CorrectionBox:
             raise ValueError("box bounds must be nonnegative and finite")
 
 
-def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel | None = None) -> Field2D:
+def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D:
     """Implicit finite-difference solution of the absorbing-ends wave problem.
 
     This discretization, not the PDE, defines the simulated fixtures. On
@@ -101,8 +101,6 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel | None = No
     ``Field2D`` is the one finiteness check, and a non-finite step raises
     SingularSystem.
     """
-    if src is None:
-        src = SourceModel()
     x = grid.x_nodes()
     nx, nt = grid.nx, grid.nt
     dx, dt = grid.dx, grid.dt
@@ -192,8 +190,8 @@ def boundary_data(
     grid: SpaceTimeGrid,
     src: SourceModel,
     box: CorrectionBox,
-    delta: float = 0.0,
-    seed: int = 0,
+    delta: float,
+    seed: int,
 ) -> tuple[Field2D, BoundaryData]:
     """Simulate c and read the boundary data at x = 0 over the whole record.
 
@@ -256,7 +254,9 @@ def tikhonov_differentiate(g: Signal, reg: float) -> Signal:
     Returns the minimizer d of ||K d - (g - g(t0))||^2 + reg * ||d'||^2 where
     K is cumulative trapezoidal integration from t0. The normal matrix is
     symmetric positive-definite; K and its upper Cholesky factor are built
-    once per (n, dt, reg), cached read-only, and reused by later calls.
+    once per (n, dt, reg), cached read-only, and reused by later calls. The
+    trace and the factor are finite, so a non-finite derivative can only come
+    from overflow: it raises InvalidInput.
     """
     if reg <= 0:
         raise ValueError("reg must be positive")
@@ -264,5 +264,5 @@ def tikhonov_differentiate(g: Signal, reg: float) -> Signal:
     y = g.samples - g.samples[0]
     d = scipy.linalg.cho_solve(factor, K.T @ y)
     if not np.all(np.isfinite(d)):
-        raise SingularSystem("regularized differentiation produced non-finite values")
+        raise InvalidInput("the regularized derivative of the trace overflows")
     return Signal(g.t0, g.dt, d)

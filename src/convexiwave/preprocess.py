@@ -105,7 +105,7 @@ def envelope(s: Signal, side: EnvelopeSide) -> Signal:
     return Signal(s.t0, s.dt, out)
 
 
-def truncate_window(s: Signal, half_width_steps: int = 10) -> Signal:
+def truncate_window(s: Signal, half_width_steps: int) -> Signal:
     """Zero everything outside a window around the dominant excursion of |s|."""
     v = s.samples
     k = int(np.argmax(np.abs(v)))
@@ -117,17 +117,14 @@ def truncate_window(s: Signal, half_width_steps: int = 10) -> Signal:
 
 
 def preprocess_pipeline(
-    raw: RawTrace,
-    cal: CalibrationResult,
-    half_width_steps: int = 10,
-    diff_reg: float = 1e-6,
+    raw: RawTrace, cal: CalibrationResult, half_width_steps: int, diff_reg: float
 ) -> BoundaryData:
     """Scale, envelope, truncate, rebuild the total wave, approximate g1.
 
     Air mode always takes the lower envelope (the backscattering wave is
     non-positive for a target denser than air); ground mode picks the side
-    from the contrast-sign detection. Raises InvalidInput if ``cal.mu`` times
-    the raw trace overflows.
+    from the contrast-sign detection. Raises InvalidInput, naming ``cal.mu``,
+    if the scaled raw trace or its regularized derivative overflows.
     """
     with np.errstate(over="ignore"):
         samples = cal.mu * raw.signal.samples
@@ -142,4 +139,7 @@ def preprocess_pipeline(
     env = envelope(scaled, side)
     u_sc = truncate_window(env, half_width_steps)
     g0 = Signal(u_sc.t0, u_sc.dt, u_sc.samples + 0.5)
-    return BoundaryData(g0=g0, g1=tikhonov_differentiate(g0, diff_reg))
+    try:
+        return BoundaryData(g0=g0, g1=tikhonov_differentiate(g0, diff_reg))
+    except InvalidInput as exc:
+        raise InvalidInput(f"calibration mu={cal.mu!r}: {exc}") from exc

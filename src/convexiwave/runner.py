@@ -78,11 +78,8 @@ def run_fixture(name: str, out_dir: str | None = None):
         raw, cal, sim_ref = synthesize_raw_trace(name)
         recovered = calibrate(raw, sim_ref)
         cal_ok = abs(recovered.mu - cal.mu) <= 1e-3 * cal.mu
-        data = preprocess_pipeline(
-            raw, cal,
-            half_width_steps=cfg.preprocess.half_width_steps,
-            diff_reg=cfg.preprocess.diff_reg,
-        )
+        pp = cfg.preprocess
+        data = preprocess_pipeline(raw, cal, pp.half_width_steps, pp.diff_reg)
         result = invert_from_config(data, cfg)
         x = result.c_comp.x
         c = result.c_comp.c

@@ -30,7 +30,6 @@ from .grid import (
     weighted_gram,
 )
 from .transform import (
-    DEFAULT_C_UPPER,
     BoundaryData,
     QField,
     boundary_traces_from_data,
@@ -419,11 +418,7 @@ def _qr_solve(terms, ops, qr: QRConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def initial_guess(
-    q_eps: Signal,
-    qx_eps: Signal,
-    grid: SpaceTimeGrid,
-    qr: QRConfig,
-    c_upper: float = DEFAULT_C_UPPER,
+    q_eps: Signal, qx_eps: Signal, grid: SpaceTimeGrid, qr: QRConfig, c_upper: float
 ):
     """Transport-based initial iterate.
 
@@ -513,11 +508,7 @@ def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
 # ---------------------------------------------------------------------------
 
 def correction_step(
-    q_tilde: QField,
-    q_eps: Signal,
-    qx_eps: Signal,
-    qr: QRConfig,
-    freeze_time_derivative: bool = True,
+    q_tilde: QField, q_eps: Signal, qx_eps: Signal, qr: QRConfig, freeze_time_derivative: bool
 ) -> QField:
     """Solve the frozen-coefficient linear problem for an improved iterate.
 
@@ -564,12 +555,13 @@ class InversionResult:
 def invert(
     d: BoundaryData,
     grid: SpaceTimeGrid,
-    params: ConvexParams | None = None,
-    qr_cfg: QRConfig | None = None,
-    descent_cfg: DescentConfig | None = None,
-    diff_reg: float = 1e-6,
-    c_upper: float = DEFAULT_C_UPPER,
-    freeze_time_derivative: bool = True,
+    params: ConvexParams,
+    qr_cfg: QRConfig,
+    descent_cfg: DescentConfig,
+    *,
+    diff_reg: float,
+    c_upper: float,
+    freeze_time_derivative: bool,
 ) -> InversionResult:
     """Reconstruct the dielectric profile from boundary data.
 
@@ -581,28 +573,28 @@ def invert(
     ``converged``. ``corrections`` is 0 if leg 1 ended the run, else 1, and
     each diagnostics row is one accepted step, with its leg as
     ``correction_count``.
+
+    Every setting is required: ``config.invert_from_config(d, RunConfig())``
+    runs this with the production settings, which ``RunConfig`` alone states.
     """
-    params = params or ConvexParams()
-    qr_cfg = qr_cfg or QRConfig()
-    cfg = descent_cfg or DescentConfig()
     q_eps, qx_eps = boundary_traces_from_data(d, grid, diff_reg)
     ctx = make_context(grid, q_eps.samples, qx_eps.samples, params, c_upper)
     q0, _ = initial_guess(q_eps, qx_eps, grid, qr_cfg, c_upper)
     diagnostics = []
 
     def leg(q, budget, correction_count):
-        q, info = descend(q, ctx, budget, cfg.grad_tol)
+        q, info = descend(q, ctx, budget, descent_cfg.grad_tol)
         for J, grad_norm in zip(info["J"][1:], info["grad_norm"]):
             diagnostics.append({"iteration": len(diagnostics), "J": J, "grad_norm": grad_norm,
                                 "correction_count": correction_count})
         return q, info["reason"] == "grad_tol"
 
-    q, met_tol = leg(q0, cfg.max_iters, 0)
+    q, met_tol = leg(q0, descent_cfg.max_iters, 0)
     if met_tol:
         return InversionResult(c_from_q(q), q, diagnostics, corrections=0, converged=True)
     q_corr = correction_step(q, q_eps, qx_eps, qr_cfg, freeze_time_derivative)
     c_leg1 = c_from_q(q)
     if float(np.max(np.abs(c_leg1.c - c_from_q(q_corr).c))) < STOP_LINF:
         return InversionResult(c_leg1, q, diagnostics, corrections=1, converged=True)
-    q, met_tol = leg(q_corr, cfg.redescent_iters, 1)
+    q, met_tol = leg(q_corr, descent_cfg.redescent_iters, 1)
     return InversionResult(c_from_q(q), q, diagnostics, corrections=1, converged=met_tol)

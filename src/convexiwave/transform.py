@@ -153,7 +153,7 @@ def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
 
 
 def boundary_traces_from_data(
-    d: BoundaryData, grid: SpaceTimeGrid, diff_reg: float = 1e-6
+    d: BoundaryData, grid: SpaceTimeGrid, diff_reg: float
 ) -> tuple[Signal, Signal]:
     """Boundary traces for the q-system, resampled to the inversion t-nodes.
 

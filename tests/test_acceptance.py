@@ -3,8 +3,9 @@
 Each test exercises one release gate: null-scatterer exactness, the golden
 simulated reconstructions, gradient and convexity audits, quasi-reversibility
 exactness, calibration fidelity, the experimental-style fixtures, and descent
-monotonicity. They run on the production defaults unless a criterion pins a
-different grid.
+monotonicity. Every inversion runs ``invert_from_config(data, RunConfig())``,
+the settings that ``convexiwave invert`` and ``run-fixture`` use; the audits
+and the QR check pin their own grids.
 """
 
 import functools
@@ -14,26 +15,28 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cached_data import INVERSION_GRID, cached_boundary_data, null_boundary_data
+from cached_data import cached_boundary_data, null_boundary_data
+from convexiwave.config import RunConfig, invert_from_config
 from convexiwave.convexify import convexity_scan, gradient_audit
 from convexiwave.fixtures import EXPERIMENTAL_TESTS, synthesize_raw_trace
 from convexiwave.grid import Signal, SpaceTimeGrid
 from convexiwave.preprocess import calibrate
 from convexiwave.runner import j_monotone_within_legs, run_fixture
-from convexiwave.solver import QRConfig, initial_guess, invert
+from convexiwave.solver import QRConfig, initial_guess
+from convexiwave.transform import DEFAULT_C_UPPER
 
 pytestmark = pytest.mark.acceptance
 
 
 @functools.lru_cache(maxsize=None)
 def _invert_sim(name, delta=0.0, seed=0):
-    return invert(cached_boundary_data(name, delta, seed), INVERSION_GRID)
+    return invert_from_config(cached_boundary_data(name, delta, seed), RunConfig())
 
 
 @functools.lru_cache(maxsize=None)
 def _invert_null():
     t0 = time.perf_counter()
-    result = invert(null_boundary_data(), INVERSION_GRID)
+    result = invert_from_config(null_boundary_data(), RunConfig())
     return result, time.perf_counter() - t0
 
 
@@ -139,7 +142,7 @@ def test_quasi_reversibility_manufactured_solution():
     )
     q_eps = Signal(0.0, g.dt, q_true[0])
     qx_eps = Signal(0.0, g.dt, Q_true[0])
-    _, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig(reg_eta=1e-11))
+    _, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig(reg_eta=1e-11), DEFAULT_C_UPPER)
     rel = np.linalg.norm(Q0.values - Q_true) / np.linalg.norm(Q_true)
     assert rel <= 0.01
 

@@ -1,6 +1,7 @@
 """Run-configuration serialization and CLI smoke tests."""
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convexiwave
+from convexiwave import convexify, forward, preprocess, solver, transform
 from convexiwave.cli import main
 from convexiwave.config import (
     GridConfig,
@@ -47,14 +49,39 @@ def test_runconfig_json_roundtrip():
 
 def test_runconfig_defaults_match_production_values():
     cfg = RunConfig()
-    assert cfg.inversion.M == 3.0 and cfg.inversion.T == 6.0
-    assert cfg.inversion.nx == 60 and cfg.inversion.nt == 60
-    assert cfg.inversion.c_upper == 15.0
+    assert dataclasses.asdict(cfg.inversion) == {
+        "eps": 0.0, "M": 3.0, "T": 6.0, "nx": 60, "nt": 60,
+        "c_upper": 15.0, "diff_reg": 1e-6, "freeze_time_derivative": True,
+    }
+    assert dataclasses.asdict(cfg.preprocess) == {"half_width_steps": 10, "diff_reg": 1e-6}
     assert cfg.convex.lam == 2.0
     assert cfg.convex.alpha == 0.3
     assert cfg.convex.beta == 1e-9
     assert cfg.forward.grid.nx == 3000 and cfg.forward.grid.nt == 300
     assert cfg.forward.source.k == 30.0
+
+
+# Each library stage takes these settings from RunConfig and states no default for them.
+SETTINGS_WITHOUT_DEFAULTS = [
+    (solver.invert,
+     ("params", "qr_cfg", "descent_cfg", "diff_reg", "c_upper", "freeze_time_derivative")),
+    (transform.boundary_traces_from_data, ("diff_reg",)),
+    (solver.initial_guess, ("c_upper",)),
+    (convexify.make_context, ("c_upper",)),
+    (solver.correction_step, ("freeze_time_derivative",)),
+    (preprocess.preprocess_pipeline, ("half_width_steps", "diff_reg")),
+    (preprocess.truncate_window, ("half_width_steps",)),
+    (forward.simulate, ("src",)),
+    (forward.boundary_data, ("delta", "seed")),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, names", SETTINGS_WITHOUT_DEFAULTS, ids=[fn.__name__ for fn, _ in SETTINGS_WITHOUT_DEFAULTS]
+)
+def test_library_stages_have_no_setting_defaults(fn, names):
+    params = inspect.signature(fn).parameters
+    assert [n for n in names if params[n].default is not inspect.Parameter.empty] == []
 
 
 def test_runconfig_partial_dict_fills_defaults():
@@ -356,10 +383,13 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         ["convexity-check", "--lambdas", "1e308", "--pairs", "1", "--nx", "8", "--nt", "8"],
         ["convexity-check", "--lambdas", "1e300", "--pairs", "1", "--nx", "8", "--nt", "8"],
         ["convexity-check", "--lambdas", "2,100", "--pairs", "1", "--nx", "8", "--nt", "8"],
+        # a radius whose perturbations' weighted squared norm underflows to 0
+        ["convexity-check", "--radius", "1e-200", "--pairs", "2", "--nx", "8", "--nt", "8"],
     ],
     ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "infinite_radius",
          "convexity_negative_seed", "nx_1", "no_trials", "gradient_negative_seed",
-         "lambda_weight_not_finite", "lambda_weight_zero", "lambda_weight_underflows_at_corner"],
+         "lambda_weight_not_finite", "lambda_weight_zero", "lambda_weight_underflows_at_corner",
+         "radius_underflows"],
 )
 def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.csv"
@@ -372,9 +402,10 @@ def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "cal, peak",
     [("{}", 1.0), ('{"mu": -1}', 1.0), ('{"mu": "abc"}', 1.0), ('{"mu": ', 1.0),
-     ('{"mu": true}', 1.0), ('{"mu": 1e400}', 1.0), ('{"mu": 1e308}', 2.0)],
+     ('{"mu": true}', 1.0), ('{"mu": 1e400}', 1.0), ('{"mu": 1e308}', 2.0),
+     ('{"mu": 1e308}', 1.0)],
     ids=["no_mu", "negative_mu", "text_mu", "not_json", "boolean_mu", "infinite_mu",
-         "mu_overflows_trace"],
+         "mu_overflows_trace", "mu_overflows_derivative"],
 )
 def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, cal, peak):
     raw = tmp_path / "raw.csv"
@@ -386,6 +417,8 @@ def test_cli_preprocess_rejects_bad_calibration_with_exit_2(tmp_path, capsys, ca
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]
+    if cal == '{"mu": 1e308}':
+        assert "mu=1e+308" in err["message"]
 
 
 @pytest.mark.parametrize(

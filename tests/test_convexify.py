@@ -23,15 +23,15 @@ from convexiwave.convexify import (
 )
 from convexiwave.errors import FloorViolation
 from convexiwave.grid import Field2D, SpaceTimeGrid
-from convexiwave.transform import QField, q_floor_from_c_upper, residual_parts
+from convexiwave.transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper, residual_parts
 
-FLOOR = q_floor_from_c_upper(15.0)
+FLOOR = q_floor_from_c_upper(DEFAULT_C_UPPER)
 
 
 def _null_context(grid, params=None):
     q_eps = np.full(grid.nt + 1, 0.5)
     qx_eps = np.zeros(grid.nt + 1)
-    return make_context(grid, q_eps, qx_eps, params or ConvexParams())
+    return make_context(grid, q_eps, qx_eps, params or ConvexParams(), DEFAULT_C_UPPER)
 
 
 def test_default_params():
@@ -184,7 +184,7 @@ def test_objective_matches_assembled_operators():
     P, Q = grid.shape
     q_eps = 0.5 + 0.05 * rng.normal(size=Q)
     qx_eps = 0.2 * rng.normal(size=Q)
-    ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=0.5, beta=1e-3))
+    ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=0.5, beta=1e-3), DEFAULT_C_UPPER)
     ops, beta = ctx.ops, ctx.params.beta
     W = carleman_weight(grid, ctx.params.lam, ctx.params.alpha)
     apply = ops.apply2d

@@ -183,7 +183,7 @@ def test_front_amplitude_closed_form_resolved_grid():
     """
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _constant_medium(1.0, grid)
-    u, _ = boundary_data(medium, grid, SourceModel(), CorrectionBox())
+    u, _ = boundary_data(medium, grid, SourceModel(), CorrectionBox(), 0.0, 0)
     x = grid.x_nodes()
     t = grid.t_nodes()
     X, T = np.meshgrid(x, t, indexing="ij")
@@ -250,7 +250,7 @@ def test_correct_near_origin_box():
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 100, 100)
     medium = _constant_medium(1.0, grid)
     raw = simulate(medium, grid, SourceModel())
-    u, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(0.105, 0.205))
+    u, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(0.105, 0.205), 0.0, 0)
     inside = np.zeros(grid.shape, dtype=bool)
     inside[50:56, :21] = True  # x = 0, 0.02, ..., 0.1 and t = 0, 0.01, ..., 0.2
     assert np.all(u.values[inside] == 0.5)
@@ -268,9 +268,9 @@ def test_extract_boundary_off_grid():
         SpaceTimeGrid(0.5, 1.5, 1.0, 20, 20),
     ):
         with pytest.raises(OffGridObservation):
-            boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox())
+            boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(), 0.0, 0)
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 4, 20)  # x = 0 is node 2 of 4: just enough
-    _, d = boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox())
+    _, d = boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(), 0.0, 0)
     assert d.g0.samples.size == d.g1.samples.size == 21
 
 

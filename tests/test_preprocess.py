@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexiwave.config import PreprocessConfig
 from convexiwave.errors import AmbiguousExtrema, InvalidInput, ZeroSignal
 from convexiwave.fixtures import EXPERIMENTAL_TESTS, synthesize_raw_trace
 from convexiwave.grid import Signal
@@ -21,6 +22,9 @@ from convexiwave.preprocess import (
     preprocess_pipeline,
     truncate_window,
 )
+
+
+PP = PreprocessConfig()
 
 
 def _sig(vals, dt=0.1):
@@ -196,7 +200,7 @@ def test_lower_envelope_matches_brute_force():
 
 def test_truncate_zero_signal():
     s = _sig(np.zeros(30))
-    assert np.array_equal(truncate_window(s).samples, s.samples)
+    assert np.array_equal(truncate_window(s, half_width_steps=10).samples, s.samples)
 
 
 def test_truncate_spike_preserved():
@@ -231,15 +235,15 @@ def test_pipeline_scale_equivariance():
         Signal(raw.signal.t0, raw.signal.dt, k * raw.signal.samples), raw.medium_mode
     )
     scaled_cal = CalibrationResult(mu=cal.mu / k)
-    d1 = preprocess_pipeline(raw, cal)
-    d2 = preprocess_pipeline(scaled_raw, scaled_cal)
+    d1 = preprocess_pipeline(raw, cal, PP.half_width_steps, PP.diff_reg)
+    d2 = preprocess_pipeline(scaled_raw, scaled_cal, PP.half_width_steps, PP.diff_reg)
     assert np.allclose(d1.g0.samples, d2.g0.samples)
     assert np.allclose(d1.g1.samples, d2.g1.samples)
 
 
 def test_pipeline_outputs_total_wave():
     raw, cal, _ = synthesize_raw_trace("wood")
-    d = preprocess_pipeline(raw, cal)
+    d = preprocess_pipeline(raw, cal, PP.half_width_steps, PP.diff_reg)
     # away from the event the total wave is the 1/2 background
     assert d.g0.samples[0] == pytest.approx(0.5, abs=1e-9)
     assert d.g0.samples[-1] == pytest.approx(0.5, abs=1e-9)
@@ -248,6 +252,6 @@ def test_pipeline_outputs_total_wave():
 
 def test_pipeline_ground_mode_uses_detection():
     raw, cal, _ = synthesize_raw_trace("plastic")
-    d = preprocess_pipeline(raw, cal)
+    d = preprocess_pipeline(raw, cal, PP.half_width_steps, PP.diff_reg)
     # low-contrast target: upper envelope, positive excursion
     assert np.max(d.g0.samples) > 0.5

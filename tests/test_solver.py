@@ -7,18 +7,18 @@ import scipy.sparse as sp
 
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import solver
+from convexiwave.config import RunConfig, invert_from_config
 from convexiwave.convexify import ConvexParams, evaluate_J, gradient_J, make_context
 from convexiwave.errors import SingularSystem
 from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from convexiwave.solver import (
-    DescentConfig,
     QRConfig,
     correction_step,
     descend,
     initial_guess,
-    invert,
 )
 from convexiwave.transform import (
+    DEFAULT_C_UPPER,
     QField,
     boundary_traces_from_data,
     c_from_q,
@@ -26,7 +26,7 @@ from convexiwave.transform import (
     q_floor_from_c_upper,
 )
 
-FLOOR = q_floor_from_c_upper(15.0)
+FLOOR = q_floor_from_c_upper(DEFAULT_C_UPPER)
 
 
 def _const_signals(grid, q_val=0.5, qx_val=0.0):
@@ -45,7 +45,7 @@ def test_initial_guess_background():
     """Constant 1/2 data with zero derivative returns the background iterate."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 30, 30)
     q_eps, qx_eps = _const_signals(g)
-    q0, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig())
+    q0, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
     assert np.max(np.abs(Q0.values)) < 1e-6
     assert np.allclose(q0.values.values, 0.5, atol=1e-6)
     assert np.allclose(q0.values.values[:, 0], 0.5)
@@ -54,7 +54,7 @@ def test_initial_guess_background():
 def test_initial_guess_c_init_is_one_for_background():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 30, 30)
     q_eps, qx_eps = _const_signals(g)
-    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
+    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
     c_init = 1.0 / (16.0 * q0.values.values[:, 0] ** 4)
     assert np.allclose(c_init, 1.0)
 
@@ -80,7 +80,7 @@ def test_initial_guess_manufactured_transport():
     q_true = 0.5 + scipy.integrate.cumulative_trapezoid(Q_true, dx=g.dx, axis=0, initial=0.0)
     q_eps = Signal(0.0, g.dt, q_true[0])
     qx_eps = Signal(0.0, g.dt, Q_true[0])
-    _, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig(reg_eta=1e-11))
+    _, Q0 = initial_guess(q_eps, qx_eps, g, QRConfig(reg_eta=1e-11), DEFAULT_C_UPPER)
     rel = np.linalg.norm(Q0.values - Q_true) / np.linalg.norm(Q_true)
     assert rel < 0.01
 
@@ -92,7 +92,9 @@ def test_initial_guess_manufactured_transport():
 def test_descend_stationary_start():
     """Starting at the flat-data minimizer terminates almost immediately."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 15, 15)
-    ctx = make_context(g, np.full(g.nt + 1, 0.5), np.zeros(g.nt + 1), ConvexParams())
+    ctx = make_context(
+        g, np.full(g.nt + 1, 0.5), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
+    )
     q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q, info = descend(q0, ctx, 10, 1e-6)
     assert info["reason"] in ("grad_tol", "no_decrease")
@@ -101,7 +103,9 @@ def test_descend_stationary_start():
 
 def test_descend_monotone_J():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
-    ctx = make_context(g, np.full(g.nt + 1, 0.45), np.zeros(g.nt + 1), ConvexParams())
+    ctx = make_context(
+        g, np.full(g.nt + 1, 0.45), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
+    )
     q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q, info = descend(q0, ctx, 50, 1e-7)
     J = info["J"]
@@ -114,7 +118,9 @@ def test_descend_matches_reference_minimizer():
     scipy's L-BFGS on the same objective/gradient provides the oracle.
     """
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
-    ctx = make_context(g, np.full(g.nt + 1, 0.48), np.zeros(g.nt + 1), ConvexParams())
+    ctx = make_context(
+        g, np.full(g.nt + 1, 0.48), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
+    )
     q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q, info = descend(q0, ctx, 5000, 1e-10)
 
@@ -141,7 +147,9 @@ def test_descend_matches_reference_minimizer():
 
 def test_descend_floor_clamp_maintained():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 15, 15)
-    ctx = make_context(g, np.full(g.nt + 1, FLOOR), np.zeros(g.nt + 1), ConvexParams())
+    ctx = make_context(
+        g, np.full(g.nt + 1, FLOOR), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
+    )
     vals = np.full(g.shape, 0.5)
     vals[:, 0] = FLOOR
     q0 = QField(g, Field2D(g, vals), FLOOR)
@@ -192,7 +200,9 @@ def test_descend_is_bit_identical_to_reference_loop(clamp):
     no bit of the iterate or of the recorded history."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     q_data = FLOOR if clamp else 0.45
-    ctx = make_context(g, np.full(g.nt + 1, q_data), np.full(g.nt + 1, 0.05), ConvexParams())
+    ctx = make_context(
+        g, np.full(g.nt + 1, q_data), np.full(g.nt + 1, 0.05), ConvexParams(), DEFAULT_C_UPPER
+    )
     vals = np.full(g.shape, 0.5)
     if clamp:
         vals[:, 0] = FLOOR
@@ -242,7 +252,7 @@ def test_correction_manufactured_frozen_solution():
     qx_eps = Signal(0.0, g.dt, 2.0 * dphi(t.ravel()))
     frozen = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     # the frozen time-derivative source is zero for the constant iterate
-    q1 = correction_step(frozen, q_eps, qx_eps, QRConfig())
+    q1 = correction_step(frozen, q_eps, qx_eps, QRConfig(), True)
     # compare away from x = M where phi does not satisfy the one-sided
     # zero-derivative penalty
     interior = slice(0, 50)
@@ -256,7 +266,7 @@ def test_correction_output_respects_floor():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     q_eps, qx_eps = _const_signals(g, q_val=0.3)
     q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q1 = correction_step(q, q_eps, qx_eps, QRConfig())
+    q1 = correction_step(q, q_eps, qx_eps, QRConfig(), True)
     assert np.all(q1.values.values[:, 0] >= FLOOR - 1e-12)
 
 
@@ -272,7 +282,7 @@ def test_solve_quadratic_rejects_large_normal_residual(monkeypatch):
 
     monkeypatch.setattr(solver.GridCholesky, "solve", perturbed)
     with pytest.raises(SingularSystem, match="residual"):
-        initial_guess(q_eps, qx_eps, g, QRConfig())
+        initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
 
 
 def test_solve_quadratic_rejects_an_unknown_no_term_touches():
@@ -327,7 +337,7 @@ def test_quasi_reversibility_solves_match_dense_solve(monkeypatch):
         t = g.t_nodes()
         q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
         qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
-        q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
+        q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
         for freeze in (True, False):
             correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
     assert [kwargs for _, kwargs, _ in systems] == [{"shape": (11, 11)}] * 3 + [
@@ -378,7 +388,7 @@ def test_quasi_reversibility_stages_match_selector_built_systems(monkeypatch):
     t = g.t_nodes()
     q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
     qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
-    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig())
+    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
     for freeze in (True, False):
         correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
     assert len(assembled) == 3
@@ -583,7 +593,7 @@ def test_qr_solves_add_the_objectives_h2_gram(monkeypatch):
 
     monkeypatch.setattr(solver, "weighted_gram", recorded)
     q_eps, qx_eps = _const_signals(g, qx_val=0.1)
-    initial_guess(q_eps, qx_eps, g, QRConfig())
+    initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
     ops = operators_for(g)
     assert len(added) == 1 and added[0] is ops.H2
     explicit = sum(R.T.toarray() @ (ops.w2.ravel()[:, None] * R.toarray()) for R in ops.h2_ops)
@@ -597,35 +607,37 @@ def test_qr_solves_add_the_objectives_h2_gram(monkeypatch):
 def test_invert_null_scatterer(inversion_grid):
     """The answer is the background, and so is the quasi-reversibility
     initialization that invert starts from (built here as invert builds it,
-    with its default diff_reg)."""
+    with the production settings)."""
+    cfg = RunConfig()
     d = null_boundary_data()
-    res = invert(d, inversion_grid)
+    res = invert_from_config(d, cfg)
     assert np.max(np.abs(res.c_comp.c - 1.0)) < 0.02
-    q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, 1e-6)
-    q0, _ = initial_guess(q_eps, qx_eps, inversion_grid, QRConfig())
+    q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, cfg.inversion.diff_reg)
+    q0, _ = initial_guess(q_eps, qx_eps, inversion_grid, cfg.qr, cfg.inversion.c_upper)
     assert np.allclose(c_from_q(q0).c, 1.0, atol=1e-6)
 
 
-def test_invert_stops_when_the_correction_moves_c_little(inversion_grid):
+def test_invert_stops_when_the_correction_moves_c_little():
     """On the null scatterer the correction moves c by less than STOP_LINF,
     so the run ends with the leg-1 answer and leg 2 never runs."""
-    res = invert(null_boundary_data(), inversion_grid)
+    cfg = RunConfig()
+    res = invert_from_config(null_boundary_data(), cfg)
     assert res.corrections == 1
     assert res.converged is True
-    assert len(res.diagnostics) == DescentConfig().max_iters
+    assert len(res.diagnostics) == cfg.descent.max_iters
     assert all(row["correction_count"] == 0 for row in res.diagnostics)
 
 
-def test_invert_deterministic(inversion_grid):
+def test_invert_deterministic():
     d = cached_boundary_data("test3")
-    r1 = invert(d, inversion_grid)
-    r2 = invert(d, inversion_grid)
+    r1 = invert_from_config(d, RunConfig())
+    r2 = invert_from_config(d, RunConfig())
     assert np.array_equal(r1.c_comp.c, r2.c_comp.c)
 
 
-def test_invert_diagnostics_monotone_within_legs(inversion_grid):
+def test_invert_diagnostics_monotone_within_legs():
     d = cached_boundary_data("test3")
-    res = invert(d, inversion_grid)
+    res = invert_from_config(d, RunConfig())
     by_leg = {}
     for row in res.diagnostics:
         by_leg.setdefault(row["correction_count"], []).append(row["J"])
@@ -636,11 +648,12 @@ def test_invert_diagnostics_monotone_within_legs(inversion_grid):
 def test_invert_final_iterate_is_descent_output(inversion_grid):
     """The reconstruction must come from the last descent leg, not a raw
     correction solve: its objective value equals the last diagnostic row."""
+    cfg = RunConfig()
     d = cached_boundary_data("test3")
-    res = invert(d, inversion_grid)
-    q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, 1e-6)
+    res = invert_from_config(d, cfg)
+    q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, cfg.inversion.diff_reg)
     ctx = make_context(
-        inversion_grid, q_eps.samples, qx_eps.samples, ConvexParams(), 15.0
+        inversion_grid, q_eps.samples, qx_eps.samples, cfg.convex, cfg.inversion.c_upper
     )
     J_final = evaluate_J(res.q, ctx)
     assert J_final == pytest.approx(res.diagnostics[-1]["J"], rel=1e-12)

@@ -89,7 +89,7 @@ def test_floor_violation_names_the_minimum_and_the_floor(site):
         "qfield": lambda: QField(g, Field2D(g, vals), FLOOR),
         "residual_parts": lambda: residual_parts(vals, operators_for(g), FLOOR),
         "c_from_q": lambda: c_from_q(q),
-        "correction_step": lambda: correction_step(q, traces, traces, QRConfig()),
+        "correction_step": lambda: correction_step(q, traces, traces, QRConfig(), True),
     }
     message = re.escape(f"dips to {FLOOR - 0.01:.6g} below the floor {FLOOR:.6g}")
     with pytest.raises(FloorViolation, match=message):
@@ -101,7 +101,7 @@ def test_q_from_u_background_row():
     # resolved grid: the coarse default (nt=300) smears the front by dispersion
     fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-    u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox())
+    u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox(), 0.0, 0)
     tau = travel_time(medium)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
     q = q_from_u(u, tau, gq)
