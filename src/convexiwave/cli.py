@@ -45,7 +45,7 @@ def cmd_invert(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     g0 = signal_from_csv(_read(args.g0))
     g1 = signal_from_csv(_read(args.g1))
-    result = invert_from_config(BoundaryData(g0=g0, g1=g1, eps=cfg.inversion.eps), cfg)
+    result = invert_from_config(BoundaryData(g0=g0, g1=g1), cfg)
     _write(args.out, profile_to_csv(result.c_comp.x, result.c_comp.c))
     if args.diag:
         lines = ["iteration,J,grad_norm,correction_count"]

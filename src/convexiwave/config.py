@@ -61,6 +61,9 @@ class ForwardConfig:
 
 @dataclass
 class InversionConfig:
+    """The inversion grid [eps, M] x [0, T] with nx x nt intervals, and ``invert``'s settings.
+    ``eps``, the grid's start, is the observation point: the traces are read at t + eps."""
+
     eps: float = 0.0
     M: float = 3.0
     T: float = 6.0
@@ -173,16 +176,17 @@ def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
     """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``;
     ``invert_from_config(data, RunConfig())`` is the library's production run.
 
-    Raises InvalidInput, naming ``convex.lam`` and ``convex.alpha``, before
-    any work if the Carleman weight is not finite and positive at every node
-    of that grid.
+    Raises InvalidInput, naming ``convex.lam``, ``convex.alpha`` and the grid's
+    extent, before any work if the Carleman weight is not finite and positive
+    at every node of that grid.
     """
     inv = cfg.inversion
     grid = SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt)
     try:
         carleman_weight(grid, cfg.convex.lam, cfg.convex.alpha)
     except ValueError as exc:
-        raise InvalidInput(f"config convex.lam and convex.alpha: {exc}") from exc
+        extent = "inversion.eps, inversion.M and inversion.T"
+        raise InvalidInput(f"config convex.lam, convex.alpha, {extent}: {exc}") from exc
     return invert(
         data, grid, cfg.convex, cfg.qr, cfg.descent, diff_reg=inv.diff_reg,
         c_upper=inv.c_upper, freeze_time_derivative=inv.freeze_time_derivative,

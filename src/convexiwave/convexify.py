@@ -93,10 +93,9 @@ class ObjectiveContext:
     ``make_context`` builds it. The Carleman weight W enters only through the
     products the objective multiplies by: ``w2W`` = w2 W (area quadrature)
     and ``wtW0``/``wtWM`` = wt W at x_min/x_max (time-line quadrature at the
-    two ends).
+    two ends). The grid is ``ops.grid``.
     """
 
-    grid: SpaceTimeGrid
     q_eps: np.ndarray
     qx_eps: np.ndarray
     params: ConvexParams
@@ -126,7 +125,7 @@ def make_context(
     W = carleman_weight(grid, params.lam, params.alpha)
     ops = operators_for(grid)
     return ObjectiveContext(
-        grid, qe, qxe, params, q_floor_from_c_upper(c_upper),
+        qe, qxe, params, q_floor_from_c_upper(c_upper),
         ops, ops.w2 * W, ops.wt * W[0], ops.wt * W[-1],
     )
 
@@ -214,14 +213,19 @@ def evaluate_J(q: QField, ctx: ObjectiveContext) -> float:
 
 def gradient_J(q: QField, ctx: ObjectiveContext) -> Field2D:
     """Exact gradient of the discretized objective with respect to nodal values."""
-    return Field2D(q.grid, gradient(evaluate(q.values.values, ctx), ctx))
+    return Field2D(q.values.grid, gradient(evaluate(q.values.values, ctx), ctx))
 
 
 def bregman_divergence(v: np.ndarray, h: np.ndarray, ctx: ObjectiveContext) -> float:
-    """J(v + h) - J(v) - <grad J(v), h> at nodal values ``v`` and perturbation ``h``;
-    nonnegativity over a set certifies convexity."""
+    """D = J(v + h) - J(v) - <grad J(v), h> at nodal values ``v`` and perturbation ``h``;
+    nonnegativity over a set certifies convexity. Raises ValueError, as D is then
+    rounding error, if |D| < 1e4 eps (|J(v + h)| + |J(v)| + |<grad J(v), h>|)."""
     e = evaluate(v, ctx)
-    return evaluate(v + h, ctx).J - e.J - float(np.sum(gradient(e, ctx) * h))
+    J_h, slope = evaluate(v + h, ctx).J, float(np.sum(gradient(e, ctx) * h))
+    d = J_h - e.J - slope
+    if abs(d) < 1e4 * np.finfo(float).eps * (abs(J_h) + abs(e.J) + abs(slope)):
+        raise ValueError(f"the Bregman divergence {d:.3g} is within rounding of its terms")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +310,7 @@ def convexity_scan(
     its perturbation: the raw values scale with the total mass of the weight,
     which shrinks with the exponent and would hide the convexification trend.
     The other objective settings are the ``ConvexParams`` defaults. Raises
-    ValueError if a perturbation's weighted squared norm underflows to 0.
+    ValueError as ``bregman_divergence`` does, or if an h's weighted norm underflows.
     """
     floor = q_floor_from_c_upper(DEFAULT_C_UPPER)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -324,11 +328,10 @@ def convexity_scan(
         ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=float(lam)), DEFAULT_C_UPPER)
         best = np.inf
         for q_vals, h in pairs:
-            d = bregman_divergence(q_vals, h, ctx)
             h_sq = float(np.sum(ctx.w2W * h**2))
             if h_sq == 0:
                 raise ValueError("the weighted squared norm of a perturbation underflows to 0")
-            best = min(best, d / h_sq)
+            best = min(best, bregman_divergence(q_vals, h, ctx) / h_sq)
         result[float(lam)] = float(best)
     return result
 

@@ -170,19 +170,17 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D
 
 @dataclass
 class BoundaryData:
-    """The measured pair (g0, g1) at the observation point, covering [0, T+eps]."""
+    """Traces g0 = u and g1 = u_x recorded at x = 0, t counted from the source's launch;
+    the inversion reads them at t + x_min, its grid's start (``transform``)."""
 
     g0: Signal
     g1: Signal
-    eps: float = 0.0
 
     def __post_init__(self):
         if abs(self.g0.t0 - self.g1.t0) > 1e-12 or abs(self.g0.dt - self.g1.dt) > 1e-12:
             raise InvalidInput("g0 and g1 must share t-sampling")
         if self.g0.samples.size != self.g1.samples.size:
             raise InvalidInput("g0 and g1 must have the same length")
-        if self.eps < 0:
-            raise InvalidInput("eps must be nonnegative")
 
 
 def boundary_data(

@@ -18,9 +18,8 @@ from .fixtures import (
 from .grid import profile_to_csv
 from .preprocess import calibrate, preprocess_pipeline
 
-# per-fixture expected reconstruction bands: list of (window_lo, window_hi,
-# target_max, rel_tol) over the reconstructed profile
-# (window lo, window hi, true in-window maximum, relative tolerance).
+# Per-fixture bands on the reconstructed profile: (window lo, window hi,
+# true in-window maximum, relative tolerance).
 # Tests 1, 3, 4 carry reconstruction-accuracy bands. Tests 2 and 5 carry
 # detection-level bands only: the two-bump and sine-plus-step media put
 # features deep enough that the plain-gradient pipeline locates them but

@@ -438,7 +438,7 @@ def initial_guess(
     q_vals[:, 0] = 0.5
     floor = q_floor_from_c_upper(c_upper)
     np.maximum(q_vals[:, 0], floor, out=q_vals[:, 0])
-    return QField(grid, Field2D(grid, q_vals), floor), Field2D(grid, Qfield)
+    return QField(Field2D(grid, q_vals), floor), Field2D(grid, Qfield)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +463,9 @@ def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
     ``grad_tol``. Iterates on nodal arrays: each trial point is evaluated
     once, and the accepted trial's evaluation supplies the next gradient. A
     non-finite trial raises ValueError, and a t=0 row below ``ctx.q_floor``
-    raises FloorViolation. Returns (q, info) where info records per-iteration
-    objective values and gradient norms, the accepted step sizes, and the
-    termination reason.
+    raises FloorViolation. Returns (q, info), q with the floor ``ctx.q_floor``;
+    info records per-iteration objective values and gradient norms, the
+    accepted step sizes, and the termination reason.
     """
     e = evaluate(q0.values.values.copy(), ctx)
     info = {"J": [e.J], "grad_norm": [], "steps": [], "reason": "max_iters"}
@@ -500,7 +500,7 @@ def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
         e = e_trial
         info["J"].append(e.J)
         info["steps"].append(step)
-    return QField(q0.grid, Field2D(q0.grid, e.v), q0.q_floor), info
+    return QField(Field2D(ctx.ops.grid, e.v), ctx.q_floor), info
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +518,7 @@ def correction_step(
     otherwise only the two t=0 traces are frozen and the time derivative stays
     an unknown.
     """
-    grid = q_tilde.grid
+    grid = q_tilde.values.grid
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
     _, _, a, b_coef = nonlocal_coefficients(q_tilde.values.values, ops, q_tilde.q_floor)
@@ -536,7 +536,7 @@ def correction_step(
         (ops.Dx[-Q:], ops.wt, np.zeros(Q)),
     ], ops, qr)
     np.maximum(vals[:, 0], q_tilde.q_floor, out=vals[:, 0])
-    return QField(grid, Field2D(grid, vals), q_tilde.q_floor)
+    return QField(Field2D(grid, vals), q_tilde.q_floor)
 
 
 # ---------------------------------------------------------------------------

@@ -63,15 +63,12 @@ class TravelTime:
 
 @dataclass
 class QField:
-    """q(x, t) on the inversion grid with its admissible initial-trace floor."""
+    """q(x, t) on the inversion grid (``values.grid``) with its admissible initial-trace floor."""
 
-    grid: SpaceTimeGrid
     values: Field2D
     q_floor: float
 
     def __post_init__(self):
-        if self.values.grid != self.grid:
-            raise ValueError("field grid does not match")
         if self.q_floor <= 0:
             raise ValueError("q_floor must be positive")
         checked_trace(self.values.values, self.q_floor)
@@ -115,13 +112,13 @@ def q_from_u(u: Field2D, tau: TravelTime, grid_q: SpaceTimeGrid) -> QField:
     # Sampling near the wavefront can land a hair below the admissible floor;
     # project back, as the descent iteration does.
     np.maximum(vals[:, 0], floor, out=vals[:, 0])
-    return QField(grid_q, Field2D(grid_q, vals), floor)
+    return QField(Field2D(grid_q, vals), floor)
 
 
 def c_from_q(q: QField) -> MediumProfile:
     """Pointwise inverse c(x) = 1 / (16 q(x,0)^4) on the inversion interval."""
     c = 1.0 / (16.0 * checked_trace(q.values.values, q.q_floor) ** 4)
-    return MediumProfile(q.grid.x_nodes(), c)
+    return MediumProfile(q.values.grid.x_nodes(), c)
 
 
 def nonlocal_coefficients(v: np.ndarray, ops: DiscreteOperators, floor: float):
@@ -155,22 +152,20 @@ def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
 def boundary_traces_from_data(
     d: BoundaryData, grid: SpaceTimeGrid, diff_reg: float
 ) -> tuple[Signal, Signal]:
-    """Boundary traces for the q-system, resampled to the inversion t-nodes.
+    """Boundary traces for the q-system at the observation point x_min, on the grid's t-nodes.
 
-    q(eps, t) = g0(t + eps) and q_x(eps, t) = g1(t + eps) + g0'(t + eps),
-    where g0' is the Tikhonov-regularized derivative of g0 with weight
-    ``diff_reg``. Raises HorizonTooShort if g0 ends before T + eps.
+    q(x_min, t) = g0(t + x_min) and q_x(x_min, t) = g1(t + x_min) +
+    g0'(t + x_min), where g0' is the Tikhonov-regularized derivative of g0
+    with weight ``diff_reg``. Raises HorizonTooShort unless the record
+    covers [x_min, x_min + T].
     """
-    t_needed = grid.t_max + d.eps
-    if d.g0.t_end + 1e-9 < t_needed:
-        raise HorizonTooShort(
-            f"data ends at t={d.g0.t_end} but traces need t up to {t_needed:.6g}"
-        )
+    t_lo, t_hi = grid.x_min, grid.x_min + grid.t_max
+    if d.g0.t0 > t_lo + 1e-9 or d.g0.t_end + 1e-9 < t_hi:
+        raise HorizonTooShort(f"data cover t in [{d.g0.t0}, {d.g0.t_end}] but traces need "
+                              f"[{t_lo:.6g}, {t_hi:.6g}]")
     dg0 = tikhonov_differentiate(d.g0, diff_reg)
-    tq = grid.t_nodes() + d.eps
+    tq = grid.t_nodes() + grid.x_min
     g0_vals = np.interp(tq, d.g0.times(), d.g0.samples)
     g1_vals = np.interp(tq, d.g1.times(), d.g1.samples)
     dg0_vals = np.interp(tq, dg0.times(), dg0.samples)
-    q_eps = Signal(0.0, grid.dt, g0_vals)
-    qx_eps = Signal(0.0, grid.dt, g1_vals + dg0_vals)
-    return q_eps, qx_eps
+    return Signal(0.0, grid.dt, g0_vals), Signal(0.0, grid.dt, g1_vals + dg0_vals)

@@ -22,10 +22,11 @@ from convexiwave.config import (
     NoiseConfig,
     PreprocessConfig,
     RunConfig,
+    invert_from_config,
     load_config,
 )
 from convexiwave.fixtures import FIXTURE_NAMES, synthesize_raw_trace
-from convexiwave.forward import CorrectionBox, SourceModel
+from convexiwave.forward import BoundaryData, CorrectionBox, SourceModel
 from convexiwave.grid import Signal, signal_from_csv, signal_to_csv
 from convexiwave.solver import DescentConfig, QRConfig
 
@@ -136,24 +137,30 @@ def test_config_sections_reject_non_finite_values(section, key, value):
 # CLI
 # ---------------------------------------------------------------------------
 
-def _small_cfg(tmp_path):
+def _small_cfg(tmp_path, **inversion):
+    """A config for a quick forward run and a 5 + 5 step inversion on 20x20;
+    ``inversion`` overrides fields of its inversion section."""
     cfg = RunConfig()
     cfg.forward.grid = GridConfig(a=5.0, T=6.0, nx=600, nt=150)
     cfg.forward.medium = [{"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 10.0}]
-    cfg.inversion.nx = 20
-    cfg.inversion.nt = 20
+    cfg.inversion = dataclasses.replace(cfg.inversion, nx=20, nt=20, **inversion)
     cfg.descent = dataclasses.replace(cfg.descent, max_iters=5, redescent_iters=5)
     path = tmp_path / "cfg.json"
     _write_config(cfg, path)
     return path
 
 
-def test_cli_forward_then_invert(tmp_path):
-    cfg_path = _small_cfg(tmp_path)
+def _forward(tmp_path, cfg_path):
+    """Run ``convexiwave forward`` on the config; returns the g0 and g1 CSV paths."""
     g0 = tmp_path / "g0.csv"
     g1 = tmp_path / "g1.csv"
-    rc = main(["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)])
-    assert rc == 0
+    assert main(["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)]) == 0
+    return g0, g1
+
+
+def test_cli_forward_then_invert(tmp_path):
+    cfg_path = _small_cfg(tmp_path)
+    g0, g1 = _forward(tmp_path, cfg_path)
     s = signal_from_csv(g0.read_text())
     assert s.samples.size == 151
     assert s.samples[-1] != 0.0  # total wave, background 1/2 baked in
@@ -174,6 +181,37 @@ def test_cli_forward_then_invert(tmp_path):
     diag_rows = diag.read_text().strip().splitlines()
     assert diag_rows[0] == "iteration,J,grad_norm,correction_count"
     assert len(diag_rows) > 1
+
+
+def test_cli_invert_matches_invert_from_config_off_the_origin(tmp_path):
+    """With inversion.eps = 0.1, the CLI and the library read the traces at
+    the same observation point and return the same c, bit for bit."""
+    cfg_path = _small_cfg(tmp_path, eps=0.1, T=5.9)
+    g0, g1 = _forward(tmp_path, cfg_path)
+    out = tmp_path / "c.csv"
+    rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
+               "--out", str(out)])
+    assert rc == 0
+    c_cli = np.array([float(r.split(",")[1]) for r in out.read_text().strip().splitlines()[1:]])
+    data = BoundaryData(signal_from_csv(g0.read_text()), signal_from_csv(g1.read_text()))
+    result = invert_from_config(data, load_config(str(cfg_path)))
+    assert result.c_comp.x[0] == 0.1
+    assert np.array_equal(c_cli, result.c_comp.c)
+
+
+def test_cli_invert_rejects_a_record_that_starts_late(tmp_path, capsys):
+    """A forward record without its first 2 time units exits 2 with
+    HorizonTooShort instead of inverting a first sample held over [0, 2)."""
+    cfg_path = _small_cfg(tmp_path)
+    g0, g1 = _forward(tmp_path, cfg_path)
+    for path in (g0, g1):
+        s = signal_from_csv(path.read_text())
+        path.write_text(signal_to_csv(Signal(s.t0 + 50 * s.dt, s.dt, s.samples[50:])))
+    rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "HorizonTooShort" and "data cover t in [2.0" in err["message"]
 
 
 def test_cli_preprocess(tmp_path):
@@ -266,6 +304,8 @@ BAD_CONFIGS = {
     # a finite lam or alpha whose Carleman weight underflows to 0 off the origin
     "convex_lam_underflows_weight": ("invert", {"convex": {"lam": 1e300}}),
     "convex_alpha_underflows_weight": ("invert", {"convex": {"alpha": 1e300}}),
+    # a grid so long that the default Carleman weight underflows to 0 at its far end
+    "inversion_M_underflows_weight": ("invert", {"inversion": {"M": 1e6}}),
     # descent settings that became solver constants, each at its old default
     "eta_step_removed": ("invert", {"descent": {"eta_step": 0.1}}),
     "armijo_c1_removed": ("invert", {"descent": {"armijo_c1": 1e-4}}),
@@ -385,11 +425,13 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         ["convexity-check", "--lambdas", "2,100", "--pairs", "1", "--nx", "8", "--nt", "8"],
         # a radius whose perturbations' weighted squared norm underflows to 0
         ["convexity-check", "--radius", "1e-200", "--pairs", "2", "--nx", "8", "--nt", "8"],
+        # a radius whose Bregman divergences are within rounding of J
+        ["convexity-check", "--radius", "1e-9", "--pairs", "2", "--nx", "8", "--nt", "8"],
     ],
     ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "infinite_radius",
          "convexity_negative_seed", "nx_1", "no_trials", "gradient_negative_seed",
          "lambda_weight_not_finite", "lambda_weight_zero", "lambda_weight_underflows_at_corner",
-         "radius_underflows"],
+         "radius_underflows", "radius_below_rounding"],
 )
 def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.csv"

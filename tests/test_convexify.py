@@ -86,7 +86,7 @@ def test_objective_zero_at_consistent_constant():
     """The background field with matching data scores only the tiny H2 term."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     ctx = _null_context(g)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     J = evaluate_J(q, ctx)
     assert 0.0 < J < 1e-8
 
@@ -94,7 +94,7 @@ def test_objective_zero_at_consistent_constant():
 def test_objective_positive_off_data():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     ctx = _null_context(g)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.6)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.6)), FLOOR)
     assert evaluate_J(q, ctx) > 1e-4
 
 
@@ -104,7 +104,7 @@ def test_objective_floor_guard():
     vals = np.full(g.shape, 0.5)
     vals[:, 0] = FLOOR - 0.02
     with pytest.raises(FloorViolation):
-        evaluate_J(QField(g, Field2D(g, vals), FLOOR), ctx)
+        evaluate_J(QField(Field2D(g, vals), FLOOR), ctx)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -115,11 +115,11 @@ def test_gradient_matches_finite_differences(seed):
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(seed))
     v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
-    grad = gradient_J(QField(g, Field2D(g, v), FLOOR), ctx)
+    grad = gradient_J(QField(Field2D(g, v), FLOOR), ctx)
     analytic = float(np.sum(grad.values * h))
     s = 1e-6
-    qp = QField(g, Field2D(g, v + s * h), FLOOR)
-    qm = QField(g, Field2D(g, v - s * h), FLOOR)
+    qp = QField(Field2D(g, v + s * h), FLOOR)
+    qm = QField(Field2D(g, v - s * h), FLOOR)
     fd = (evaluate_J(qp, ctx) - evaluate_J(qm, ctx)) / (2 * s)
     assert abs(analytic - fd) / max(abs(fd), 1e-12) < 1e-5
 
@@ -231,7 +231,7 @@ def test_gradient_zero_rows_where_objective_flat():
     gradient of the beta-weighted H2 term alone is tiny."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
     ctx = _null_context(g)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     grad = gradient_J(q, ctx).values
     assert np.max(np.abs(grad)) < 1e-6
 

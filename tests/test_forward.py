@@ -226,7 +226,7 @@ def _reference_boundary_data(c, grid, src, box, delta, seed):
     if delta > 0:
         g0 = add_noise(g0, delta, seed)
         g1 = add_noise(g1, delta, seed + 1)
-    return out, BoundaryData(g0=g0, g1=g1, eps=0.0)
+    return out, BoundaryData(g0=g0, g1=g1)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
@@ -241,7 +241,7 @@ def test_boundary_data_matches_reference_chain(delta):
     assert np.array_equal(u.values, u_ref)
     assert np.array_equal(d.g0.samples, d_ref.g0.samples)
     assert np.array_equal(d.g1.samples, d_ref.g1.samples)
-    assert (d.g0.dt, d.g1.dt, d.eps) == (d_ref.g0.dt, d_ref.g1.dt, d_ref.eps)
+    assert (d.g0.dt, d.g1.dt) == (d_ref.g0.dt, d_ref.g1.dt)
 
 
 def test_correct_near_origin_box():

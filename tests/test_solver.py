@@ -95,7 +95,7 @@ def test_descend_stationary_start():
     ctx = make_context(
         g, np.full(g.nt + 1, 0.5), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
     )
-    q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q0 = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q, info = descend(q0, ctx, 10, 1e-6)
     assert info["reason"] in ("grad_tol", "no_decrease")
     assert len(info["steps"]) <= 2
@@ -106,7 +106,7 @@ def test_descend_monotone_J():
     ctx = make_context(
         g, np.full(g.nt + 1, 0.45), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
     )
-    q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q0 = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q, info = descend(q0, ctx, 50, 1e-7)
     J = info["J"]
     assert all(J[i + 1] <= J[i] + 1e-15 for i in range(len(J) - 1))
@@ -121,11 +121,11 @@ def test_descend_matches_reference_minimizer():
     ctx = make_context(
         g, np.full(g.nt + 1, 0.48), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
     )
-    q0 = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q0 = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q, info = descend(q0, ctx, 5000, 1e-10)
 
     def fun(v):
-        qq = QField(g, Field2D(g, v.reshape(g.shape)), FLOOR)
+        qq = QField(Field2D(g, v.reshape(g.shape)), FLOOR)
         return evaluate_J(qq, ctx), gradient_J(qq, ctx).values.ravel()
 
     # bound the t=0 row at the floor, matching the clamp in descend
@@ -152,7 +152,7 @@ def test_descend_floor_clamp_maintained():
     )
     vals = np.full(g.shape, 0.5)
     vals[:, 0] = FLOOR
-    q0 = QField(g, Field2D(g, vals), FLOOR)
+    q0 = QField(Field2D(g, vals), FLOOR)
     q, _ = descend(q0, ctx, 100, 1e-7)
     assert np.all(q.values.values[:, 0] >= FLOOR - 1e-12)
 
@@ -179,7 +179,7 @@ def _reference_descend(q0, ctx, max_iters, grad_tol):
             trial = q.values.values - step * g.values
             clamped += bool(np.any(trial[:, 0] < ctx.q_floor))
             np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
-            q_trial = QField(q.grid, Field2D(q.grid, trial), q.q_floor)
+            q_trial = QField(Field2D(q.values.grid, trial), q.q_floor)
             J_trial = evaluate_J(q_trial, ctx)
             if J_trial <= J - solver.ARMIJO_C1 * step * gg:
                 accepted = True
@@ -206,7 +206,7 @@ def test_descend_is_bit_identical_to_reference_loop(clamp):
     vals = np.full(g.shape, 0.5)
     if clamp:
         vals[:, 0] = FLOOR
-    q0 = QField(g, Field2D(g, vals), FLOOR)
+    q0 = QField(Field2D(g, vals), FLOOR)
     q_ref, info_ref, clamped = _reference_descend(q0, ctx, 200, 1e-7)
     q, info = descend(q0, ctx, 200, 1e-7)
     assert (clamped > 0) == clamp
@@ -226,7 +226,7 @@ def test_correction_constant_fixed_point(freeze_time_derivative):
     derivative frozen as a source or kept as an unknown."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 25, 25)
     q_eps, qx_eps = _const_signals(g)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q1 = correction_step(q, q_eps, qx_eps, QRConfig(), freeze_time_derivative)
     assert np.max(np.abs(q1.values.values - 0.5)) < 1e-6
 
@@ -250,7 +250,7 @@ def test_correction_manufactured_frozen_solution():
     q_true = phi(2 * x + t)
     q_eps = Signal(0.0, g.dt, q_true[0])
     qx_eps = Signal(0.0, g.dt, 2.0 * dphi(t.ravel()))
-    frozen = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    frozen = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     # the frozen time-derivative source is zero for the constant iterate
     q1 = correction_step(frozen, q_eps, qx_eps, QRConfig(), True)
     # compare away from x = M where phi does not satisfy the one-sided
@@ -265,7 +265,7 @@ def test_correction_manufactured_frozen_solution():
 def test_correction_output_respects_floor():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     q_eps, qx_eps = _const_signals(g, q_val=0.3)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q1 = correction_step(q, q_eps, qx_eps, QRConfig(), True)
     assert np.all(q1.values.values[:, 0] >= FLOOR - 1e-12)
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from cached_data import cached_boundary_data
 from convexiwave.errors import FloorViolation, HorizonTooShort
 from convexiwave.fixtures import fixture_medium
-from convexiwave.forward import CorrectionBox, MediumProfile, SourceModel, boundary_data, simulate
+from convexiwave.forward import (
+    CorrectionBox,
+    MediumProfile,
+    SourceModel,
+    boundary_data,
+    simulate,
+    tikhonov_differentiate,
+)
 from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from convexiwave.solver import QRConfig, correction_step
 from convexiwave.transform import (
@@ -53,7 +60,7 @@ def test_q_floor_value():
 
 def test_c_from_q_constant_background():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     c = c_from_q(q)
     assert np.allclose(c.c, 1.0, atol=1e-12)
 
@@ -64,7 +71,7 @@ def test_c_from_q_inverts_amplitude_law(cval):
     """c -> q(x,0) = 1/(2 c^(1/4)) -> c round trip is the identity."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     trace = 1.0 / (2.0 * cval**0.25)
-    q = QField(g, Field2D(g, np.full(g.shape, trace)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, trace)), FLOOR)
     c = c_from_q(q)
     assert np.allclose(c.c, cval, rtol=1e-9)
 
@@ -74,19 +81,19 @@ def test_c_from_q_floor_violation():
     vals = np.full(g.shape, 0.5)
     vals[:, 0] = FLOOR - 0.01
     with pytest.raises(FloorViolation):
-        c_from_q(QField(g, Field2D(g, vals), FLOOR))
+        c_from_q(QField(Field2D(g, vals), FLOOR))
 
 
 @pytest.mark.parametrize("site", ["qfield", "residual_parts", "c_from_q", "correction_step"])
 def test_floor_violation_names_the_minimum_and_the_floor(site):
     """Every consumer of the t=0 row refuses a row below the floor, with one message."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     q.values.values[3, 0] = FLOOR - 0.01  # after the constructor's check
     vals = q.values.values
     traces = Signal(0.0, g.dt, np.full(g.nt + 1, 0.5))
     calls = {
-        "qfield": lambda: QField(g, Field2D(g, vals), FLOOR),
+        "qfield": lambda: QField(Field2D(g, vals), FLOOR),
         "residual_parts": lambda: residual_parts(vals, operators_for(g), FLOOR),
         "c_from_q": lambda: c_from_q(q),
         "correction_step": lambda: correction_step(q, traces, traces, QRConfig(), True),
@@ -121,7 +128,7 @@ def test_q_from_u_horizon_guard():
 def test_residual_zero_for_consistent_constant():
     """A field constant in space and time annihilates the residual."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 25, 25)
-    q = QField(g, Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
     F = residual_parts(q.values.values, operators_for(g), FLOOR)[-1]
     assert np.max(np.abs(F)) < 1e-12
 
@@ -138,7 +145,7 @@ def test_residual_zero_for_transport_family():
     t = g.t_nodes()[None, :]
     # additive ramp vanishing at t=0 keeps the nonlocal row at 1/2
     vals = vals + 0.05 * t * np.ones((g.nx + 1, 1))
-    q = QField(g, Field2D(g, vals), FLOOR)
+    q = QField(Field2D(g, vals), FLOOR)
     F = residual_parts(q.values.values, operators_for(g), FLOOR)[-1]
     # q_xx = 0, q_xt = 0, q_t = const, q_x(x,0) = 0 -> F = 0
     assert np.max(np.abs(F)) < 1e-10
@@ -163,6 +170,21 @@ def test_boundary_traces_horizon_guard():
     g = SpaceTimeGrid(0.0, 3.0, 8.0, 60, 60)
     with pytest.raises(HorizonTooShort):
         boundary_traces_from_data(d, g, 1e-6)
+
+
+def test_boundary_traces_read_at_the_grid_start():
+    """On a grid that starts at x_min = 0.1, the traces are g0, g1 + g0' at t + 0.1."""
+    d = cached_boundary_data("test1")
+    g = SpaceTimeGrid(0.1, 3.0, 5.9, 60, 60)
+    q_eps, qx_eps = boundary_traces_from_data(d, g, 1e-6)
+    t = g.t_nodes() + 0.1
+    dg0 = tikhonov_differentiate(d.g0, 1e-6)
+    assert np.array_equal(q_eps.samples, np.interp(t, d.g0.times(), d.g0.samples))
+    assert np.array_equal(
+        qx_eps.samples,
+        np.interp(t, d.g1.times(), d.g1.samples) + np.interp(t, dg0.times(), dg0.samples),
+    )
+    assert (q_eps.t0, q_eps.dt) == (0.0, g.dt)
 
 
 def test_round_trip_smooth_inclusion():
