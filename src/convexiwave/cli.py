@@ -47,16 +47,21 @@ def cmd_invert(args) -> int:
     g1 = signal_from_csv(_read(args.g1))
     result = invert_from_config(BoundaryData(g0=g0, g1=g1), cfg)
     _write(args.out, profile_to_csv(result.c_comp.x, result.c_comp.c))
+    # one row per accepted step, numbered across the legs; leg k follows k corrections
+    steps = [
+        (J, gnorm, leg)
+        for leg, info in enumerate(result.legs)
+        for J, gnorm in zip(info["J"][1:], info["grad_norm"])
+    ]
     if args.diag:
         lines = ["iteration,J,grad_norm,correction_count"]
         lines += [
-            f"{row['iteration']},{float(row['J'])!r},{float(row['grad_norm'])!r},{row['correction_count']}"
-            for row in result.diagnostics
+            f"{i},{float(J)!r},{float(gnorm)!r},{leg}" for i, (J, gnorm, leg) in enumerate(steps)
         ]
         _write(args.diag, "\n".join(lines) + "\n")
     if args.json_log:
-        for row in result.diagnostics:
-            print(json.dumps(row))
+        for i, (J, gnorm, leg) in enumerate(steps):
+            print(json.dumps({"iteration": i, "J": J, "grad_norm": gnorm, "correction_count": leg}))
     return 0
 
 

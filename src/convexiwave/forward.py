@@ -27,8 +27,9 @@ from .grid import Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid
 class MediumProfile:
     """A sampled dielectric profile c(x) on a uniform spatial partition.
 
-    c must be positive and finite at every node; ``sample`` extends it by the
-    background value 1 outside the sampled interval.
+    x must be strictly increasing, and c positive and finite at every node;
+    ``sample`` extends it by the background value 1 outside the sampled
+    interval.
     """
 
     x: np.ndarray
@@ -39,6 +40,10 @@ class MediumProfile:
         self.c = np.asarray(self.c, dtype=float)
         if self.x.shape != self.c.shape:
             raise ValueError("x and c must have the same shape")
+        if bad := np.flatnonzero(~(np.diff(self.x) > 0)).tolist():
+            k = bad[0]
+            raise ValueError(f"x must be strictly increasing, but [x[{k}], x[{k + 1}]] is "
+                             f"[{self.x[k]:.6g}, {self.x[k + 1]:.6g}]")
         if np.any(self.c <= 0) or not np.all(np.isfinite(self.c)):
             raise ValueError("c must be positive and finite")
 

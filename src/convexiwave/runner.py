@@ -39,22 +39,18 @@ EXPERIMENTAL_REL_TOL = 0.25
 NOISE_SEED = 1
 
 
-def j_monotone_within_legs(diagnostics, rel_slack: float = 1e-12) -> bool:
-    """True if J never increases across accepted steps within a descent leg.
+def j_monotone_within_legs(legs) -> bool:
+    """True if J never increases, beyond a relative 1e-12, within a descent leg.
 
-    Correction steps start a new leg (the objective is rebuilt around the
-    corrected iterate), so J is only compared between rows that share a
-    correction count.
+    ``legs`` holds ``descend``'s record of each leg. A correction step starts
+    a new leg (the objective is rebuilt around the corrected iterate), so J
+    is only compared within one leg's ``J`` list.
     """
-    prev_J = None
-    prev_leg = None
-    for row in diagnostics:
-        leg = row["correction_count"]
-        if leg == prev_leg and row["J"] > prev_J + rel_slack * max(1.0, abs(prev_J)):
-            return False
-        prev_J = row["J"]
-        prev_leg = leg
-    return True
+    return all(
+        later <= earlier + 1e-12 * max(1.0, abs(earlier))
+        for info in legs
+        for earlier, later in zip(info["J"], info["J"][1:])
+    )
 
 
 def run_fixture(name: str, out_dir: str | None = None):
@@ -65,8 +61,7 @@ def run_fixture(name: str, out_dir: str | None = None):
     if name in SIMULATED_TESTS:
         data = simulated_boundary_data(name, delta=0.05, seed=NOISE_SEED)
         result = invert_from_config(data, cfg)
-        x = result.c_comp.x
-        c = result.c_comp.c
+        x, c = result.c_comp.x, result.c_comp.c
         for lo, hi, target, tol in SIMULATED_BANDS[name]:
             window = (x >= lo) & (x <= hi)
             got = float(np.max(c[window]))
@@ -80,7 +75,6 @@ def run_fixture(name: str, out_dir: str | None = None):
         pp = cfg.preprocess
         data = preprocess_pipeline(raw, cal, pp.half_width_steps, pp.diff_reg)
         result = invert_from_config(data, cfg)
-        x = result.c_comp.x
         c = result.c_comp.c
         target = spec["c_rel"]
         if target >= 1.0:
@@ -95,7 +89,7 @@ def run_fixture(name: str, out_dir: str | None = None):
     else:
         raise FixtureMissing(f"unknown fixture {name!r}")
 
-    mono = j_monotone_within_legs(result.diagnostics)
+    mono = j_monotone_within_legs(result.legs)
     checks.append({"j_monotone": mono, "ok": mono})
 
     report = {

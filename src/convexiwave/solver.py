@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -463,9 +463,13 @@ def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
     ``grad_tol``. Iterates on nodal arrays: each trial point is evaluated
     once, and the accepted trial's evaluation supplies the next gradient. A
     non-finite trial raises ValueError, and a t=0 row below ``ctx.q_floor``
-    raises FloorViolation. Returns (q, info), q with the floor ``ctx.q_floor``;
-    info records per-iteration objective values and gradient norms, the
-    accepted step sizes, and the termination reason.
+    raises FloorViolation. Returns (q, info), q with the floor ``ctx.q_floor``,
+    and info the leg's record: ``steps`` the accepted step sizes; ``J`` the
+    objective at q0 and after each accepted step, one entry more than
+    ``steps``; ``grad_norm`` the gradient norm at the start of each iteration
+    begun, one entry more than ``steps`` if the leg ended on ``grad_tol`` or
+    found no decrease, else as many; ``reason`` the stop reason,
+    ``"max_iters"``, ``"grad_tol"`` or ``"no_decrease"``.
     """
     e = evaluate(q0.values.values.copy(), ctx)
     info = {"J": [e.J], "grad_norm": [], "steps": [], "reason": "max_iters"}
@@ -545,11 +549,14 @@ def correction_step(
 
 @dataclass
 class InversionResult:
-    c_comp: MediumProfile
     q: QField
-    diagnostics: list = field(default_factory=list)
-    corrections: int = 0
-    converged: bool = False
+    legs: list
+    corrections: int
+    converged: bool
+
+    @property
+    def c_comp(self) -> MediumProfile:
+        return c_from_q(self.q)
 
 
 def invert(
@@ -571,8 +578,8 @@ def invert(
     ``grad_tol`` ends the run, and so does a correction that moves c by less
     than ``STOP_LINF`` at every node, which keeps the leg-1 answer; both set
     ``converged``. ``corrections`` is 0 if leg 1 ended the run, else 1, and
-    each diagnostics row is one accepted step, with its leg as
-    ``correction_count``.
+    ``legs`` keeps each leg's ``descend`` record, so it holds two records
+    only if leg 2 ran.
 
     Every setting is required: ``config.invert_from_config(d, RunConfig())``
     runs this with the production settings, which ``RunConfig`` alone states.
@@ -580,21 +587,11 @@ def invert(
     q_eps, qx_eps = boundary_traces_from_data(d, grid, diff_reg)
     ctx = make_context(grid, q_eps.samples, qx_eps.samples, params, c_upper)
     q0, _ = initial_guess(q_eps, qx_eps, grid, qr_cfg, c_upper)
-    diagnostics = []
-
-    def leg(q, budget, correction_count):
-        q, info = descend(q, ctx, budget, descent_cfg.grad_tol)
-        for J, grad_norm in zip(info["J"][1:], info["grad_norm"]):
-            diagnostics.append({"iteration": len(diagnostics), "J": J, "grad_norm": grad_norm,
-                                "correction_count": correction_count})
-        return q, info["reason"] == "grad_tol"
-
-    q, met_tol = leg(q0, descent_cfg.max_iters, 0)
-    if met_tol:
-        return InversionResult(c_from_q(q), q, diagnostics, corrections=0, converged=True)
+    q, leg1 = descend(q0, ctx, descent_cfg.max_iters, descent_cfg.grad_tol)
+    if leg1["reason"] == "grad_tol":
+        return InversionResult(q, [leg1], corrections=0, converged=True)
     q_corr = correction_step(q, q_eps, qx_eps, qr_cfg, freeze_time_derivative)
-    c_leg1 = c_from_q(q)
-    if float(np.max(np.abs(c_leg1.c - c_from_q(q_corr).c))) < STOP_LINF:
-        return InversionResult(c_leg1, q, diagnostics, corrections=1, converged=True)
-    q, met_tol = leg(q_corr, descent_cfg.redescent_iters, 1)
-    return InversionResult(c_from_q(q), q, diagnostics, corrections=1, converged=met_tol)
+    if float(np.max(np.abs(c_from_q(q).c - c_from_q(q_corr).c))) < STOP_LINF:
+        return InversionResult(q, [leg1], corrections=1, converged=True)
+    q, leg2 = descend(q_corr, ctx, descent_cfg.redescent_iters, descent_cfg.grad_tol)
+    return InversionResult(q, [leg1, leg2], corrections=1, converged=leg2["reason"] == "grad_tol")

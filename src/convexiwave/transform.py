@@ -45,23 +45,6 @@ def checked_trace(v: np.ndarray, floor: float) -> np.ndarray:
 
 
 @dataclass
-class TravelTime:
-    """Cumulative wavefront arrival time tau(x) = integral of sqrt(c) from 0 to x."""
-
-    x: np.ndarray
-    tau: np.ndarray
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.tau = np.asarray(self.tau, dtype=float)
-        if np.any(np.diff(self.tau) <= 0):
-            raise ValueError("tau must be strictly increasing")
-
-    def at(self, x_query: np.ndarray) -> np.ndarray:
-        return np.interp(x_query, self.x, self.tau)
-
-
-@dataclass
 class QField:
     """q(x, t) on the inversion grid (``values.grid``) with its admissible initial-trace floor."""
 
@@ -74,15 +57,21 @@ class QField:
         checked_trace(self.values.values, self.q_floor)
 
 
-def travel_time(c: MediumProfile) -> TravelTime:
-    """Trapezoidal cumulative quadrature of sqrt(c), anchored so tau(0) = 0."""
+def travel_time(c: MediumProfile) -> np.ndarray:
+    """Wavefront arrival time tau(x) = integral of sqrt(c) from 0 to x at the nodes ``c.x``.
+
+    Trapezoidal cumulative quadrature. Raises ValueError unless the medium's
+    interval contains x = 0, where tau is anchored.
+    """
+    if not c.x[0] <= 0.0 <= c.x[-1]:
+        raise ValueError(f"tau is anchored at x = 0, but the medium covers "
+                         f"[{c.x[0]:.6g}, {c.x[-1]:.6g}]")
     tau = cumulative_trapezoid(np.sqrt(c.c), np.diff(c.x))
-    tau -= np.interp(0.0, c.x, tau)
-    return TravelTime(c.x, tau)
+    return tau - np.interp(0.0, c.x, tau)
 
 
-def q_from_u(u: Field2D, tau: TravelTime, grid_q: SpaceTimeGrid) -> QField:
-    """Sample q(x, t) = u(x, t + tau(x)) onto the inversion grid.
+def q_from_u(u: Field2D, c: MediumProfile, grid_q: SpaceTimeGrid) -> QField:
+    """Sample q(x, t) = u(x, t + tau(x)) onto the inversion grid, tau from the medium c.
 
     Linear interpolation in x (between u's node columns) and in t. The t=0
     row sits exactly on the wavefront jump of u, where the intended value is
@@ -90,16 +79,23 @@ def q_from_u(u: Field2D, tau: TravelTime, grid_q: SpaceTimeGrid) -> QField:
     past the smoothing width, so the t=0 row is sampled at tau(x) +
     ``FRONT_OFFSET``. That row is then raised to the floor implied by
     ``DEFAULT_C_UPPER``, which is also the floor of the returned field.
+    Raises ValueError if the inversion grid reaches past the x-range of u or
+    of c, and HorizonTooShort if t + tau(x) reaches past u's last time.
     """
     xq = grid_q.x_nodes()
     tq = grid_q.t_nodes()
-    tau_q = tau.at(xq)
+    xu = u.grid.x_nodes()
+    lo, hi = max(xu[0], c.x[0]), min(xu[-1], c.x[-1])
+    if xq[0] < lo - 1e-9 or xq[-1] > hi + 1e-9:
+        raise ValueError(f"the inversion grid spans [{xq[0]:.6g}, {xq[-1]:.6g}], but u covers "
+                         f"[{xu[0]:.6g}, {xu[-1]:.6g}] and the medium "
+                         f"[{c.x[0]:.6g}, {c.x[-1]:.6g}]")
+    tau_q = np.interp(xq, c.x, travel_time(c))
     if np.max(tq[-1] + tau_q) > u.grid.t_max + 1e-9:
         raise HorizonTooShort(
             f"u covers t <= {u.grid.t_max} but q needs t + tau up to "
             f"{np.max(tq[-1] + tau_q):.6g}"
         )
-    xu = u.grid.x_nodes()
     tu = u.grid.t_nodes()
     vals = np.empty((xq.size, tq.size))
     for i, (xi, ti_shift) in enumerate(zip(xq, tau_q)):

@@ -182,7 +182,7 @@ def test_objective_monotone_on_every_fixture():
     runs = [_invert_null()[0], _invert_sim("test3")]
     runs += [_invert_sim("test1", 0.05, seed) for seed in range(5)]
     for result in runs:
-        assert j_monotone_within_legs(result.diagnostics)
+        assert j_monotone_within_legs(result.legs)
     # golden-fixture runs carry the same check in their reports
     for name in ("test1", "test2", "test3", "test4", "test5", *EXPERIMENTAL_TESTS):
         report = _fixture_report(name)

@@ -183,6 +183,33 @@ def test_cli_forward_then_invert(tmp_path):
     assert len(diag_rows) > 1
 
 
+def test_cli_invert_json_log_repeats_the_diag_rows(tmp_path, capsys):
+    """--json-log prints one object per --diag data row, with that row's
+    values, and J does not increase within a correction count."""
+    cfg_path = _small_cfg(tmp_path)
+    g0, g1 = _forward(tmp_path, cfg_path)
+    capsys.readouterr()
+    diag = tmp_path / "diag.csv"
+    rc = main([
+        "invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
+        "--out", str(tmp_path / "c.csv"), "--diag", str(diag), "--json-log",
+    ])
+    assert rc == 0
+    header, *rows = diag.read_text().strip().splitlines()
+    logged = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert len(logged) == len(rows) > 0
+    keys = ["iteration", "J", "grad_norm", "correction_count"]
+    assert header == ",".join(keys)
+    for n, (obj, row) in enumerate(zip(logged, rows)):
+        i, J, grad_norm, leg = row.split(",")
+        assert list(obj) == keys
+        assert [obj[k] for k in keys] == [int(i), float(J), float(grad_norm), int(leg)]
+        assert obj["iteration"] == n
+    for prev, obj in zip(logged, logged[1:]):
+        if obj["correction_count"] == prev["correction_count"]:
+            assert obj["J"] <= prev["J"]
+
+
 def test_cli_invert_matches_invert_from_config_off_the_origin(tmp_path):
     """With inversion.eps = 0.1, the CLI and the library read the traces at
     the same observation point and return the same c, bit for bit."""

@@ -624,8 +624,9 @@ def test_invert_stops_when_the_correction_moves_c_little():
     res = invert_from_config(null_boundary_data(), cfg)
     assert res.corrections == 1
     assert res.converged is True
-    assert len(res.diagnostics) == cfg.descent.max_iters
-    assert all(row["correction_count"] == 0 for row in res.diagnostics)
+    [leg] = res.legs
+    assert leg["reason"] == "max_iters"
+    assert len(leg["steps"]) == cfg.descent.max_iters
 
 
 def test_invert_deterministic():
@@ -638,16 +639,28 @@ def test_invert_deterministic():
 def test_invert_diagnostics_monotone_within_legs():
     d = cached_boundary_data("test3")
     res = invert_from_config(d, RunConfig())
-    by_leg = {}
-    for row in res.diagnostics:
-        by_leg.setdefault(row["correction_count"], []).append(row["J"])
-    for leg, J in by_leg.items():
+    for leg, info in enumerate(res.legs):
+        J = info["J"]
         assert all(J[i + 1] <= J[i] + 1e-15 for i in range(len(J) - 1)), leg
+
+
+def test_invert_keeps_each_legs_descend_record():
+    """On test3 both legs run out their budgets, and the profile is read
+    from the returned iterate, not stored beside it."""
+    cfg = RunConfig()
+    res = invert_from_config(cached_boundary_data("test3"), cfg)
+    assert [info["reason"] for info in res.legs] == ["max_iters", "max_iters"]
+    budgets = [cfg.descent.max_iters, cfg.descent.redescent_iters]
+    assert [len(info["steps"]) for info in res.legs] == budgets == [300, 2000]
+    for info in res.legs:
+        assert len(info["J"]) == len(info["steps"]) + 1
+        assert len(info["grad_norm"]) == len(info["steps"])
+    assert np.array_equal(res.c_comp.c, c_from_q(res.q).c)
 
 
 def test_invert_final_iterate_is_descent_output(inversion_grid):
     """The reconstruction must come from the last descent leg, not a raw
-    correction solve: its objective value equals the last diagnostic row."""
+    correction solve: its objective value equals the last leg's last J."""
     cfg = RunConfig()
     d = cached_boundary_data("test3")
     res = invert_from_config(d, cfg)
@@ -656,4 +669,4 @@ def test_invert_final_iterate_is_descent_output(inversion_grid):
         inversion_grid, q_eps.samples, qx_eps.samples, cfg.convex, cfg.inversion.c_upper
     )
     J_final = evaluate_J(res.q, ctx)
-    assert J_final == pytest.approx(res.diagnostics[-1]["J"], rel=1e-12)
+    assert J_final == pytest.approx(res.legs[-1]["J"][-1], rel=1e-12)

@@ -39,19 +39,32 @@ def _const_medium(c_val, x_lo=-5.0, x_hi=5.0, n=100):
 
 
 def test_travel_time_background():
-    tau = travel_time(_const_medium(1.0))
+    medium = _const_medium(1.0)
     x = np.array([0.0, 1.0, 2.5])
-    assert np.allclose(tau.at(x), x, atol=1e-9)
+    assert np.allclose(np.interp(x, medium.x, travel_time(medium)), x, atol=1e-9)
 
 
 def test_travel_time_constant_four():
-    tau = travel_time(_const_medium(4.0))
-    assert tau.at(np.array([1.5]))[0] == pytest.approx(3.0, rel=1e-9)
+    medium = _const_medium(4.0)
+    assert np.interp(1.5, medium.x, travel_time(medium)) == pytest.approx(3.0, rel=1e-9)
 
 
 def test_travel_time_anchored_at_zero():
-    tau = travel_time(_const_medium(2.0))
-    assert tau.at(np.array([0.0]))[0] == pytest.approx(0.0, abs=1e-12)
+    medium = _const_medium(2.0)
+    assert np.interp(0.0, medium.x, travel_time(medium)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_travel_time_rejects_a_medium_that_misses_the_origin():
+    """tau is anchored at x = 0, so a medium on [0.5, 3] has no anchor."""
+    with pytest.raises(ValueError, match=re.escape("covers [0.5, 3]")):
+        travel_time(_const_medium(1.0, 0.5, 3.0, 25))
+
+
+def test_medium_profile_rejects_x_that_is_not_increasing():
+    with pytest.raises(ValueError, match=re.escape("[x[1], x[2]] is [2, 1]")):
+        MediumProfile([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MediumProfile([0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_q_floor_value():
@@ -109,9 +122,8 @@ def test_q_from_u_background_row():
     fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
     u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox(), 0.0, 0)
-    tau = travel_time(medium)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
-    q = q_from_u(u, tau, gq)
+    q = q_from_u(u, medium, gq)
     assert np.allclose(q.values.values[:, 0], 0.5, atol=0.01)
 
 
@@ -119,10 +131,22 @@ def test_q_from_u_horizon_guard():
     fg = SpaceTimeGrid(-5.0, 5.0, 2.0, 500, 100)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
     u = simulate(medium, fg, SourceModel())
-    tau = travel_time(medium)
     gq = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     with pytest.raises(HorizonTooShort):
-        q_from_u(u, tau, gq)
+        q_from_u(u, medium, gq)
+
+
+@pytest.mark.parametrize("u_hi, c_hi", [(2.0, 5.0), (5.0, 2.0)], ids=["u", "medium"])
+def test_q_from_u_rejects_a_grid_past_the_field(u_hi, c_hi):
+    """Neither u nor the medium (through tau) may be extrapolated to the
+    inversion grid's end at x = 3."""
+    fg = SpaceTimeGrid(-u_hi, u_hi, 6.0, 40 * int(u_hi), 100)
+    medium = _const_medium(1.0, -c_hi, c_hi, 40 * int(c_hi))
+    u = simulate(medium, fg, SourceModel())
+    gq = SpaceTimeGrid(0.0, 3.0, 2.0, 20, 20)
+    covers = f"spans [0, 3], but u covers [{-u_hi:g}, {u_hi:g}] and the medium [{-c_hi:g}, {c_hi:g}]"
+    with pytest.raises(ValueError, match=re.escape(covers)):
+        q_from_u(u, medium, gq)
 
 
 def test_residual_zero_for_consistent_constant():
@@ -196,8 +220,7 @@ def test_round_trip_smooth_inclusion():
     fg = SpaceTimeGrid(-5.0, 5.0, 14.0, 3000, 700)
     medium = fixture_medium("test1")
     u = simulate(medium, fg, SourceModel())
-    tau = travel_time(medium)
     gq = SpaceTimeGrid(0.0, 3.0, 6.0, 60, 60)
-    q = q_from_u(u, tau, gq)
+    q = q_from_u(u, medium, gq)
     c = c_from_q(q)
     assert abs(float(np.max(c.c)) - 11.0) / 11.0 < 0.15
