@@ -29,11 +29,13 @@ def _write(path, text):
 
 
 def cmd_forward(args) -> int:
-    cfg = load_config(args.config).forward
+    config = load_config(args.config)
+    cfg = config.forward
     g = cfg.grid
     grid = SpaceTimeGrid(-g.a, g.a, g.T, g.nx, g.nt)
     medium = fixtures.medium_from_pieces(cfg.medium, grid)
-    u, d = boundary_data(medium, grid, cfg.source, cfg.correction, cfg.noise.delta, cfg.noise.seed)
+    u, d = boundary_data(medium, grid, cfg.source, cfg.correction, config.inversion.eps,
+                         cfg.noise.delta, cfg.noise.seed)
     if args.out:
         _write(args.out, field_to_csv(u))
     _write(args.g0, signal_to_csv(d.g0))

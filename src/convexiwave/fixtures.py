@@ -87,7 +87,7 @@ def check_piece(piece) -> None:
 
 
 def _piece_values(piece: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, values-on-mask) for one medium piece."""
+    """(mask, values-on-mask) for one medium piece that ``check_piece`` accepts."""
     kind = piece["kind"]
     if kind == "bump":
         x0, w, amp = piece["center"], piece["halfwidth"], piece["amplitude"]
@@ -105,20 +105,20 @@ def _piece_values(piece: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = piece.get("phase_center", x0)
         mask = np.abs(x - x0) < w
         return mask, base + amp * np.sin(np.pi * (x[mask] - phase))
-    if kind == "table":
-        xs = np.asarray(piece["x"], dtype=float)
-        cs = np.asarray(piece["c"], dtype=float)
-        mask = (x >= xs[0]) & (x <= xs[-1])
-        return mask, np.interp(x[mask], xs, cs)
-    raise ValueError(f"unknown medium piece kind {kind!r}")
+    xs = np.asarray(piece["x"], dtype=float)  # a "table" piece
+    cs = np.asarray(piece["c"], dtype=float)
+    mask = (x >= xs[0]) & (x <= xs[-1])
+    return mask, np.interp(x[mask], xs, cs)
 
 
 def medium_from_pieces(pieces, grid: SpaceTimeGrid) -> MediumProfile:
     """Background 1 overwritten by each piece inside its own window, sampled
-    at the nx + 1 evenly spaced x-nodes of ``grid``."""
+    at the nx + 1 evenly spaced x-nodes of ``grid``. Raises ValueError,
+    naming the key, for a piece that ``check_piece`` rejects."""
     x = np.linspace(grid.x_min, grid.x_max, grid.nx + 1)
     c = np.ones_like(x)
     for piece in pieces:
+        check_piece(piece)
         mask, vals = _piece_values(piece, x)
         c[mask] = vals
     return MediumProfile(x, c)
@@ -206,9 +206,11 @@ RAW_TRACE_DT = 0.133
 
 
 def simulated_boundary_data(name: str, delta: float = 0.05, seed: int = 0) -> BoundaryData:
-    """Forward-simulate a fixture medium and read its (possibly noisy) boundary data."""
+    """Forward-simulate a fixture medium and read its (possibly noisy) boundary
+    data at x = 0, the observation point every fixture is defined by."""
     _, data = boundary_data(
-        fixture_medium(name), DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), delta, seed
+        fixture_medium(name), DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), 0.0, delta,
+        seed,
     )
     return data
 

@@ -26,4 +26,6 @@ def cached_boundary_data(name: str, delta: float = 0.0, seed: int = 0):
 def null_boundary_data():
     """Boundary data of the homogeneous medium on the production forward grid."""
     medium = medium_from_pieces([], DEFAULT_FORWARD_GRID)
-    return boundary_data(medium, DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), 0.0, 0)[1]
+    return boundary_data(
+        medium, DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), 0.0, 0.0, 0
+    )[1]

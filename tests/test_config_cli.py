@@ -25,9 +25,9 @@ from convexiwave.config import (
     invert_from_config,
     load_config,
 )
-from convexiwave.fixtures import FIXTURE_NAMES, synthesize_raw_trace
-from convexiwave.forward import BoundaryData, CorrectionBox, SourceModel
-from convexiwave.grid import Signal, signal_from_csv, signal_to_csv
+from convexiwave.fixtures import FIXTURE_NAMES, medium_from_pieces, synthesize_raw_trace
+from convexiwave.forward import BoundaryData, CorrectionBox, SourceModel, simulate
+from convexiwave.grid import Signal, SpaceTimeGrid, signal_from_csv, signal_to_csv
 from convexiwave.solver import DescentConfig, QRConfig
 
 
@@ -73,7 +73,7 @@ SETTINGS_WITHOUT_DEFAULTS = [
     (preprocess.preprocess_pipeline, ("half_width_steps", "diff_reg")),
     (preprocess.truncate_window, ("half_width_steps",)),
     (forward.simulate, ("src",)),
-    (forward.boundary_data, ("delta", "seed")),
+    (forward.boundary_data, ("eps", "delta", "seed")),
 ]
 
 
@@ -224,6 +224,36 @@ def test_cli_invert_matches_invert_from_config_off_the_origin(tmp_path):
     result = invert_from_config(data, load_config(str(cfg_path)))
     assert result.c_comp.x[0] == 0.1
     assert np.array_equal(c_cli, result.c_comp.c)
+
+
+def test_cli_forward_then_invert_records_at_the_observation_point(tmp_path):
+    """With inversion.eps = 0.1, ``forward`` writes u(0.1, t) as g0 and the
+    one-sided u_x(0.1, t) as g1, exactly as ``simulate`` gives them, and
+    ``invert`` runs on those traces."""
+    cfg_path = _small_cfg(tmp_path, eps=0.1, T=5.9)
+    g0, g1 = _forward(tmp_path, cfg_path)
+    fwd = load_config(str(cfg_path)).forward
+    grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 600, 150)
+    u = simulate(medium_from_pieces(fwd.medium, grid), grid, fwd.source).values
+    i = 306  # x = -5 + 306 * 10 / 600 = 0.1
+    assert grid.x_nodes()[i] == pytest.approx(0.1, abs=1e-12)
+    assert np.array_equal(signal_from_csv(g0.read_text()).samples, u[i])
+    ux = (-3.0 * u[i] + 4.0 * u[i + 1] - u[i + 2]) / (2.0 * grid.dx)
+    assert np.array_equal(signal_from_csv(g1.read_text()).samples, ux)
+    rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
+               "--out", str(tmp_path / "c.csv")])
+    assert rc == 0
+
+
+def test_cli_forward_rejects_an_observation_point_off_the_grid(tmp_path, capsys):
+    """An inversion.eps that is not a node of the forward grid (dx = 1/60
+    here) exits 2 with OffGridObservation and writes no traces."""
+    cfg_path = _small_cfg(tmp_path, eps=0.105)
+    g0, g1 = tmp_path / "g0.csv", tmp_path / "g1.csv"
+    assert main(["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OffGridObservation" and "x = 0.105" in err["message"]
+    assert not g0.exists() and not g1.exists()
 
 
 def test_cli_invert_rejects_a_record_that_starts_late(tmp_path, capsys):

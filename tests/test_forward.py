@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import forward
@@ -78,6 +79,69 @@ def _reference_simulate(c, grid, src):
     return u
 
 
+def _full_update_simulate(c, grid, src):
+    """The tridiagonal stepper with full-length end corrections: each step
+    writes the solve's result back onto its row, reads the end values as
+    numpy scalars from the buffer, and adds both corrections over the whole
+    interior."""
+    x = grid.x_nodes()
+    nx, nt = grid.nx, grid.nt
+    dx, dt = grid.dx, grid.dt
+    cv = c.sample(x)
+    r = 0.5 * dt * dt / (dx * dx)
+    d, e, info = dpttrf(cv[1:nx] + 2.0 * r, np.full(max(nx - 2, 1), -r))
+    assert info == 0
+    P = np.zeros((nx + 1, 2))
+    P[1, 0] = P[nx - 1, 1] = r
+    P[1:nx], _ = dpttrs(d, e, P[1:nx])
+    z1, z2 = P[1:nx, 0].copy(), P[1:nx, 1].copy()
+    B = P.copy()
+    B[0, 0] = B[nx, 1] = 1.0
+    edge = np.array([3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)])
+    lo, hi = [0, 1, 2], [nx, nx - 1, nx - 2]
+    s00, s01, s10, s11 = np.linalg.inv(np.stack([edge @ B[lo], edge @ B[hi]])).ravel().tolist()
+    M = np.stack([edge @ P[lo], edge @ P[hi]]) + np.eye(2) / (2 * dt)
+    m00, m01, m10, m11 = M.ravel().tolist()
+    _, a1, a2 = edge.tolist()
+    b = 2.0 / dt
+    c2 = 2.0 * cv[1:nx]
+    U = np.zeros((nt + 1, nx + 1))
+    U[1] = dt * src.evaluate(x)
+    U[1, 0] = U[1, nx] = 0.0
+    for n in range(1, nt):
+        cur, prev, nxt = U[n], U[n - 1], U[n + 1]
+        np.multiply(c2, cur[1:nx], out=nxt[1:nx])
+        nxt[1:nx], _ = dpttrs(d, e, nxt[1:nx], overwrite_b=1)
+        nxt[1:nx] -= prev[1:nx]
+        p0, pn = prev[0], prev[nx]
+        g0 = b * cur[0] - a1 * nxt[1] - a2 * nxt[2] - p0 * m00 - pn * m01
+        gn = b * cur[nx] - a1 * nxt[nx - 1] - a2 * nxt[nx - 2] - p0 * m10 - pn * m11
+        u0 = s00 * g0 + s01 * gn
+        un = s10 * g0 + s11 * gn
+        nxt[1:nx] += (p0 + u0) * z1
+        nxt[1:nx] += (pn + un) * z2
+        nxt[0], nxt[nx] = u0, un
+    return U.T
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_simulate_equals_full_length_corrections_on_fixture_media(name):
+    """Cutting the end corrections to their support changes no bit of the
+    field on the fixture media, where only 294 of 2999 entries are kept."""
+    medium = fixture_medium(name)
+    u = simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
+    ref = _full_update_simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
+    assert np.array_equal(u.values, ref)
+
+
+@pytest.mark.parametrize("nx", [2, 3, 4])
+def test_simulate_equals_full_length_corrections_on_coarsest_grids(nx):
+    grid = SpaceTimeGrid(-1.0, 1.0, 1.0, nx, 10)
+    medium = _layered_medium(grid)
+    u = simulate(medium, grid, SourceModel())
+    assert np.array_equal(u.values, _full_update_simulate(medium, grid, SourceModel()))
+
+
 def test_simulate_matches_sparse_lu_reference_stepper():
     """The tridiagonal stepper reproduces the sparse-LU stepper up to roundoff."""
     grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
@@ -126,6 +190,30 @@ def test_simulate_raises_singular_system_on_non_finite_step(monkeypatch, bad):
     with pytest.raises(SingularSystem, match="non-finite"):
         simulate(_layered_medium(grid), grid, SourceModel())
     assert len(calls) == grid.nt
+
+
+@pytest.mark.parametrize("call", [5, 30], ids=["early", "last"])
+def test_simulate_raises_singular_system_on_nan_past_the_support(monkeypatch, call):
+    """A NaN in an interior entry that neither end correction touches is
+    still caught, whether later solves spread it (early) or not (last)."""
+    real_dpttrs = forward.dpttrs
+    calls, supports = [], []
+
+    def nan_dpttrs(d, e, b, overwrite_b=0):
+        calls.append(1)
+        x, info = real_dpttrs(d, e, b, overwrite_b=overwrite_b)
+        if len(calls) == 1:  # the solve for [z1, z2]
+            supports.extend([forward._support(x[:, 0]), forward._support(x[::-1, 1])])
+        if len(calls) == call:
+            x[len(x) // 2] = np.nan
+        return x, info
+
+    monkeypatch.setattr(forward, "dpttrs", nan_dpttrs)
+    grid = SpaceTimeGrid(-5.0, 5.0, 0.6, 3000, 30)  # the fixtures' dx and dt
+    with pytest.raises(SingularSystem, match="non-finite"):
+        simulate(_layered_medium(grid), grid, SourceModel())
+    assert len(calls) == grid.nt
+    assert supports == [294, 294]  # the NaN goes into entry 1499 of 2999
 
 
 def test_simulate_raises_singular_system_when_factorization_fails(monkeypatch):
@@ -183,7 +271,7 @@ def test_front_amplitude_closed_form_resolved_grid():
     """
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _constant_medium(1.0, grid)
-    u, _ = boundary_data(medium, grid, SourceModel(), CorrectionBox(), 0.0, 0)
+    u, _ = boundary_data(medium, grid, SourceModel(), CorrectionBox(), 0.0, 0.0, 0)
     x = grid.x_nodes()
     t = grid.t_nodes()
     X, T = np.meshgrid(x, t, indexing="ij")
@@ -209,16 +297,16 @@ def test_reflection_present_for_inclusion():
     assert np.max(np.abs(d.g0.samples - 0.5)) > 0.05
 
 
-def _reference_boundary_data(c, grid, src, box, delta, seed):
+def _reference_boundary_data(c, grid, src, box, eps, delta, seed):
     """The chain that ``boundary_data`` replaces: copy the simulated field,
-    set the box to 1/2 on the copy, read g0 and the one-sided g1 at x = 0,
+    set the box to 1/2 on the copy, read g0 and the one-sided g1 at x = eps,
     then add the noise pair."""
     u = simulate(c, grid, src)
     out = u.values.copy(order="K")
     x = grid.x_nodes()
     t = grid.t_nodes()
     out[np.ix_((x >= 0.0) & (x <= box.x_hi), t <= box.t_hi)] = 0.5
-    i = int(round((0.0 - grid.x_min) / grid.dx))
+    i = int(round((eps - grid.x_min) / grid.dx))
     m = min(int(round(grid.t_max / grid.dt)), grid.nt)
     ux = (-3.0 * out[i] + 4.0 * out[i + 1] - out[i + 2]) / (2.0 * grid.dx)
     g0 = Signal(0.0, grid.dt, out[i, : m + 1].copy())
@@ -235,7 +323,7 @@ def test_boundary_data_matches_reference_chain(delta):
     g0 or g1, without noise and with it."""
     grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
     medium = _layered_medium(grid)
-    args = (medium, grid, SourceModel(), CorrectionBox(0.05, 0.3), delta, 7)
+    args = (medium, grid, SourceModel(), CorrectionBox(0.05, 0.3), 0.0, delta, 7)
     u, d = boundary_data(*args)
     u_ref, d_ref = _reference_boundary_data(*args)
     assert np.array_equal(u.values, u_ref)
@@ -250,7 +338,7 @@ def test_correct_near_origin_box():
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 100, 100)
     medium = _constant_medium(1.0, grid)
     raw = simulate(medium, grid, SourceModel())
-    u, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(0.105, 0.205), 0.0, 0)
+    u, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(0.105, 0.205), 0.0, 0.0, 0)
     inside = np.zeros(grid.shape, dtype=bool)
     inside[50:56, :21] = True  # x = 0, 0.02, ..., 0.1 and t = 0, 0.01, ..., 0.2
     assert np.all(u.values[inside] == 0.5)
@@ -268,10 +356,53 @@ def test_extract_boundary_off_grid():
         SpaceTimeGrid(0.5, 1.5, 1.0, 20, 20),
     ):
         with pytest.raises(OffGridObservation):
-            boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(), 0.0, 0)
+            boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(),
+                          0.0, 0.0, 0)
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 4, 20)  # x = 0 is node 2 of 4: just enough
-    _, d = boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(), 0.0, 0)
+    _, d = boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(),
+                         0.0, 0.0, 0)
     assert d.g0.samples.size == d.g1.samples.size == 21
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.99])
+def test_boundary_data_records_at_the_observation_point(eps):
+    """g0 and g1 are u and the one-sided u_x of the simulated field at the
+    node x = eps, which may sit just two nodes short of the right end."""
+    grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)  # dx = 0.005
+    medium = _layered_medium(grid)
+    _, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(), eps, 0.0, 0)
+    raw = simulate(medium, grid, SourceModel()).values
+    i = round((eps + 2.0) / grid.dx)
+    assert np.array_equal(d.g0.samples, raw[i])
+    ux = (-3.0 * raw[i] + 4.0 * raw[i + 1] - raw[i + 2]) / (2.0 * grid.dx)
+    assert np.array_equal(d.g1.samples, ux)
+
+
+@pytest.mark.parametrize("eps", [0.1025, 1.995, 2.0, -2.5, 2.5, np.nan], ids=str)
+def test_boundary_data_rejects_an_observation_point_off_the_grid(monkeypatch, eps):
+    """An observation point between nodes, with fewer than two nodes to its
+    right or outside the grid raises OffGridObservation before simulating."""
+    monkeypatch.setattr(forward, "simulate", None)
+    grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
+    with pytest.raises(OffGridObservation, match="observation point"):
+        boundary_data(_layered_medium(grid), grid, SourceModel(), CorrectionBox(), eps, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "piece, key",
+    [
+        ({"kind": "table", "x": [0, 2, 1], "c": [2, 4, 8]}, "x"),
+        ({"kind": "table", "x": [2, 1, 0], "c": [2, 4, 8]}, "x"),
+        ({"kind": "bump", "center": 0.5, "halfwidth": -0.2, "amplitude": 10.0}, "halfwidth"),
+    ],
+    ids=["table_unsorted", "table_decreasing", "halfwidth_negative"],
+)
+def test_medium_from_pieces_rejects_a_bad_piece(piece, key):
+    """A library caller gets the config check's ValueError, naming the key,
+    not a silently wrong medium."""
+    grid = SpaceTimeGrid(-5.0, 5.0, 1.0, 100, 10)
+    with pytest.raises(ValueError, match=f"piece {key} must"):
+        medium_from_pieces([piece], grid)
 
 
 def test_add_noise_scale_and_determinism():

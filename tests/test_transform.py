@@ -121,7 +121,7 @@ def test_q_from_u_background_row():
     # resolved grid: the coarse default (nt=300) smears the front by dispersion
     fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-    u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox(), 0.0, 0)
+    u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox(), 0.0, 0.0, 0)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
     q = q_from_u(u, medium, gq)
     assert np.allclose(q.values.values[:, 0], 0.5, atol=0.01)
