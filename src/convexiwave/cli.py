@@ -28,6 +28,14 @@ def _write(path, text):
         f.write(text)
 
 
+def _report(out, rows):
+    report = "\n".join(rows) + "\n"
+    if out:
+        _write(out, report)
+    else:
+        print(report, end="")
+
+
 def cmd_forward(args) -> int:
     config = load_config(args.config)
     cfg = config.forward
@@ -105,11 +113,8 @@ def cmd_gradient_check(args) -> int:
     errors = gradient_audit(_audit_grid(args), args.trials, args.seed)
     worst = max(errors)
     rows = ["trial,max_rel_error"] + [f"{trial},{rel!r}" for trial, rel in enumerate(errors)]
-    report = "\n".join(rows) + f"\nworst,{worst!r}\n"
-    if args.out:
-        _write(args.out, report)
-    else:
-        print(report, end="")
+    rows.append(f"worst,{worst!r}")
+    _report(args.out, rows)
     return 0 if worst <= 1e-5 else 1
 
 
@@ -134,11 +139,7 @@ def cmd_convexity_check(args) -> int:
     rows += [f"{lam!r},{val!r}" for lam, val in table.items()]
     nonneg = [lam for lam, val in table.items() if val >= 0.0]
     rows.append(f"# lambda_emp = {max(nonneg) if nonneg else None}")
-    report = "\n".join(rows) + "\n"
-    if args.out:
-        _write(args.out, report)
-    else:
-        print(report, end="")
+    _report(args.out, rows)
     return 0
 
 

@@ -9,8 +9,7 @@ Gram matrix from ``grid.operators_for``. ``evaluate`` returns the objective
 together with every stencil image its gradient needs, and ``gradient`` builds
 the gradient from that record alone, so a descent step that accepts a trial
 point never applies a stencil to it again. Per evaluation the stencil images
-are q_t = Dt v (the one full-size matvec), q_xt = Gx1d q_t and
-q_xx = Gxx1d v (1D x-stencils on the (P, Q) array), q_x at the two ends only
+are those of ``transform.residual_parts``, q_x at the two ends only
 (``Gx_ends`` v, a 2-row product) and H2 v. The gradient is the exact
 derivative of the discretized objective: the chain rule runs through the
 stencil transposes, with Dxt^T = Dt^T Dx^T so the PDE term's adjoint takes one
@@ -33,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forward import INCIDENT_LEVEL
 from .grid import (
     DiscreteOperators,
     Field2D,
@@ -232,8 +232,10 @@ def bregman_divergence(v: np.ndarray, h: np.ndarray, ctx: ObjectiveContext) -> f
 # Convexity probing
 # ---------------------------------------------------------------------------
 
-# q of the null scatterer (c = 1 everywhere), the centre of the sampled pairs.
-Q_BACKGROUND = 0.5
+def _null_scatterer_context(grid: SpaceTimeGrid, params: ConvexParams) -> ObjectiveContext:
+    """The audits' objective: null-scatterer data and the ``DEFAULT_C_UPPER`` floor."""
+    q_eps = np.full(grid.nt + 1, INCIDENT_LEVEL)
+    return make_context(grid, q_eps, np.zeros(grid.nt + 1), params, DEFAULT_C_UPPER)
 
 
 def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator) -> np.ndarray:
@@ -267,12 +269,12 @@ def sample_admissible_pair(
     Each of the two draws is a ``random_smooth_field`` scaled to H2 norm
     radius / 2 times a uniform factor in [0.3, 1), then shrunk if its t=0 row
     would use more than half the headroom above the floor. So both q and
-    q + h stay inside the H2-ball of the given radius around the constant
-    field ``Q_BACKGROUND`` and keep their t=0 rows above the floor. Raises
-    ValueError if the pair is not finite.
+    q + h stay inside the H2-ball of the given radius around the null
+    scatterer's constant q = ``INCIDENT_LEVEL`` and keep their t=0 rows above
+    the floor. Raises ValueError if the pair is not finite.
     """
     margin = 0.02
-    headroom = Q_BACKGROUND - q_floor - margin
+    headroom = INCIDENT_LEVEL - q_floor - margin
     if headroom <= 0:
         raise ValueError("floor leaves no admissible headroom around the base")
     out = []
@@ -290,7 +292,7 @@ def sample_admissible_pair(
     if not np.all(np.isfinite(out)):
         raise ValueError("sampled pair contains non-finite values")
     h1, h2 = out
-    return Q_BACKGROUND + h1, h2
+    return INCIDENT_LEVEL + h1, h2
 
 
 def convexity_scan(
@@ -302,15 +304,15 @@ def convexity_scan(
 ) -> dict[float, float]:
     """Minimum normalized Bregman divergence over sampled pairs, per weight exponent.
 
-    The boundary data is the null-scatterer's (q_eps = 1/2, qx_eps = 0).
+    The objective is ``_null_scatterer_context``'s with ``ConvexParams(lam)``.
     Strict convexity holds on the set of iterates sharing the prescribed
     boundary data, so the sampled perturbations are masked to vanish to
     second order at the observation boundary (h = h_x = 0 at x = x_min).
     Each divergence is reported relative to the Carleman-weighted L2 norm of
     its perturbation: the raw values scale with the total mass of the weight,
     which shrinks with the exponent and would hide the convexification trend.
-    The other objective settings are the ``ConvexParams`` defaults. Raises
-    ValueError as ``bregman_divergence`` does, or if an h's weighted norm underflows.
+    Raises ValueError as ``bregman_divergence`` does, or if an h's weighted
+    norm underflows.
     """
     floor = q_floor_from_c_upper(DEFAULT_C_UPPER)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -320,12 +322,10 @@ def convexity_scan(
     pairs = []
     for _ in range(n_pairs):
         q_vals, h = sample_admissible_pair(grid, rng, radius, floor)
-        pairs.append((Q_BACKGROUND + (q_vals - Q_BACKGROUND) * mask, h * mask))
-    q_eps = np.full(grid.nt + 1, Q_BACKGROUND)
-    qx_eps = np.zeros(grid.nt + 1)
+        pairs.append((INCIDENT_LEVEL + (q_vals - INCIDENT_LEVEL) * mask, h * mask))
     result: dict[float, float] = {}
     for lam in lambdas:
-        ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=float(lam)), DEFAULT_C_UPPER)
+        ctx = _null_scatterer_context(grid, ConvexParams(lam=float(lam)))
         best = np.inf
         for q_vals, h in pairs:
             h_sq = float(np.sum(ctx.w2W * h**2))
@@ -342,14 +342,9 @@ def gradient_audit(grid: SpaceTimeGrid, trials: int, seed: int = 0) -> list[floa
     For each of ``trials`` sampled admissible pairs (q, h) in the H2-ball of
     radius 5 (``sample_admissible_pair``), compares <grad J(q), h> with
     (J(q + s h) - J(q - s h)) / (2 s) at s = 1e-6 and returns
-    |analytic - fd| / |fd| per trial. The boundary data is the
-    null-scatterer's, the floor follows from ``DEFAULT_C_UPPER``, and the
-    objective settings are the ``ConvexParams`` defaults.
+    |analytic - fd| / |fd| per trial, on ``_null_scatterer_context``'s objective.
     """
-    ctx = make_context(
-        grid, np.full(grid.nt + 1, Q_BACKGROUND), np.zeros(grid.nt + 1), ConvexParams(),
-        DEFAULT_C_UPPER,
-    )
+    ctx = _null_scatterer_context(grid, ConvexParams())
     rng = np.random.Generator(np.random.Philox(seed))
     s = 1e-6
     errors = []

@@ -14,7 +14,14 @@ import sys
 import numpy as np
 
 from .errors import FixtureMissing
-from .forward import BoundaryData, CorrectionBox, MediumProfile, SourceModel, boundary_data
+from .forward import (
+    INCIDENT_LEVEL,
+    BoundaryData,
+    CorrectionBox,
+    MediumProfile,
+    SourceModel,
+    boundary_data,
+)
 from .grid import Signal, SpaceTimeGrid
 from .preprocess import CalibrationResult, MediumMode, RawTrace
 
@@ -22,7 +29,7 @@ from .preprocess import CalibrationResult, MediumMode, RawTrace
 # default grid: [-5, 5] x [0, 6] with 3000 x 300 intervals. The fixtures, their
 # bands and the ``synth_c`` constants are defined by this discretization, not
 # by the PDE: it runs ``forward.simulate`` at Courant number dt/dx = 6, and
-# g0 - 1/2 is off by 5 % (test1) and 14 % (test3) from a converged solve.
+# g0 - INCIDENT_LEVEL is off by 5 % (test1) and 14 % (test3) from a converged solve.
 DEFAULT_FORWARD_GRID = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 300)
 
 
@@ -205,9 +212,9 @@ def fixture_medium(name: str) -> MediumProfile:
 RAW_TRACE_DT = 0.133
 
 
-def simulated_boundary_data(name: str, delta: float = 0.05, seed: int = 0) -> BoundaryData:
-    """Forward-simulate a fixture medium and read its (possibly noisy) boundary
-    data at x = 0, the observation point every fixture is defined by."""
+def simulated_boundary_data(name: str, delta: float, seed: int = 0) -> BoundaryData:
+    """Forward-simulate a fixture medium and read its boundary data, with noise
+    of level ``delta``, at x = 0, the observation point every fixture is defined by."""
     _, data = boundary_data(
         fixture_medium(name), DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), 0.0, delta,
         seed,
@@ -239,7 +246,7 @@ def synthesize_raw_trace(name: str) -> tuple[RawTrace, CalibrationResult, Signal
     # resample to the radar sampling rate; the truncation window of the
     # preprocessing pipeline is expressed in these coarser steps
     t = np.arange(0.0, DEFAULT_FORWARD_GRID.t_max + RAW_TRACE_DT, RAW_TRACE_DT)
-    u_sc = np.interp(t, d.g0.times(), d.g0.samples - 0.5)
+    u_sc = np.interp(t, d.g0.times(), d.g0.samples - INCIDENT_LEVEL)
     peak_idx = int(np.argmax(np.abs(u_sc)))
     peak = u_sc[peak_idx]
     t_peak = t[peak_idx]

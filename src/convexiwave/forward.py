@@ -2,9 +2,7 @@
 
 Solves c(x) u_tt = u_xx on [-a, a] x [0, T] with first-order absorbing ends
 (u_t -/+ u_x = 0) and a smoothed-Dirac initial velocity, by an implicit
-finite-difference scheme. Each time step is one solve with a tridiagonal
-factorization made once, plus a 2x2 solve for the two absorbing ends; the
-result equals a sparse-LU solve of the full step matrix up to roundoff.
+finite-difference scheme (``simulate``).
 ``boundary_data`` turns one solve into the measured pair (g0, g1) at the
 observation point: near-origin correction, trace reading and multiplicative
 noise. Also provides the regularized differentiation of noisy traces.
@@ -20,7 +18,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import InvalidInput, OffGridObservation, SingularSystem
-from .grid import Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid
+from .grid import ONE_SIDED_D1, Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid
 
 
 @dataclass
@@ -66,9 +64,13 @@ class SourceModel:
         return self.k / np.sqrt(2.0 * np.pi) * np.exp(-((self.k * x) ** 2) / 2.0)
 
 
+# u behind the unit source's front in the background c = 1: the null scatterer's q.
+INCIDENT_LEVEL = 0.5
+
+
 @dataclass
 class CorrectionBox:
-    """Region [0, x_hi] x [0, t_hi] on which the wave is reassigned to 1/2."""
+    """Region [0, x_hi] x [0, t_hi] on which the wave is reassigned to ``INCIDENT_LEVEL``."""
 
     x_hi: float = 0.0067
     t_hi: float = 0.26
@@ -78,9 +80,7 @@ class CorrectionBox:
             raise ValueError("box bounds must be nonnegative and finite")
 
 
-# Where an end correction of ``simulate`` is cut off, relative to its peak.
-# Far below the unit roundoff 2**-53 of doubles, so that a cut term is too
-# small to change the value it would be added to (see ``simulate``).
+# Where ``simulate`` cuts off an end correction, relative to its peak (see there).
 SUPPORT_TOL = 1e-30
 
 
@@ -93,10 +93,8 @@ def _support(z: np.ndarray) -> int:
 def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D:
     """Implicit finite-difference solution of the absorbing-ends wave problem.
 
-    This discretization, not the PDE, defines the simulated fixtures. On
-    ``fixtures.DEFAULT_FORWARD_GRID`` it runs at Courant number dt/dx = 6,
-    and the scattered part g0 - 1/2 of its boundary data is off by 5 %
-    (``test1``) and 14 % (``test3``) in relative L2 from a converged solve.
+    This discretization, not the PDE, defines the simulated fixtures; the
+    comment on ``fixtures.DEFAULT_FORWARD_GRID`` states its error there.
 
     Time-centered implicit scheme: the Laplacian is averaged over the new and
     old time levels around the standard three-level u_tt difference, which is
@@ -112,10 +110,7 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D
     roundoff (max |du| about 2e-11 on the fixture media). A failed
     factorization raises SingularSystem.
 
-    Per step: one multiply into the new row, the in-place solve on it, one
-    subtraction of the row before, four scalar reads of the values next to
-    the ends, the 2x2 end solve in Python floats, and the two end corrections.
-    The corrections are multiples of z1 and z2, the interior block's response
+    The end corrections are multiples of z1 and z2, the interior block's response
     to each end, which decay geometrically away from their end (by about
     0.79 per node on the fixtures' grid). Each is applied only on the
     leading or trailing entries where |z| exceeds ``SUPPORT_TOL`` = 1e-30 of
@@ -154,21 +149,23 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D
     z1, z2 = P[1:nx, 0].copy(), P[1:nx, 1].copy()
     B = P.copy()
     B[0, 0] = B[nx, 1] = 1.0
-    # Absorbing rows u_t -/+ u_x = 0 at the ends: second-order backward time
-    # difference and second-order one-sided space derivative, all at the new
-    # level. Substituting u_I^(n+1) leaves S (u_0, u_nx)^(n+1) = g, where
-    # g = (2/dt) (u_0, u_nx)^n - M (u_0, u_nx)^(n-1) - (the edge stencils of w).
-    edge = np.array([3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)])
+    # Absorbing rows u_t -/+ u_x = 0 at the ends, all at the new level: both
+    # derivatives are ``ONE_SIDED_D1`` with a reversed step, back in time and
+    # outward in space. Substituting u_I^(n+1) leaves S (u_0, u_nx)^(n+1) = g,
+    # where g = b (u_0, u_nx)^n - M (u_0, u_nx)^(n-1) - (the edge stencils of w).
+    back = -np.array(ONE_SIDED_D1)
+    edge = back / (2 * dx)
+    edge[0] += back[0] / (2 * dt)
     lo, hi = [0, 1, 2], [nx, nx - 1, nx - 2]
     try:
         S_inv = np.linalg.inv(np.stack([edge @ B[lo], edge @ B[hi]]))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"implicit wave step matrix is singular: {exc}") from exc
     s00, s01, s10, s11 = S_inv.ravel().tolist()
-    M = np.stack([edge @ P[lo], edge @ P[hi]]) + np.eye(2) / (2 * dt)
+    M = np.stack([edge @ P[lo], edge @ P[hi]]) + np.eye(2) * (back[2] / (2 * dt))
     m00, m01, m10, m11 = M.ravel().tolist()
     _, a1, a2 = edge.tolist()
-    b = 2.0 / dt
+    b = float(-back[1] / (2 * dt))
     c2 = 2.0 * cv[1:nx]
 
     # The end corrections act on their supports only: a leading stretch of
@@ -240,9 +237,9 @@ def boundary_data(
     """Simulate c and read the boundary data at the observation point x = eps
     over the whole record.
 
-    Runs ``simulate``, then reassigns u = 1/2 on the ``box`` region
-    [0, x_hi] x [0, t_hi] of that field in place, which removes the
-    smoothed-source dip. g0 is u(eps, t) and g1 the second-order one-sided
+    Runs ``simulate``, then reassigns u = ``INCIDENT_LEVEL`` on the ``box``
+    region [0, x_hi] x [0, t_hi] of that field in place, which removes the
+    smoothed-source dip. g0 is u(eps, t) and g1 the ``ONE_SIDED_D1``
     u_x(eps, t). With delta > 0, ``add_noise`` perturbs g0 with ``seed`` and
     g1 with ``seed + 1``; it rejects a negative delta. Returns the corrected
     field and the data. Raises OffGridObservation, before simulating, unless
@@ -256,10 +253,11 @@ def boundary_data(
             f"right on the grid [{grid.x_min}, {grid.x_max}] with nx = {grid.nx}"
         )
     u = simulate(c, grid, src)
-    u.values[np.ix_((x >= 0.0) & (x <= box.x_hi), grid.t_nodes() <= box.t_hi)] = 0.5
+    u.values[np.ix_((x >= 0.0) & (x <= box.x_hi), grid.t_nodes() <= box.t_hi)] = INCIDENT_LEVEL
     v = u.values
+    k0, k1, k2 = ONE_SIDED_D1
     g0 = Signal(0.0, grid.dt, v[i].copy())
-    g1 = Signal(0.0, grid.dt, (-3.0 * v[i] + 4.0 * v[i + 1] - v[i + 2]) / (2.0 * grid.dx))
+    g1 = Signal(0.0, grid.dt, (k0 * v[i] + k1 * v[i + 1] + k2 * v[i + 2]) / (2.0 * grid.dx))
     if delta:
         g0, g1 = add_noise(g0, delta, seed), add_noise(g1, delta, seed + 1)
     return u, BoundaryData(g0, g1)

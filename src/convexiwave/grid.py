@@ -6,8 +6,8 @@ closures at the boundaries, assembled once per grid as sparse matrices in
 ``DiscreteOperators``; tensor-product and cumulative trapezoidal quadrature;
 and the discrete H2 norm built from both. The residual (``transform``), the
 objective (``convexify``) and the quasi-reversibility solves (``solver``) all
-read their operators from ``operators_for``. CSV serialization of fields and
-signals lives here too.
+read their operators from ``operators_for``, and ``forward`` reads
+``ONE_SIDED_D1``. CSV serialization of fields and signals lives here too.
 """
 
 from __future__ import annotations
@@ -148,9 +148,15 @@ def _stencil_matrix(n: int, denom: float, interior, offsets, first, last) -> sp.
     return m.tocsr()
 
 
+# Second-order one-sided first derivative at a first node: the coefficients of
+# (u_0, u_1, u_2), over 2h. With the step reversed they change sign.
+ONE_SIDED_D1 = (-3.0, 4.0, -1.0)
+
+
 def d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    """Second-order first derivative: central interior, one-sided at the ends."""
-    return _stencil_matrix(n, 2.0 * h, [-1.0, 1.0], [-1, 1], [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0])
+    """Second-order first derivative: central interior, ``ONE_SIDED_D1`` at the ends."""
+    last = [-k for k in reversed(ONE_SIDED_D1)]
+    return _stencil_matrix(n, 2.0 * h, [-1.0, 1.0], [-1, 1], ONE_SIDED_D1, last)
 
 
 def d2_matrix(n: int, h: float) -> sp.csr_matrix:

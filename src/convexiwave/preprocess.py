@@ -3,7 +3,7 @@
 Raw field traces are far off the simulated amplitude scale, ring, and carry
 clutter. The pipeline scales them by a calibrated factor, bounds them by a
 lower (or upper) envelope, keeps a short window around the dominant
-excursion, and rebuilds the total wave by adding the incident level 1/2. The
+excursion, and rebuilds the total wave by adding ``forward.INCIDENT_LEVEL``. The
 missing spatial-derivative trace is approximated by the regularized time
 derivative of the result, which the outgoing-radiation condition justifies at
 the observation point.
@@ -17,18 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousExtrema, InvalidInput, ZeroSignal
-from .forward import BoundaryData, tikhonov_differentiate
+from .forward import INCIDENT_LEVEL, BoundaryData, tikhonov_differentiate
 from .grid import Signal
 
 
 class MediumMode(enum.Enum):
     AIR = "air"
     GROUND = "ground"
-
-
-class EnvelopeSide(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 class ContrastSign(enum.Enum):
@@ -86,19 +81,19 @@ def detect_contrast_sign(s: Signal) -> ContrastSign:
     return ContrastSign.LOW
 
 
-def envelope(s: Signal, side: EnvelopeSide) -> Signal:
+def envelope(s: Signal, sign: ContrastSign) -> Signal:
     """Bound the trace by the piecewise-linear hull through its extrema.
 
-    Lower: connect the local minima (plus endpoints) and take the pointwise
-    minimum with the trace. Upper is symmetric.
+    HIGH contrast: connect the local minima (plus endpoints) and take the
+    pointwise minimum with the trace. LOW takes the upper hull, symmetrically.
     """
     v = s.samples
     n = v.size
     minima, maxima = _local_extrema(v)
-    knots = minima if side is EnvelopeSide.LOWER else maxima
+    knots = minima if sign is ContrastSign.HIGH else maxima
     knots = np.unique(np.concatenate(([0], knots, [n - 1])))
     interp = np.interp(np.arange(n), knots, v[knots])
-    if side is EnvelopeSide.LOWER:
+    if sign is ContrastSign.HIGH:
         out = np.minimum(interp, v)
     else:
         out = np.maximum(interp, v)
@@ -121,10 +116,10 @@ def preprocess_pipeline(
 ) -> BoundaryData:
     """Scale, envelope, truncate, rebuild the total wave, approximate g1.
 
-    Air mode always takes the lower envelope (the backscattering wave is
-    non-positive for a target denser than air); ground mode picks the side
-    from the contrast-sign detection. Raises InvalidInput, naming ``cal.mu``,
-    if the scaled raw trace or its regularized derivative overflows.
+    Air mode counts as HIGH contrast (the backscattering wave is non-positive
+    for a target denser than air); ground mode detects the sign. Raises
+    InvalidInput, naming ``cal.mu``, if the scaled raw trace or its
+    regularized derivative overflows.
     """
     with np.errstate(over="ignore"):
         samples = cal.mu * raw.signal.samples
@@ -132,13 +127,12 @@ def preprocess_pipeline(
         raise InvalidInput(f"calibration mu={cal.mu!r} overflows the scaled raw trace")
     scaled = Signal(raw.signal.t0, raw.signal.dt, samples)
     if raw.medium_mode is MediumMode.AIR:
-        side = EnvelopeSide.LOWER
+        sign = ContrastSign.HIGH
     else:
         sign = detect_contrast_sign(scaled)
-        side = EnvelopeSide.LOWER if sign is ContrastSign.HIGH else EnvelopeSide.UPPER
-    env = envelope(scaled, side)
+    env = envelope(scaled, sign)
     u_sc = truncate_window(env, half_width_steps)
-    g0 = Signal(u_sc.t0, u_sc.dt, u_sc.samples + 0.5)
+    g0 = Signal(u_sc.t0, u_sc.dt, u_sc.samples + INCIDENT_LEVEL)
     try:
         return BoundaryData(g0=g0, g1=tikhonov_differentiate(g0, diff_reg))
     except InvalidInput as exc:

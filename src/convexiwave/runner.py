@@ -35,7 +35,8 @@ SIMULATED_BANDS = {
 
 EXPERIMENTAL_REL_TOL = 0.25
 
-# Seed of the delta = 0.05 noise on a simulated fixture's data.
+# Level and seed of the noise on a simulated fixture's data.
+NOISE_DELTA = 0.05
 NOISE_SEED = 1
 
 
@@ -59,7 +60,7 @@ def run_fixture(name: str, out_dir: str | None = None):
     cfg = RunConfig()
     checks = []
     if name in SIMULATED_TESTS:
-        data = simulated_boundary_data(name, delta=0.05, seed=NOISE_SEED)
+        data = simulated_boundary_data(name, delta=NOISE_DELTA, seed=NOISE_SEED)
         result = invert_from_config(data, cfg)
         x, c = result.c_comp.x, result.c_comp.c
         for lo, hi, target, tol in SIMULATED_BANDS[name]:

@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dpotrf, dtrttp
 
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
 from .errors import SingularSystem
-from .forward import MediumProfile
+from .forward import INCIDENT_LEVEL, MediumProfile
 from .grid import (
     Field2D,
     Signal,
@@ -365,16 +365,10 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
     Assembles the normal equations and solves them by a nested-dissection
     multifrontal Cholesky factorization (``GridCholesky``) over the
     row-major grid ``shape``, which defaults to (1, n_unknowns); a system of
-    at most LEAF_SIZE unknowns is one dense front. The factor stores each
-    front's triangular pivot block packed, as its k(k+1)/2 lower entries.
-    The regularization adds reg_eta times the Gram matrix
-    sum_j R_j^T diag(w) R_j from ``grid.weighted_gram``, built once for each
-    ``reg_ops`` object and weight vector: both QR stages pass the grid's H2
-    operators and area weights (``_qr_solve``), so they add the very matrix
-    ``DiscreteOperators.H2`` that the objective applies. The
-    factorization's symbolic analysis is cached per grid and keyed by a
-    digest of the normal matrix's CSR pattern, so repeated solves on one
-    grid pay only the numeric factorization. With positive weights the
+    at most LEAF_SIZE unknowns is one dense front. The regularization adds
+    reg_eta times the Gram matrix sum_j R_j^T diag(w) R_j from
+    ``grid.weighted_gram``, which both QR stages share with the objective
+    (``_qr_solve``). With positive weights the
     normal matrix is symmetric positive semidefinite, and positive definite
     once a term or ``reg_ops`` (the H2 operators include the identity)
     covers every unknown; an unknown that nothing covers leaves a zero
@@ -425,7 +419,7 @@ def initial_guess(
     Solves the over-determined constant-coefficient transport problem for the
     spatial derivative of the initial iterate by quasi-reversibility, rebuilds
     the iterate by cumulative quadrature from the measured trace, and sets its
-    t=0 row to the background value 1/2.
+    t=0 row to the null scatterer's ``forward.INCIDENT_LEVEL``.
     """
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
@@ -435,7 +429,7 @@ def initial_guess(
         (sp.eye(Q, P * Q, k=(P - 1) * Q, format="csr"), ops.wt, np.zeros(Q)),
     ], ops, qr)
     q_vals = q_eps.samples[None, :] + cumulative_trapezoid(Qfield, grid.dx)
-    q_vals[:, 0] = 0.5
+    q_vals[:, 0] = INCIDENT_LEVEL
     floor = q_floor_from_c_upper(c_upper)
     np.maximum(q_vals[:, 0], floor, out=q_vals[:, 0])
     return QField(Field2D(grid, q_vals), floor), Field2D(grid, Qfield)
@@ -471,39 +465,40 @@ def descend(q0: QField, ctx: ObjectiveContext, max_iters: int, grad_tol: float):
     found no decrease, else as many; ``reason`` the stop reason,
     ``"max_iters"``, ``"grad_tol"`` or ``"no_decrease"``.
     """
-    e = evaluate(q0.values.values.copy(), ctx)
-    info = {"J": [e.J], "grad_norm": [], "steps": [], "reason": "max_iters"}
-    # Warm-start the line search from the previously accepted step so the
-    # search does not pay the full backtracking cost every iteration.
-    step_start = ETA_STEP
-    for _ in range(max_iters):
-        g = gradient(e, ctx)
-        gnorm = float(np.linalg.norm(g))
-        info["grad_norm"].append(gnorm)
-        if gnorm <= grad_tol:
-            info["reason"] = "grad_tol"
-            break
-        gg = gnorm * gnorm
-        step = step_start
-        accepted = False
-        while step >= MIN_STEP:
-            trial = e.v - step * g
-            np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
-            if not np.all(np.isfinite(trial)):
-                raise ValueError("descent trial contains non-finite values")
-            threshold = e.J - ARMIJO_C1 * step * gg
-            e_trial = evaluate(trial, ctx, threshold)
-            if e_trial is not None and e_trial.J <= threshold:
-                accepted = True
+    with np.errstate(over="ignore"):  # an overflowing J or norm is inf: no Armijo test passes
+        e = evaluate(q0.values.values.copy(), ctx)
+        info = {"J": [e.J], "grad_norm": [], "steps": [], "reason": "max_iters"}
+        # Warm-start the line search from the previously accepted step so the
+        # search does not pay the full backtracking cost every iteration.
+        step_start = ETA_STEP
+        for _ in range(max_iters):
+            g = gradient(e, ctx)
+            gnorm = float(np.linalg.norm(g))
+            info["grad_norm"].append(gnorm)
+            if gnorm <= grad_tol:
+                info["reason"] = "grad_tol"
                 break
-            step *= BACKTRACK
-        if not accepted:
-            info["reason"] = "no_decrease"
-            break
-        step_start = min(step / BACKTRACK, ETA_STEP)
-        e = e_trial
-        info["J"].append(e.J)
-        info["steps"].append(step)
+            gg = gnorm * gnorm
+            step = step_start
+            accepted = False
+            while step >= MIN_STEP:
+                trial = e.v - step * g
+                np.maximum(trial[:, 0], ctx.q_floor, out=trial[:, 0])
+                if not np.all(np.isfinite(trial)):
+                    raise ValueError("descent trial contains non-finite values")
+                threshold = e.J - ARMIJO_C1 * step * gg
+                e_trial = evaluate(trial, ctx, threshold)
+                if e_trial is not None and e_trial.J <= threshold:
+                    accepted = True
+                    break
+                step *= BACKTRACK
+            if not accepted:
+                info["reason"] = "no_decrease"
+                break
+            step_start = min(step / BACKTRACK, ETA_STEP)
+            e = e_trial
+            info["J"].append(e.J)
+            info["steps"].append(step)
     return QField(Field2D(ctx.ops.grid, e.v), ctx.q_floor), info
 
 

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FloorViolation, HorizonTooShort
+from .errors import FloorViolation, HorizonTooShort, InvalidInput
 from .forward import BoundaryData, MediumProfile, tikhonov_differentiate
 from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid, cumulative_trapezoid
 
 DEFAULT_C_UPPER = 15.0
 
-# q_from_u samples the t=0 row of q this far past the wavefront: the smoothing
-# width of the standard source, past which u reaches its limit from above.
+# How far past the wavefront ``q_from_u`` samples the t=0 row of q (see there).
 FRONT_OFFSET = 0.1
 
 
@@ -112,8 +111,12 @@ def q_from_u(u: Field2D, c: MediumProfile, grid_q: SpaceTimeGrid) -> QField:
 
 
 def c_from_q(q: QField) -> MediumProfile:
-    """Pointwise inverse c(x) = 1 / (16 q(x,0)^4) on the inversion interval."""
-    c = 1.0 / (16.0 * checked_trace(q.values.values, q.q_floor) ** 4)
+    """Pointwise inverse c(x) = 1 / (16 q(x,0)^4); InvalidInput if it underflows to 0."""
+    r = checked_trace(q.values.values, q.q_floor)
+    with np.errstate(over="ignore"):
+        c = 1.0 / (16.0 * r**4)
+    if not np.all(c > 0):
+        raise InvalidInput(f"q(x,0) reaches {r.max():.6g}, where c = 1/(16 q^4) underflows to 0")
     return MediumProfile(q.values.grid.x_nodes(), c)
 
 

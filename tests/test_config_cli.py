@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import convexiwave
-from convexiwave import convexify, forward, preprocess, solver, transform
+from convexiwave import convexify, fixtures, forward, preprocess, solver, transform
 from convexiwave.cli import main
 from convexiwave.config import (
     GridConfig,
@@ -62,7 +62,8 @@ def test_runconfig_defaults_match_production_values():
     assert cfg.forward.source.k == 30.0
 
 
-# Each library stage takes these settings from RunConfig and states no default for them.
+# Each library stage takes these settings from RunConfig, or the fixtures' noise level
+# from runner.NOISE_DELTA, and states no default for them.
 SETTINGS_WITHOUT_DEFAULTS = [
     (solver.invert,
      ("params", "qr_cfg", "descent_cfg", "diff_reg", "c_upper", "freeze_time_derivative")),
@@ -74,6 +75,7 @@ SETTINGS_WITHOUT_DEFAULTS = [
     (preprocess.truncate_window, ("half_width_steps",)),
     (forward.simulate, ("src",)),
     (forward.boundary_data, ("eps", "delta", "seed")),
+    (fixtures.simulated_boundary_data, ("delta",)),
 ]
 
 
@@ -421,6 +423,7 @@ MALFORMED_G0_CSV = {
         "g1_shorter",
         "g1_other_dt",
         "config_not_json",
+        "c_underflows",
         *MALFORMED_G0_CSV,
         *BAD_CONFIGS,
     ],
@@ -432,6 +435,11 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         g0_vals[2] = float("nan")
     elif case == "non_uniform_times":
         times = [0.0, 0.1, 0.5, 0.55]
+    elif case == "c_underflows":
+        # finite traces that cover the window, but drive q(x,0) so high that
+        # c = 1/(16 q^4) underflows to 0
+        times = [k / 100 for k in range(701)]
+        g0_vals = [0.5 + 1e100 * float(np.sin(t)) for t in times]
     command, cfg = BAD_CONFIGS.get(case, ("invert", {}))
     g1_times = {"g1_shorter": times[:-1], "g1_other_dt": [0.0, 0.6, 1.2, 1.8]}.get(case, times)
     g0 = tmp_path / "g0.csv"

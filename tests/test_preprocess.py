@@ -12,7 +12,6 @@ from convexiwave.grid import Signal
 from convexiwave.preprocess import (
     CalibrationResult,
     ContrastSign,
-    EnvelopeSide,
     MediumMode,
     RawTrace,
     _local_extrema,
@@ -158,28 +157,28 @@ def _brute_force_lower_envelope(v):
 def test_lower_envelope_of_sine():
     t = np.linspace(0, 6 * np.pi, 600)
     s = Signal(0.0, t[1] - t[0], np.sin(t))
-    env = envelope(s, EnvelopeSide.LOWER).samples
+    env = envelope(s, ContrastSign.HIGH).samples
     between = (t > 1.6 * np.pi) & (t < 3.4 * np.pi)
     assert np.all(env[between] < -0.9)
 
 
 def test_envelope_monotone_signal_identity():
     s = _sig(np.linspace(3.0, 0.0, 40))
-    assert np.allclose(envelope(s, EnvelopeSide.LOWER).samples, s.samples)
+    assert np.allclose(envelope(s, ContrastSign.HIGH).samples, s.samples)
 
 
 def test_envelope_constant_identity():
     s = _sig(np.full(25, 2.0))
-    assert np.allclose(envelope(s, EnvelopeSide.LOWER).samples, s.samples)
-    assert np.allclose(envelope(s, EnvelopeSide.UPPER).samples, s.samples)
+    assert np.allclose(envelope(s, ContrastSign.HIGH).samples, s.samples)
+    assert np.allclose(envelope(s, ContrastSign.LOW).samples, s.samples)
 
 
 @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=3, max_size=60))
 @settings(max_examples=50, deadline=None)
 def test_envelope_properties(vals):
     s = _sig(vals)
-    lo = envelope(s, EnvelopeSide.LOWER).samples
-    hi = envelope(s, EnvelopeSide.UPPER).samples
+    lo = envelope(s, ContrastSign.HIGH).samples
+    hi = envelope(s, ContrastSign.LOW).samples
     assert np.all(lo <= s.samples + 1e-12)
     assert np.all(hi >= s.samples - 1e-12)
     # endpoints are always knots
@@ -189,7 +188,7 @@ def test_envelope_properties(vals):
 def test_lower_envelope_matches_brute_force():
     rng = np.random.Generator(np.random.Philox(4))
     v = rng.normal(size=80)
-    got = envelope(_sig(v), EnvelopeSide.LOWER).samples
+    got = envelope(_sig(v), ContrastSign.HIGH).samples
     ref = _brute_force_lower_envelope(v)
     assert np.allclose(got, ref)
 
