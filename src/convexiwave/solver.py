@@ -19,7 +19,7 @@ from scipy.linalg.blas import dsyrk, dtpsv, dtrsm
 from scipy.linalg.lapack import dpotrf, dtrttp
 
 from .convexify import ConvexParams, ObjectiveContext, evaluate, gradient, make_context
-from .errors import SingularSystem
+from .errors import InvalidInput, SingularSystem
 from .forward import INCIDENT_LEVEL, MediumProfile
 from .grid import (
     Field2D,
@@ -195,13 +195,18 @@ class _Analysis:
     elimination order, whose entries land in the pivot columns of their
     fronts: in block A11 or A21. Group 2f + b, for front f and block b, holds
     the entries ``data[src[bounds[g]:bounds[g + 1]]]``, and ``dst`` the
-    offset of each in its block, flattened in Fortran order.
+    offset of each in its block, flattened in Fortran order. ``structure[f]``
+    is front f's structural id: two fronts share it exactly when they have
+    the same k and m, the same ``dst`` offsets in both blocks and the same
+    ``extend`` maps, so equal entries and equal children's update matrices
+    assemble them into equal matrices.
     """
 
     key: bytes
     src: np.ndarray
     dst: np.ndarray
     bounds: np.ndarray
+    structure: tuple[int, ...]
 
 
 def _analyze(
@@ -230,7 +235,21 @@ def _analyze(
     group = 2 * front + later
     by_group = np.argsort(group, kind="stable")
     bounds = np.searchsorted(group[by_group], np.arange(2 * len(tree.fronts) + 1))
-    return _Analysis(key, _compact(src[by_group]), _compact(dst[by_group]), bounds)
+    dst = _compact(dst[by_group])
+    ids: dict[tuple, int] = {}
+    structure = tuple(
+        ids.setdefault((
+            f.stop - f.start,
+            f.rows.size,
+            dst[bounds[2 * i]:bounds[2 * i + 1]].tobytes(),
+            dst[bounds[2 * i + 1]:bounds[2 * i + 2]].tobytes(),
+            # slices are unhashable before Python 3.12: key their ends
+            tuple(tuple((b, *(end for s in add for end in (s.start, s.stop)))
+                        for b, *add in adds) for adds in f.extend),
+        ), len(ids))
+        for i, f in enumerate(tree.fronts)
+    )
+    return _Analysis(key, _compact(src[by_group]), dst, bounds, structure)
 
 
 def _compact(index: np.ndarray) -> np.ndarray:
@@ -272,6 +291,29 @@ def analysis_for(A: sp.csr_matrix, shape: tuple[int, int]) -> _Analysis:
     return an
 
 
+def _front_classes(tree: _DissectionTree, an: _Analysis, data: np.ndarray):
+    """Sort the fronts, children first, into classes of equal assembled matrices.
+
+    ``data`` holds the matrix's entries in the order of ``an.src``. Two fronts
+    fall in one class when their structural ids, their children's classes
+    in turn, and the bytes of their entries are equal; the bytes are keys of
+    a dict, so they are compared exactly. Returns each front's class, each
+    class's first front, and for each class that has an update matrix the
+    last class whose first front reads it.
+    """
+    classes: dict[tuple, int] = {}
+    front_class, first, last_reader = [], [], {}
+    for i, f in enumerate(tree.fronts):
+        children = tuple(front_class[c] for c in f.children)
+        values = data[an.bounds[2 * i]:an.bounds[2 * i + 2]].tobytes()
+        cls = classes.setdefault((an.structure[i], children, values), len(classes))
+        if cls == len(first):
+            first.append(i)
+            last_reader.update(dict.fromkeys(children, cls))
+        front_class.append(cls)
+    return front_class, first, last_reader
+
+
 class GridCholesky:
     """Cholesky factor of a symmetric positive definite matrix on a (P, Q) grid.
 
@@ -282,16 +324,23 @@ class GridCholesky:
     method). The work splits in two phases. The symbolic phase
     (``analysis_for``) depends only on the grid and the matrix's CSR pattern
     and is cached: it maps each entry of the upper triangle, in elimination
-    order, to its place in its front, and raises ValueError if the matrix
-    couples two nodes that no front holds together. The numeric phase gathers
-    each front's entries from the matrix's ``data``, adds its children's
-    update matrices in, and factors it in place with dpotrf, dtrsm and dsyrk.
-    Only the lower triangle of each front is used, and the arithmetic does
-    not depend on whether the analysis was cached, so equal matrices give
-    equal factors. ``factors`` holds one pair per front: its pivot block L11,
-    packed by dtrttp into its k(k+1)/2 lower-triangle entries, column by
-    column, and the dense (m - k) x k block L21; ``solve`` reads the packed
-    block with dtpsv. Raises SingularSystem if a pivot is not positive.
+    order, to its place in its front, gives each front a structural id, and
+    raises ValueError if the matrix couples two nodes that no front holds
+    together. The numeric phase first sorts the fronts, children first, into
+    classes of equal assembled matrices: equal structural id, equal classes
+    of the children in turn, and byte-equal entries from the matrix's
+    ``data``. It then factors the first front of each class only: it gathers
+    the front's entries, adds its children's update matrices in, and factors
+    it in place with dpotrf, dtrsm and dsyrk. A class's update matrix is
+    freed once the last class that reads it has been assembled. Only the
+    lower triangle of each front is used, and each factored front runs the
+    arithmetic that factoring every front would run, so sharing and the
+    cached analysis change no bit of the factor. ``factors`` holds one pair
+    per front, the same pair objects for every front of a class: its pivot
+    block L11, packed by dtrttp into its k(k+1)/2 lower-triangle entries,
+    column by column, and the dense (m - k) x k block L21; ``solve`` reads
+    the packed block with dtpsv and writes to neither. Raises SingularSystem
+    if a pivot is not positive.
     """
 
     def __init__(self, matrix: sp.spmatrix, shape: tuple[int, int]):
@@ -304,9 +353,12 @@ class GridCholesky:
             A = A.copy()
             A.sum_duplicates()
         an = analysis_for(A, tuple(shape))
-        self.factors = []  # (packed L11, L21) per front
+        data = A.data[an.src]
+        front_class, first, last_reader = _front_classes(tree, an, data)
+        class_factors = []  # (packed L11, L21) per class
         updates = {}
-        for i, f in enumerate(tree.fronts):
+        for cls, i in enumerate(first):
+            f = tree.fronts[i]
             m, k = f.rows.size, f.stop - f.start
             blocks = (
                 np.zeros((k, k), order="F"),
@@ -315,12 +367,16 @@ class GridCholesky:
             )
             for block, g in zip(blocks, (2 * i, 2 * i + 1)):
                 lo, hi = an.bounds[g], an.bounds[g + 1]
-                block.reshape(-1, order="F")[an.dst[lo:hi]] = A.data[an.src[lo:hi]]
-            for child, adds in zip(f.children, f.extend):
-                update = updates.pop(child)
+                block.reshape(-1, order="F")[an.dst[lo:hi]] = data[lo:hi]
+            children = [front_class[c] for c in f.children]
+            for child, adds in zip(children, f.extend):
+                update = updates[child]
                 for b, rows, cols, u_rows, u_cols in adds:
                     dest = blocks[b][rows, cols]
                     np.add(dest, update[u_rows, u_cols], out=dest)
+            for child in set(children):
+                if last_reader[child] == cls:
+                    del updates[child]
             L11, info = dpotrf(blocks[0], lower=1, overwrite_a=1)
             if info > 0:
                 node = tree.order[f.start + info - 1]
@@ -329,8 +385,9 @@ class GridCholesky:
                 )
             L21 = dtrsm(1.0, L11, blocks[1], side=1, lower=1, trans_a=1, overwrite_b=1)
             if m > k:
-                updates[i] = dsyrk(-1.0, L21, beta=1.0, c=blocks[2], lower=1, overwrite_c=1)
-            self.factors.append((dtrttp(L11, uplo="L")[0], L21))
+                updates[cls] = dsyrk(-1.0, L21, beta=1.0, c=blocks[2], lower=1, overwrite_c=1)
+            class_factors.append((dtrttp(L11, uplo="L")[0], L21))
+        self.factors = [class_factors[cls] for cls in front_class]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Forward then back substitution over the fronts."""
@@ -372,11 +429,12 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
     normal matrix is symmetric positive semidefinite, and positive definite
     once a term or ``reg_ops`` (the H2 operators include the identity)
     covers every unknown; an unknown that nothing covers leaves a zero
-    pivot, which dpotrf reports. Returns (solution, relative_normal_residual);
-    raises SingularSystem if a pivot is not positive, the solution is
-    non-finite or its relative residual exceeds ``QR_RESIDUAL_TOL``, and
-    ValueError if the normal matrix couples nodes across a separator of
-    ``shape``.
+    pivot, which dpotrf reports. Returns (solution, relative_normal_residual),
+    the residual ||normal @ solution - rhs|| / ||rhs||. Raises InvalidInput
+    if ||rhs|| overflows, which data far off the unit source's scale cause;
+    SingularSystem if a pivot is not positive, the solution is non-finite or
+    its relative residual exceeds ``QR_RESIDUAL_TOL``; and ValueError if the
+    normal matrix couples nodes across a separator of ``shape``.
     """
     normal = sp.csr_matrix((n_unknowns, n_unknowns))
     rhs = np.zeros(n_unknowns)
@@ -387,11 +445,19 @@ def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shap
             rhs = rhs + Lw @ b
     if reg_ops:
         normal = normal + reg_eta * weighted_gram(reg_ops, reg_weight_vec)
+    with np.errstate(over="ignore"):
+        rhs_norm = np.linalg.norm(rhs)
+    if not np.isfinite(rhs_norm):
+        raise InvalidInput(
+            "the norm of the quasi-reversibility right-hand side overflows: "
+            "the data are far off the unit source's scale"
+        )
     sol = GridCholesky(normal, shape or (1, n_unknowns)).solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise SingularSystem("quasi-reversibility solve produced non-finite values")
     res = normal @ sol - rhs
-    rel_residual = float(np.linalg.norm(res) / max(np.linalg.norm(rhs), 1e-300))
+    with np.errstate(over="ignore"):  # an overflowing residual norm is inf: refused below
+        rel_residual = float(np.linalg.norm(res) / max(rhs_norm, 1e-300))
     if not rel_residual <= QR_RESIDUAL_TOL:
         raise SingularSystem(
             f"quasi-reversibility normal residual {rel_residual:.3g} exceeds {QR_RESIDUAL_TOL:g}"

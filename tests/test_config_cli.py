@@ -415,6 +415,13 @@ MALFORMED_G0_CSV = {
 }
 
 
+# Finite traces g0 = 0.5 + amplitude * sin t that cover the window, but lie so
+# far off the unit source's scale that c = 1/(16 q(x,0)^4) underflows to 0
+# (1e100) or that the norm of the initial guess's right-hand side overflows.
+OFF_SCALE_AMPLITUDES = {"c_underflows": 1e100, "rhs_norm_overflows": 1e200,
+                        "rhs_norm_overflows_near_max": 1e300}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -423,7 +430,7 @@ MALFORMED_G0_CSV = {
         "g1_shorter",
         "g1_other_dt",
         "config_not_json",
-        "c_underflows",
+        *OFF_SCALE_AMPLITUDES,
         *MALFORMED_G0_CSV,
         *BAD_CONFIGS,
     ],
@@ -435,11 +442,9 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         g0_vals[2] = float("nan")
     elif case == "non_uniform_times":
         times = [0.0, 0.1, 0.5, 0.55]
-    elif case == "c_underflows":
-        # finite traces that cover the window, but drive q(x,0) so high that
-        # c = 1/(16 q^4) underflows to 0
+    elif case in OFF_SCALE_AMPLITUDES:
         times = [k / 100 for k in range(701)]
-        g0_vals = [0.5 + 1e100 * float(np.sin(t)) for t in times]
+        g0_vals = [0.5 + OFF_SCALE_AMPLITUDES[case] * float(np.sin(t)) for t in times]
     command, cfg = BAD_CONFIGS.get(case, ("invert", {}))
     g1_times = {"g1_shorter": times[:-1], "g1_other_dt": [0.0, 0.6, 1.2, 1.8]}.get(case, times)
     g0 = tmp_path / "g0.csv"

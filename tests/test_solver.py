@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+from scipy.linalg.blas import dsyrk, dtrsm
+from scipy.linalg.lapack import dpotrf, dtrttp
 
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import solver
@@ -555,6 +557,180 @@ def test_analysis_cache_stays_bounded(empty_analysis_cache):
         extra = (k * Q + 2, (k + 1) * Q + 3)  # one diagonal coupling per pattern
         _assert_matches_dense(_grid_matrix(pairs + [extra], k))
         assert len(empty_analysis_cache[CACHE_SHAPE]) == min(k + 1, solver.ANALYSES_PER_SHAPE)
+
+
+# ---------------------------------------------------------------------------
+# GridCholesky's classes of equal fronts
+# ---------------------------------------------------------------------------
+
+def _per_front_factors(matrix, shape):
+    """The factor with every front assembled and factored on its own, as
+    GridCholesky factored it before equal fronts shared one factorization."""
+    tree = solver.dissection_tree(*shape)
+    A = sp.csr_matrix(matrix)
+    A.sum_duplicates()
+    an = solver.analysis_for(A, shape)
+    factors, updates = [], {}
+    for i, f in enumerate(tree.fronts):
+        m, k = f.rows.size, f.stop - f.start
+        blocks = (
+            np.zeros((k, k), order="F"),
+            np.zeros((m - k, k), order="F"),
+            np.zeros((m - k, m - k), order="F"),
+        )
+        for block, g in zip(blocks, (2 * i, 2 * i + 1)):
+            lo, hi = an.bounds[g], an.bounds[g + 1]
+            block.reshape(-1, order="F")[an.dst[lo:hi]] = A.data[an.src[lo:hi]]
+        for child, adds in zip(f.children, f.extend):
+            update = updates.pop(child)
+            for b, rows, cols, u_rows, u_cols in adds:
+                dest = blocks[b][rows, cols]
+                np.add(dest, update[u_rows, u_cols], out=dest)
+        L11, info = dpotrf(blocks[0], lower=1, overwrite_a=1)
+        assert info == 0
+        L21 = dtrsm(1.0, L11, blocks[1], side=1, lower=1, trans_a=1, overwrite_b=1)
+        if m > k:
+            updates[i] = dsyrk(-1.0, L21, beta=1.0, c=blocks[2], lower=1, overwrite_c=1)
+        factors.append((dtrttp(L11, uplo="L")[0], L21))
+    return factors
+
+
+def _qr_normal_matrices(monkeypatch, nx, nt, corrections):
+    """The normal matrices that ``initial_guess`` and then ``correction_step``,
+    once per entry of ``corrections`` (its ``freeze_time_derivative``), factor
+    on an nx x nt grid, each with its grid shape."""
+    recorded = []
+
+    class Recorded(solver.GridCholesky):
+        def __init__(self, matrix, shape):
+            recorded.append((matrix, shape))
+            super().__init__(matrix, shape)
+
+    monkeypatch.setattr(solver, "GridCholesky", Recorded)
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, nx, nt)
+    t = g.t_nodes()
+    q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
+    qx_eps = Signal(0.0, g.dt, 0.1 * np.cos(t))
+    q0, _ = initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
+    for freeze in corrections:
+        correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
+    monkeypatch.undo()
+    return recorded
+
+
+def _constant_matrix(pairs, shape):
+    """5 on the diagonal and -1 on each coupling of ``pairs``: one value per
+    kind of entry, whatever the node."""
+    n = shape[0] * shape[1]
+    i, j = np.array(pairs).T
+    off = sp.csr_matrix((-np.ones(i.size), (i, j)), shape=(n, n))
+    return (off + off.T + 5.0 * sp.identity(n)).tocsr()
+
+
+def _distinct(chol):
+    return len({id(L11) for L11, _ in chol.factors})
+
+
+def _assert_equals_per_front(chol, matrix, shape):
+    reference = _per_front_factors(matrix, shape)
+    assert len(chol.factors) == len(reference) == len(chol.tree.fronts)
+    for (L11, L21), (r11, r21) in zip(chol.factors, reference):
+        assert np.array_equal(L11, r11) and np.array_equal(L21, r21)
+
+
+@pytest.mark.parametrize("nx, nt, corrections", [
+    (23, 31, (True, False)),  # the three QR stages
+    (60, 60, (False,)),  # the production grid's initial guess and correction
+    (400, 2, (False,)),  # a lopsided (401, 3) grid, split along x only
+])
+def test_shared_fronts_equal_the_per_front_factorization_on_qr_matrices(
+    monkeypatch, nx, nt, corrections
+):
+    """Sharing a factor between equal fronts changes no bit of any front's
+    L11 or L21."""
+    systems = _qr_normal_matrices(monkeypatch, nx, nt, corrections)
+    assert len(systems) == 1 + len(corrections)
+    for matrix, shape in systems:
+        _assert_equals_per_front(solver.GridCholesky(matrix, shape), matrix, shape)
+
+
+def test_the_production_initial_guess_factors_fewer_fronts_than_it_has(monkeypatch):
+    """The 60x60 initial guess has constant coefficients, so translated
+    leaves and separators of the interior repeat and share one factor."""
+    (matrix, shape), = _qr_normal_matrices(monkeypatch, 60, 60, ())
+    chol = solver.GridCholesky(matrix, shape)
+    assert _distinct(chol) < len(chol.tree.fronts)
+
+
+def test_constant_coefficient_matrices_share_fronts(empty_analysis_cache):
+    """On CACHE_SHAPE a 5-point pattern repeats no front: the leaves on
+    either side of a separator are mirror images, not translates. On the
+    lopsided (401, 3) grid its translated leaves and separators repeat. With
+    no coupling at all (5 I) the two leaves beside a separator are equal too,
+    so their parent reads one class's update matrix twice."""
+    lopsided = (401, 3)
+    for A, shape, shares in [
+        (_constant_matrix(_neighbour_pairs(*CACHE_SHAPE), CACHE_SHAPE), CACHE_SHAPE, False),
+        (_constant_matrix(_neighbour_pairs(*lopsided), lopsided), lopsided, True),
+        (5.0 * sp.identity(CACHE_SHAPE[0] * CACHE_SHAPE[1], format="csr"), CACHE_SHAPE, True),
+    ]:
+        chol = solver.GridCholesky(A, shape)
+        _assert_equals_per_front(chol, A, shape)
+        _assert_matches_dense(A, shape)
+        assert (_distinct(chol) < len(chol.tree.fronts)) == shares
+    assert any(
+        len(f.children) == 2 and chol.factors[f.children[0]] is chol.factors[f.children[1]]
+        for f in chol.tree.fronts
+    )
+
+
+def test_random_values_share_no_front(empty_analysis_cache):
+    A = _grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 6)
+    chol = solver.GridCholesky(A, CACHE_SHAPE)
+    assert _distinct(chol) == len(chol.tree.fronts)
+
+
+def test_a_perturbed_leaf_stops_sharing_only_along_its_path_to_the_root(empty_analysis_cache):
+    """Raising one diagonal entry inside an interior leaf of the lopsided
+    (401, 3) grid changes the class of that leaf and its ancestors; every
+    other front keeps its factor and its sharing."""
+    shape = (401, 3)
+    A = _constant_matrix(_neighbour_pairs(*shape), shape)
+    before = solver.GridCholesky(A, shape)
+    fronts = before.tree.fronts
+    parent = {c: i for i, f in enumerate(fronts) for c in f.children}
+    leaves = [i for i, f in enumerate(fronts) if not f.children]
+    leaf = leaves[len(leaves) // 2]
+    assert sum(before.factors[i] is before.factors[leaf] for i in leaves) > 1
+    path = {leaf}
+    while max(path) in parent:
+        path.add(parent[max(path)])
+    node = before.tree.order[(fronts[leaf].start + fronts[leaf].stop) // 2]
+    perturbed = A.tolil()
+    perturbed[node, node] += 0.5
+    perturbed = perturbed.tocsr()
+    after = solver.GridCholesky(perturbed, shape)
+    _assert_equals_per_front(after, perturbed, shape)
+    assert all(after.factors[i] is not after.factors[leaf] for i in range(len(fronts)) if i != leaf)
+    kept = [i for i in range(len(fronts)) if i not in path]
+    for i in kept:
+        assert all(np.array_equal(a, b) for a, b in zip(after.factors[i], before.factors[i]))
+        for j in kept:
+            assert (after.factors[i] is after.factors[j]) == (before.factors[i] is before.factors[j])
+    _assert_matches_dense(perturbed, shape)
+
+
+def test_solves_leave_shared_blocks_unchanged(empty_analysis_cache):
+    shape = (401, 3)
+    A = _constant_matrix(_neighbour_pairs(*shape), shape)
+    chol = solver.GridCholesky(A, shape)
+    assert _distinct(chol) < len(chol.tree.fronts)
+    saved = [(L11.copy(), L21.copy()) for L11, L21 in chol.factors]
+    b = np.random.default_rng(1).normal(size=A.shape[0])
+    first = chol.solve(b.copy())
+    assert np.array_equal(chol.solve(b.copy()), first)
+    for (L11, L21), (s11, s21) in zip(chol.factors, saved):
+        assert np.array_equal(L11, s11) and np.array_equal(L21, s21)
 
 
 # ---------------------------------------------------------------------------
