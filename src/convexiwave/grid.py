@@ -39,6 +39,8 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise ValueError("need nx >= 2 and nt >= 2")
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.t_max])):
+            raise ValueError("x_min, x_max and t_max must be finite")
         if not (self.x_max > self.x_min):
             raise ValueError("x_max must exceed x_min")
         if not (self.t_max > 0):

@@ -22,7 +22,7 @@ from .grid import DiscreteOperators, Field2D, Signal, SpaceTimeGrid, cumulative_
 
 DEFAULT_C_UPPER = 15.0
 
-# How far past the wavefront ``q_from_u`` samples the t=0 row of q (see there).
+# How far past the wavefront ``q_from_u`` starts q's clock (see there).
 FRONT_OFFSET = 0.1
 
 
@@ -70,16 +70,17 @@ def travel_time(c: MediumProfile) -> np.ndarray:
 
 
 def q_from_u(u: Field2D, c: MediumProfile, grid_q: SpaceTimeGrid) -> QField:
-    """Sample q(x, t) = u(x, t + tau(x)) onto the inversion grid, tau from the medium c.
+    """Sample q(x, t) = u(x, t + tau(x) + ``FRONT_OFFSET``) onto the inversion grid, tau from c.
 
-    Linear interpolation in x (between u's node columns) and in t. The t=0
-    row sits exactly on the wavefront jump of u, where the intended value is
-    the limit from above; with a smoothed source that limit is reached only
-    past the smoothing width, so the t=0 row is sampled at tau(x) +
-    ``FRONT_OFFSET``. That row is then raised to the floor implied by
-    ``DEFAULT_C_UPPER``, which is also the floor of the returned field.
-    Raises ValueError if the inversion grid reaches past the x-range of u or
-    of c, and HorizonTooShort if t + tau(x) reaches past u's last time.
+    Linear interpolation in x (between u's node columns) and in t. Every row
+    is read on one clock, ``FRONT_OFFSET`` past the wavefront: at tau(x)
+    itself the t=0 row would sit exactly on the wavefront jump of u, where
+    the intended value is the limit from above, and with a smoothed source
+    that limit is reached only past the smoothing width. The t=0 row is then
+    raised to the floor implied by ``DEFAULT_C_UPPER``, which is also the
+    floor of the returned field. Raises ValueError if the inversion grid
+    reaches past the x-range of u or of c, and HorizonTooShort if
+    t + tau(x) + ``FRONT_OFFSET`` reaches past u's last time.
     """
     xq = grid_q.x_nodes()
     tq = grid_q.t_nodes()
@@ -89,20 +90,19 @@ def q_from_u(u: Field2D, c: MediumProfile, grid_q: SpaceTimeGrid) -> QField:
         raise ValueError(f"the inversion grid spans [{xq[0]:.6g}, {xq[-1]:.6g}], but u covers "
                          f"[{xu[0]:.6g}, {xu[-1]:.6g}] and the medium "
                          f"[{c.x[0]:.6g}, {c.x[-1]:.6g}]")
-    tau_q = np.interp(xq, c.x, travel_time(c))
-    if np.max(tq[-1] + tau_q) > u.grid.t_max + 1e-9:
+    shift = np.interp(xq, c.x, travel_time(c)) + FRONT_OFFSET
+    if np.max(tq[-1] + shift) > u.grid.t_max + 1e-9:
         raise HorizonTooShort(
-            f"u covers t <= {u.grid.t_max} but q needs t + tau up to "
-            f"{np.max(tq[-1] + tau_q):.6g}"
+            f"u covers t <= {u.grid.t_max} but q needs t + tau + {FRONT_OFFSET} up to "
+            f"{np.max(tq[-1] + shift):.6g}"
         )
     tu = u.grid.t_nodes()
     vals = np.empty((xq.size, tq.size))
-    for i, (xi, ti_shift) in enumerate(zip(xq, tau_q)):
+    for i, (xi, ti_shift) in enumerate(zip(xq, shift)):
         j = np.clip(np.searchsorted(xu, xi) - 1, 0, xu.size - 2)
         w = (xi - xu[j]) / (xu[j + 1] - xu[j])
         col = (1.0 - w) * u.values[j] + w * u.values[j + 1]
         vals[i] = np.interp(tq + ti_shift, tu, col)
-        vals[i, 0] = np.interp(min(ti_shift + FRONT_OFFSET, tu[-1]), tu, col)
     floor = q_floor_from_c_upper(DEFAULT_C_UPPER)
     # Sampling near the wavefront can land a hair below the admissible floor;
     # project back, as the descent iteration does.

@@ -28,7 +28,7 @@ from convexiwave.config import (
 from convexiwave.fixtures import FIXTURE_NAMES, medium_from_pieces, synthesize_raw_trace
 from convexiwave.forward import BoundaryData, CorrectionBox, SourceModel, simulate
 from convexiwave.grid import Signal, SpaceTimeGrid, signal_from_csv, signal_to_csv
-from convexiwave.solver import DescentConfig, QRConfig
+from convexiwave.solver import QRConfig
 
 
 def _write_config(cfg, path):
@@ -55,6 +55,7 @@ def test_runconfig_defaults_match_production_values():
         "c_upper": 15.0, "diff_reg": 1e-6, "freeze_time_derivative": True,
     }
     assert dataclasses.asdict(cfg.preprocess) == {"half_width_steps": 10, "diff_reg": 1e-6}
+    assert dataclasses.asdict(cfg.descent) == {"max_iters": 300, "redescent_iters": 2000}
     assert cfg.convex.lam == 2.0
     assert cfg.convex.alpha == 0.3
     assert cfg.convex.beta == 1e-9
@@ -115,7 +116,6 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "section, key",
     [
-        (DescentConfig, "grad_tol"),
         (QRConfig, "reg_eta"),
         (InversionConfig, "M"),
         (InversionConfig, "T"),
@@ -371,6 +371,7 @@ BAD_CONFIGS = {
     "backtrack_removed": ("invert", {"descent": {"backtrack": 0.5}}),
     "stop_linf_removed": ("invert", {"descent": {"stop_linf": 1e-3}}),
     "max_corrections_removed": ("invert", {"descent": {"max_corrections": 1}}),
+    "grad_tol_removed": ("invert", {"descent": {"grad_tol": 1e-7}}),
 }
 
 # Finite medium pieces outside the ranges that keep c > 0 (or, for a table,

@@ -22,16 +22,32 @@ from convexiwave.convexify import (
     sample_admissible_pair,
 )
 from convexiwave.errors import FloorViolation
-from convexiwave.grid import Field2D, SpaceTimeGrid
+from convexiwave.grid import Field2D, Signal, SpaceTimeGrid
 from convexiwave.transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper, residual_parts
 
 FLOOR = q_floor_from_c_upper(DEFAULT_C_UPPER)
 
 
 def _null_context(grid, params=None):
-    q_eps = np.full(grid.nt + 1, 0.5)
-    qx_eps = np.zeros(grid.nt + 1)
+    q_eps = Signal(0.0, grid.dt, np.full(grid.nt + 1, 0.5))
+    qx_eps = Signal(0.0, grid.dt, np.zeros(grid.nt + 1))
     return make_context(grid, q_eps, qx_eps, params or ConvexParams(), DEFAULT_C_UPPER)
+
+
+@pytest.mark.parametrize(
+    "t0, dt_factor, n_extra",
+    [(0.1, 1.0, 0), (0.0, 0.5, 0), (0.0, 1.0, 1), (0.0, 1.0, -1)],
+    ids=["late_start", "other_step", "one_sample_more", "one_sample_less"],
+)
+def test_make_context_rejects_traces_off_the_grids_t_nodes(t0, dt_factor, n_extra):
+    """A trace must be sampled on exactly the grid's t-nodes: the right
+    number of samples from another start or step is refused too."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
+    good = Signal(0.0, g.dt, np.full(g.nt + 1, 0.5))
+    off = Signal(t0, g.dt * dt_factor, np.full(g.nt + 1 + n_extra, 0.5))
+    for q_eps, qx_eps in [(off, good), (good, off)]:
+        with pytest.raises(ValueError, match="t-nodes"):
+            make_context(g, q_eps, qx_eps, ConvexParams(), DEFAULT_C_UPPER)
 
 
 def test_default_params():
@@ -114,7 +130,7 @@ def test_gradient_matches_finite_differences(seed):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(seed))
-    v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+    v, h = sample_admissible_pair(g, rng, 5.0)
     grad = gradient_J(QField(Field2D(g, v), FLOOR), ctx)
     analytic = float(np.sum(grad.values * h))
     s = 1e-6
@@ -150,7 +166,7 @@ def test_evaluate_with_bound_is_none_exactly_above_the_objective(seed):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(seed))
-    v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+    v, h = sample_admissible_pair(g, rng, 5.0)
     for point in (v, v + h):
         full = evaluate(point, ctx)
         partials = _partial_sums(point, ctx)
@@ -180,11 +196,14 @@ def test_objective_matches_assembled_operators():
     """
     grid = SpaceTimeGrid(0.0, 3.0, 6.0, 17, 23)
     rng = np.random.Generator(np.random.Philox(11))
-    v, _ = sample_admissible_pair(grid, rng, 5.0, FLOOR)
+    v, _ = sample_admissible_pair(grid, rng, 5.0)
     P, Q = grid.shape
     q_eps = 0.5 + 0.05 * rng.normal(size=Q)
     qx_eps = 0.2 * rng.normal(size=Q)
-    ctx = make_context(grid, q_eps, qx_eps, ConvexParams(lam=0.5, beta=1e-3), DEFAULT_C_UPPER)
+    ctx = make_context(
+        grid, Signal(0.0, grid.dt, q_eps), Signal(0.0, grid.dt, qx_eps),
+        ConvexParams(lam=0.5, beta=1e-3), DEFAULT_C_UPPER,
+    )
     ops, beta = ctx.ops, ctx.params.beta
     W = carleman_weight(grid, ctx.params.lam, ctx.params.alpha)
     apply = ops.apply2d
@@ -241,7 +260,7 @@ def test_bregman_nonnegative_at_default_weight():
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(7))
     for _ in range(10):
-        v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+        v, h = sample_admissible_pair(g, rng, 5.0)
         assert bregman_divergence(v, h, ctx) > -1e-10
 
 
@@ -263,7 +282,7 @@ def test_sample_admissible_pair_respects_floor():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     rng = np.random.Generator(np.random.Philox(2))
     for _ in range(20):
-        v, h = sample_admissible_pair(g, rng, 5.0, FLOOR)
+        v, h = sample_admissible_pair(g, rng, 5.0)
         assert np.all(v[:, 0] >= FLOOR)
         assert np.all(v[:, 0] + h[:, 0] >= FLOOR)
 
@@ -272,4 +291,4 @@ def test_non_finite_sampled_pair_is_rejected():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     rng = np.random.Generator(np.random.Philox(2))
     with pytest.raises(ValueError, match="non-finite"):
-        sample_admissible_pair(g, rng, np.nan, FLOOR)
+        sample_admissible_pair(g, rng, np.nan)

@@ -46,6 +46,15 @@ def test_grid_rejects_degenerate():
         SpaceTimeGrid(0.0, 3.0, 6.0, 1, 60)
 
 
+@pytest.mark.parametrize("extent", [
+    (0.0, np.inf, 6.0), (-np.inf, 3.0, 6.0), (0.0, 3.0, np.inf), (np.nan, 3.0, 6.0),
+], ids=["x_max_inf", "x_min_minus_inf", "t_max_inf", "x_min_nan"])
+def test_grid_rejects_a_non_finite_extent(extent):
+    """An infinite extent would put inf or NaN into dx, dt and the nodes."""
+    with pytest.raises(ValueError, match="finite"):
+        SpaceTimeGrid(*extent, 60, 60)
+
+
 @given(
     a=st.floats(-2, 2, allow_nan=False),
     b=st.floats(-2, 2, allow_nan=False),

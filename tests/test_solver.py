@@ -12,7 +12,7 @@ from convexiwave import solver
 from convexiwave.config import RunConfig, invert_from_config
 from convexiwave.convexify import ConvexParams, evaluate_J, gradient_J, make_context
 from convexiwave.errors import SingularSystem
-from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
+from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, d2_matrix, operators_for
 from convexiwave.solver import (
     QRConfig,
     correction_step,
@@ -94,22 +94,18 @@ def test_initial_guess_manufactured_transport():
 def test_descend_stationary_start():
     """Starting at the flat-data minimizer terminates almost immediately."""
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 15, 15)
-    ctx = make_context(
-        g, np.full(g.nt + 1, 0.5), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
-    )
+    ctx = make_context(g, *_const_signals(g), ConvexParams(), DEFAULT_C_UPPER)
     q0 = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q, info = descend(q0, ctx, 10, 1e-6)
+    q, info = descend(q0, ctx, 10)
     assert info["reason"] in ("grad_tol", "no_decrease")
     assert len(info["steps"]) <= 2
 
 
 def test_descend_monotone_J():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
-    ctx = make_context(
-        g, np.full(g.nt + 1, 0.45), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
-    )
+    ctx = make_context(g, *_const_signals(g, q_val=0.45), ConvexParams(), DEFAULT_C_UPPER)
     q0 = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q, info = descend(q0, ctx, 50, 1e-7)
+    q, info = descend(q0, ctx, 50)
     J = info["J"]
     assert all(J[i + 1] <= J[i] + 1e-15 for i in range(len(J) - 1))
 
@@ -120,11 +116,9 @@ def test_descend_matches_reference_minimizer():
     scipy's L-BFGS on the same objective/gradient provides the oracle.
     """
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
-    ctx = make_context(
-        g, np.full(g.nt + 1, 0.48), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
-    )
+    ctx = make_context(g, *_const_signals(g, q_val=0.48), ConvexParams(), DEFAULT_C_UPPER)
     q0 = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
-    q, info = descend(q0, ctx, 5000, 1e-10)
+    q, info = descend(q0, ctx, 5000)
 
     def fun(v):
         qq = QField(Field2D(g, v.reshape(g.shape)), FLOOR)
@@ -149,17 +143,15 @@ def test_descend_matches_reference_minimizer():
 
 def test_descend_floor_clamp_maintained():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 15, 15)
-    ctx = make_context(
-        g, np.full(g.nt + 1, FLOOR), np.zeros(g.nt + 1), ConvexParams(), DEFAULT_C_UPPER
-    )
+    ctx = make_context(g, *_const_signals(g, q_val=FLOOR), ConvexParams(), DEFAULT_C_UPPER)
     vals = np.full(g.shape, 0.5)
     vals[:, 0] = FLOOR
     q0 = QField(Field2D(g, vals), FLOOR)
-    q, _ = descend(q0, ctx, 100, 1e-7)
+    q, _ = descend(q0, ctx, 100)
     assert np.all(q.values.values[:, 0] >= FLOOR - 1e-12)
 
 
-def _reference_descend(q0, ctx, max_iters, grad_tol):
+def _reference_descend(q0, ctx, max_iters):
     """Armijo descent written with evaluate_J/gradient_J and a QField per
     trial, with the solver's line-search constants; returns (q, info, number
     of trials the floor clamp changed)."""
@@ -172,7 +164,7 @@ def _reference_descend(q0, ctx, max_iters, grad_tol):
         g = gradient_J(q, ctx)
         gnorm = float(np.linalg.norm(g.values))
         info["grad_norm"].append(gnorm)
-        if gnorm <= grad_tol:
+        if gnorm <= solver.GRAD_TOL:
             break
         gg = gnorm * gnorm
         step = step_start
@@ -203,14 +195,14 @@ def test_descend_is_bit_identical_to_reference_loop(clamp):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     q_data = FLOOR if clamp else 0.45
     ctx = make_context(
-        g, np.full(g.nt + 1, q_data), np.full(g.nt + 1, 0.05), ConvexParams(), DEFAULT_C_UPPER
+        g, *_const_signals(g, q_val=q_data, qx_val=0.05), ConvexParams(), DEFAULT_C_UPPER
     )
     vals = np.full(g.shape, 0.5)
     if clamp:
         vals[:, 0] = FLOOR
     q0 = QField(Field2D(g, vals), FLOOR)
-    q_ref, info_ref, clamped = _reference_descend(q0, ctx, 200, 1e-7)
-    q, info = descend(q0, ctx, 200, 1e-7)
+    q_ref, info_ref, clamped = _reference_descend(q0, ctx, 200)
+    q, info = descend(q0, ctx, 200)
     assert (clamped > 0) == clamp
     assert len(info["steps"]) == 200
     assert np.array_equal(q.values.values, q_ref.values.values)
@@ -319,6 +311,22 @@ def test_solve_quadratic_rejects_an_indefinite_normal_matrix():
     terms, n = _grid_system((sp.identity(400, format="csr"), w, None))
     with pytest.raises(SingularSystem, match="singular"):
         solver.solve_quadratic(terms, (), np.ones(n), 1e-11, n, shape=(20, 20))
+
+
+def test_solve_quadratic_dissects_its_default_one_row_grid():
+    """Above LEAF_SIZE unknowns the default (1, n) grid is split into several
+    fronts; the solution still matches a dense solve of the normal equations."""
+    n = 400
+    assert n > solver.LEAF_SIZE and len(solver.dissection_tree(1, n).fronts) > 1
+    rng = np.random.default_rng(3)
+    D2 = d2_matrix(n - 1, 1.0)  # unit spacing keeps the normal matrix well conditioned
+    w, b = rng.uniform(0.5, 2.0, n), rng.normal(size=n)
+    terms = [(D2, w, b), (sp.identity(n, format="csr"), np.ones(n), None)]
+    sol, rel_residual = solver.solve_quadratic(terms, (), np.ones(n), 1e-11, n)
+    D2 = D2.toarray()
+    ref = np.linalg.solve(D2.T @ (w[:, None] * D2) + np.eye(n), D2.T @ (w * b))
+    assert np.linalg.norm(sol - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert rel_residual <= 1e-10
 
 
 def test_quasi_reversibility_solves_match_dense_solve(monkeypatch):
@@ -841,8 +849,6 @@ def test_invert_final_iterate_is_descent_output(inversion_grid):
     d = cached_boundary_data("test3")
     res = invert_from_config(d, cfg)
     q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, cfg.inversion.diff_reg)
-    ctx = make_context(
-        inversion_grid, q_eps.samples, qx_eps.samples, cfg.convex, cfg.inversion.c_upper
-    )
+    ctx = make_context(inversion_grid, q_eps, qx_eps, cfg.convex, cfg.inversion.c_upper)
     J_final = evaluate_J(res.q, ctx)
     assert J_final == pytest.approx(res.legs[-1]["J"][-1], rel=1e-12)

@@ -21,6 +21,7 @@ from convexiwave.forward import (
 from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from convexiwave.solver import QRConfig, correction_step
 from convexiwave.transform import (
+    FRONT_OFFSET,
     QField,
     boundary_traces_from_data,
     c_from_q,
@@ -134,6 +135,41 @@ def test_q_from_u_horizon_guard():
     gq = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     with pytest.raises(HorizonTooShort):
         q_from_u(u, medium, gq)
+
+
+def test_q_from_u_reads_every_row_on_one_clock():
+    """For c = 1, tau(x) = x and every row j reads u(x, t_j + x + FRONT_OFFSET).
+
+    The inversion nodes are nodes of the forward grid, so q is u itself at
+    those times. At x = 1 the first row past t = 0 reads 0.4779; read at
+    t_1 + x, without the offset, it would be 0.4972.
+    """
+    fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 1000, 600)  # dx = dt = 0.01
+    medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
+    u = simulate(medium, fg, SourceModel())
+    gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
+    q = q_from_u(u, medium, gq).values.values
+    for i, x in enumerate(gq.x_nodes()):
+        col = u.values[round((x - fg.x_min) / fg.dx)]
+        expected = np.interp(gq.t_nodes() + x + FRONT_OFFSET, fg.t_nodes(), col)
+        expected[0] = max(expected[0], FLOOR)
+        assert np.allclose(q[i], expected, rtol=0.0, atol=1e-9), x
+    assert q[10, 1] == pytest.approx(0.4779, abs=5e-5)
+
+
+def test_q_from_u_horizon_covers_the_front_offset():
+    """u must reach T + tau(M) + FRONT_OFFSET = 2 + 3 + 0.1: a record that
+    ends at 5.05 is too short, one that ends at 5.1 suffices."""
+    gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
+    for t_max, nt, ok in [(5.05, 505, False), (5.1, 510, True)]:
+        fg = SpaceTimeGrid(-5.0, 5.0, t_max, 1000, nt)
+        medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
+        u = simulate(medium, fg, SourceModel())
+        if ok:
+            q_from_u(u, medium, gq)
+        else:
+            with pytest.raises(HorizonTooShort, match=r"t \+ tau \+ 0\.1 up to 5\.1"):
+                q_from_u(u, medium, gq)
 
 
 @pytest.mark.parametrize("u_hi, c_hi", [(2.0, 5.0), (5.0, 2.0)], ids=["u", "medium"])
