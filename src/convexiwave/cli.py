@@ -10,7 +10,7 @@ import sys
 import time
 
 from . import fixtures, runner
-from .config import RunConfig, invert_from_config, load_config
+from .config import InversionConfig, RunConfig, invert_from_config, load_config
 from .convexify import ConvexParams, carleman_weight, convexity_scan, gradient_audit
 from .errors import ConvexiwaveError, FixtureMissing, InvalidInput
 from .forward import BoundaryData, boundary_data
@@ -39,11 +39,9 @@ def _report(out, rows):
 def cmd_forward(args) -> int:
     config = load_config(args.config)
     cfg = config.forward
-    g = cfg.grid
-    grid = SpaceTimeGrid(-g.a, g.a, g.T, g.nx, g.nt)
+    grid = cfg.grid.space_time_grid
     medium = fixtures.medium_from_pieces(cfg.medium, grid)
-    u, d = boundary_data(medium, grid, cfg.source, cfg.correction, config.inversion.eps,
-                         cfg.noise.delta, cfg.noise.seed)
+    u, d = boundary_data(medium, grid, config.inversion.eps, cfg.noise.delta, cfg.noise.seed)
     if args.out:
         _write(args.out, field_to_csv(u))
     _write(args.g0, signal_to_csv(d.g0))
@@ -100,9 +98,8 @@ def _audit_grid(args) -> SpaceTimeGrid:
     """
     if args.seed < 0:
         raise InvalidInput("--seed must be nonnegative")
-    inv = RunConfig().inversion
     try:
-        return SpaceTimeGrid(inv.eps, inv.M, inv.T, args.nx, args.nt)
+        return InversionConfig(nx=args.nx, nt=args.nt).space_time_grid
     except ValueError as exc:
         raise InvalidInput(f"--nx/--nt: {exc}") from exc
 

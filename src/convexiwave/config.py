@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .convexify import ConvexParams, carleman_weight
 from .errors import InvalidInput
 from .fixtures import DEFAULT_FORWARD_GRID, check_piece, is_finite_number
-from .forward import BoundaryData, CorrectionBox, SourceModel
+from .forward import BoundaryData
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
 from .transform import DEFAULT_C_UPPER
@@ -28,8 +28,12 @@ class GridConfig:
     nt: int = DEFAULT_FORWARD_GRID.nt
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and 0 < self.T < math.inf) or self.nx < 2 or self.nt < 2:
-            raise ValueError("grid parameters out of range")
+        self.space_time_grid  # building the grid checks its ranges
+
+    @property
+    def space_time_grid(self) -> SpaceTimeGrid:
+        """The grid [-a, a] x [0, T]; ValueError if a parameter is out of range."""
+        return SpaceTimeGrid(-self.a, self.a, self.T, self.nx, self.nt)
 
 
 @dataclass
@@ -48,8 +52,6 @@ class NoiseConfig:
 class ForwardConfig:
     medium: list = field(default_factory=list)
     grid: GridConfig = field(default_factory=GridConfig)
-    source: SourceModel = field(default_factory=SourceModel)
-    correction: CorrectionBox = field(default_factory=CorrectionBox)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self):
@@ -74,14 +76,18 @@ class InversionConfig:
     freeze_time_derivative: bool = True
 
     def __post_init__(self):
-        if not (0 <= self.eps < self.M < math.inf):
-            raise ValueError("need 0 <= eps < M < inf")
-        if not 0 < self.T < math.inf or self.nx < 2 or self.nt < 2:
-            raise ValueError("inversion grid parameters out of range")
+        if not self.eps >= 0:
+            raise ValueError("eps must be nonnegative")
+        self.space_time_grid  # building the grid checks its ranges
         if not 1.0 < self.c_upper < math.inf:
             raise ValueError("c_upper must be finite and exceed the background value 1")
         if not 0 < self.diff_reg < math.inf:
             raise ValueError("diff_reg must be positive and finite")
+
+    @property
+    def space_time_grid(self) -> SpaceTimeGrid:
+        """The grid [eps, M] x [0, T]; ValueError if a parameter is out of range."""
+        return SpaceTimeGrid(self.eps, self.M, self.T, self.nx, self.nt)
 
 
 @dataclass
@@ -148,8 +154,6 @@ def _scalar(name: str, value, kind):
 
 def _build(klass, data, section: str):
     """Instantiate a config dataclass from a JSON object, recursing into nested sections."""
-    if data is None:
-        return klass()
     where = section or "top level"
     if not isinstance(data, dict):
         raise InvalidInput(f"config {where} must be a JSON object")
@@ -181,7 +185,7 @@ def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
     at every node of that grid.
     """
     inv = cfg.inversion
-    grid = SpaceTimeGrid(inv.eps, inv.M, inv.T, inv.nx, inv.nt)
+    grid = inv.space_time_grid
     try:
         carleman_weight(grid, cfg.convex.lam, cfg.convex.alpha)
     except ValueError as exc:

@@ -14,14 +14,7 @@ import sys
 import numpy as np
 
 from .errors import FixtureMissing
-from .forward import (
-    INCIDENT_LEVEL,
-    BoundaryData,
-    CorrectionBox,
-    MediumProfile,
-    SourceModel,
-    boundary_data,
-)
+from .forward import INCIDENT_LEVEL, BoundaryData, MediumProfile, boundary_data
 from .grid import Signal, SpaceTimeGrid
 from .preprocess import CalibrationResult, MediumMode, RawTrace
 
@@ -215,10 +208,7 @@ RAW_TRACE_DT = 0.133
 def simulated_boundary_data(name: str, delta: float, seed: int = 0) -> BoundaryData:
     """Forward-simulate a fixture medium and read its boundary data, with noise
     of level ``delta``, at x = 0, the observation point every fixture is defined by."""
-    _, data = boundary_data(
-        fixture_medium(name), DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), 0.0, delta,
-        seed,
-    )
+    _, data = boundary_data(fixture_medium(name), DEFAULT_FORWARD_GRID, 0.0, delta, seed)
     return data
 
 

@@ -4,7 +4,7 @@ Solves c(x) u_tt = u_xx on [-a, a] x [0, T] with first-order absorbing ends
 (u_t -/+ u_x = 0) and a smoothed-Dirac initial velocity, by an implicit
 finite-difference scheme (``simulate``).
 ``boundary_data`` turns one solve into the measured pair (g0, g1) at the
-observation point: near-origin correction, trace reading and multiplicative
+observation point: trace reading, near-front correction and multiplicative
 noise. Also provides the regularized differentiation of noisy traces.
 """
 
@@ -50,34 +50,22 @@ class MediumProfile:
         return np.interp(x_query, self.x, self.c, left=1.0, right=1.0)
 
 
-@dataclass
-class SourceModel:
-    """Smoothed Dirac initial velocity (k/sqrt(2*pi)) * exp(-(k*x)^2 / 2)."""
+# The k of the smoothed-Dirac source that every simulation launches at x = 0: its width is 1/k.
+SOURCE_K = 30.0
 
-    k: float = 30.0
 
-    def __post_init__(self):
-        if not 0 < self.k < np.inf:
-            raise ValueError("k must be positive and finite")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.k / np.sqrt(2.0 * np.pi) * np.exp(-((self.k * x) ** 2) / 2.0)
+def initial_velocity(x: np.ndarray) -> np.ndarray:
+    """The smoothed Dirac (k/sqrt(2*pi)) * exp(-(k*x)^2 / 2) with k = ``SOURCE_K``."""
+    return SOURCE_K / np.sqrt(2.0 * np.pi) * np.exp(-((SOURCE_K * x) ** 2) / 2.0)
 
 
 # u behind the unit source's front in the background c = 1: the null scatterer's q.
 INCIDENT_LEVEL = 0.5
 
-
-@dataclass
-class CorrectionBox:
-    """Region [0, x_hi] x [0, t_hi] on which the wave is reassigned to ``INCIDENT_LEVEL``."""
-
-    x_hi: float = 0.0067
-    t_hi: float = 0.26
-
-    def __post_init__(self):
-        if not (0 <= self.x_hi < np.inf and 0 <= self.t_hi < np.inf):
-            raise ValueError("box bounds must be nonnegative and finite")
+# How long after the incident front reaches the observation point x = eps
+# (at t = eps, in c = 1) ``boundary_data`` replaces its traces by the incident
+# wave's values (see there).
+FRONT_WINDOW = 0.26
 
 
 # Where ``simulate`` cuts off an end correction, relative to its peak (see there).
@@ -90,7 +78,7 @@ def _support(z: np.ndarray) -> int:
     return z.size - int(np.argmax(big[::-1]))
 
 
-def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D:
+def simulate(c: MediumProfile, grid: SpaceTimeGrid) -> Field2D:
     """Implicit finite-difference solution of the absorbing-ends wave problem.
 
     This discretization, not the PDE, defines the simulated fixtures; the
@@ -101,7 +89,7 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D
     unconditionally stable and non-dissipative, so the wavefront stays sharp
     at the large time steps the data generation uses. The first step is
     bootstrapped from the Taylor expansion at t=0 (u(.,0)=0, so
-    u^1 = dt * source).
+    u^1 = dt * ``initial_velocity``).
 
     Each step is one LAPACK ``dpttrs`` solve with the L D L^T factors of the
     interior block, which ``dpttrf`` computes once, plus vector updates: the
@@ -175,7 +163,7 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid, src: SourceModel) -> Field2D
     z1, z2 = z1[:head], z2[nx - 1 - tail :]
 
     U = np.zeros((nt + 1, nx + 1))
-    U[1] = dt * src.evaluate(x)
+    U[1] = dt * initial_velocity(x)
     U[1, 0] = U[1, nx] = 0.0
     inner, lead, trail = U[:, 1:nx], U[:, 1 : 1 + head], U[:, nx - tail : nx]
     # The ends of levels n - 1 (p0, pn) and n (c0, cn), carried as floats
@@ -228,8 +216,6 @@ class BoundaryData:
 def boundary_data(
     c: MediumProfile,
     grid: SpaceTimeGrid,
-    src: SourceModel,
-    box: CorrectionBox,
     eps: float,
     delta: float,
     seed: int,
@@ -237,13 +223,15 @@ def boundary_data(
     """Simulate c and read the boundary data at the observation point x = eps
     over the whole record.
 
-    Runs ``simulate``, then reassigns u = ``INCIDENT_LEVEL`` on the ``box``
-    region [0, x_hi] x [0, t_hi] of that field in place, which removes the
-    smoothed-source dip. g0 is u(eps, t) and g1 the ``ONE_SIDED_D1``
-    u_x(eps, t). With delta > 0, ``add_noise`` perturbs g0 with ``seed`` and
-    g1 with ``seed + 1``; it rejects a negative delta. Returns the corrected
-    field and the data. Raises OffGridObservation, before simulating, unless
-    x = eps is a node with two nodes to its right.
+    g0 is u(eps, t) and g1 the ``ONE_SIDED_D1`` u_x(eps, t) of the
+    ``simulate`` field. For t <= eps + ``FRONT_WINDOW`` they are replaced by
+    the incident wave's values behind its front, g0 = ``INCIDENT_LEVEL`` and
+    g1 = 0, which removes the smoothed source's dip; like
+    ``transform.boundary_traces_from_data``, this takes c = 1 on [0, eps].
+    With delta > 0, ``add_noise`` then perturbs g0 with ``seed`` and g1 with
+    ``seed + 1``; it rejects a negative delta. Returns the simulated field,
+    untouched, and the data. Raises OffGridObservation, before simulating,
+    unless x = eps is a node with two nodes to its right.
     """
     x = grid.x_nodes()
     i = round((eps - grid.x_min) / grid.dx) if np.isfinite(eps) else -1
@@ -252,12 +240,15 @@ def boundary_data(
             f"the observation point x = {eps} is not a node with two nodes to its "
             f"right on the grid [{grid.x_min}, {grid.x_max}] with nx = {grid.nx}"
         )
-    u = simulate(c, grid, src)
-    u.values[np.ix_((x >= 0.0) & (x <= box.x_hi), grid.t_nodes() <= box.t_hi)] = INCIDENT_LEVEL
+    u = simulate(c, grid)
     v = u.values
     k0, k1, k2 = ONE_SIDED_D1
-    g0 = Signal(0.0, grid.dt, v[i].copy())
-    g1 = Signal(0.0, grid.dt, (k0 * v[i] + k1 * v[i + 1] + k2 * v[i + 2]) / (2.0 * grid.dx))
+    g0 = v[i].copy()
+    g1 = (k0 * v[i] + k1 * v[i + 1] + k2 * v[i + 2]) / (2.0 * grid.dx)
+    front = grid.t_nodes() <= eps + FRONT_WINDOW
+    g0[front] = INCIDENT_LEVEL
+    g1[front] = 0.0
+    g0, g1 = Signal(0.0, grid.dt, g0), Signal(0.0, grid.dt, g1)
     if delta:
         g0, g1 = add_noise(g0, delta, seed), add_noise(g1, delta, seed + 1)
     return u, BoundaryData(g0, g1)

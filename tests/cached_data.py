@@ -10,11 +10,9 @@ import functools
 
 from convexiwave.config import RunConfig
 from convexiwave.fixtures import DEFAULT_FORWARD_GRID, medium_from_pieces, simulated_boundary_data
-from convexiwave.forward import CorrectionBox, SourceModel, boundary_data
-from convexiwave.grid import SpaceTimeGrid
+from convexiwave.forward import boundary_data
 
-_INV = RunConfig().inversion
-INVERSION_GRID = SpaceTimeGrid(_INV.eps, _INV.M, _INV.T, _INV.nx, _INV.nt)
+INVERSION_GRID = RunConfig().inversion.space_time_grid
 
 
 @functools.lru_cache(maxsize=32)
@@ -23,9 +21,8 @@ def cached_boundary_data(name: str, delta: float = 0.0, seed: int = 0):
 
 
 @functools.lru_cache(maxsize=4)
-def null_boundary_data():
-    """Boundary data of the homogeneous medium on the production forward grid."""
+def null_boundary_data(eps: float = 0.0):
+    """Boundary data of the homogeneous medium on the production forward grid,
+    recorded at the observation point x = eps."""
     medium = medium_from_pieces([], DEFAULT_FORWARD_GRID)
-    return boundary_data(
-        medium, DEFAULT_FORWARD_GRID, SourceModel(), CorrectionBox(), 0.0, 0.0, 0
-    )[1]
+    return boundary_data(medium, DEFAULT_FORWARD_GRID, eps, 0.0, 0)[1]

@@ -55,6 +55,19 @@ def test_null_scatterer_exact():
     assert elapsed <= 120.0
 
 
+def test_null_scatterer_recorded_off_the_origin():
+    """Traces recorded and read at the observation point x = 0.1 reconstruct
+    the background on [0.1, 1]: the near-front correction acts on the traces
+    there, not at x = 0."""
+    cfg = RunConfig.from_dict({"inversion": {"eps": 0.1, "T": 5.9}})
+    result = invert_from_config(null_boundary_data(0.1), cfg)
+    x, c = result.c_comp.x, result.c_comp.c
+    assert x[0] == 0.1
+    near = c[x <= 1.0 + 1e-9]
+    assert near.size == 19  # dx = 2.9 / 60
+    assert np.all((near >= 0.9) & (near <= 1.2)), near
+
+
 # ---------------------------------------------------------------------------
 # 2. Test 1 with 5% noise over five seeds
 # ---------------------------------------------------------------------------

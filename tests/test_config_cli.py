@@ -26,8 +26,14 @@ from convexiwave.config import (
     load_config,
 )
 from convexiwave.fixtures import FIXTURE_NAMES, medium_from_pieces, synthesize_raw_trace
-from convexiwave.forward import BoundaryData, CorrectionBox, SourceModel, simulate
-from convexiwave.grid import Signal, SpaceTimeGrid, signal_from_csv, signal_to_csv
+from convexiwave.forward import BoundaryData, simulate
+from convexiwave.grid import (
+    Signal,
+    SpaceTimeGrid,
+    field_to_csv,
+    signal_from_csv,
+    signal_to_csv,
+)
 from convexiwave.solver import QRConfig
 
 
@@ -60,7 +66,8 @@ def test_runconfig_defaults_match_production_values():
     assert cfg.convex.alpha == 0.3
     assert cfg.convex.beta == 1e-9
     assert cfg.forward.grid.nx == 3000 and cfg.forward.grid.nt == 300
-    assert cfg.forward.source.k == 30.0
+    assert list(dataclasses.asdict(cfg.forward)) == ["medium", "grid", "noise"]
+    assert forward.SOURCE_K == 30.0 and forward.FRONT_WINDOW == 0.26
 
 
 # Each library stage takes these settings from RunConfig, or the fixtures' noise level
@@ -74,7 +81,6 @@ SETTINGS_WITHOUT_DEFAULTS = [
     (solver.correction_step, ("freeze_time_derivative",)),
     (preprocess.preprocess_pipeline, ("half_width_steps", "diff_reg")),
     (preprocess.truncate_window, ("half_width_steps",)),
-    (forward.simulate, ("src",)),
     (forward.boundary_data, ("eps", "delta", "seed")),
     (fixtures.simulated_boundary_data, ("delta",)),
 ]
@@ -125,9 +131,6 @@ def test_config_validation():
         (GridConfig, "T"),
         (NoiseConfig, "delta"),
         (PreprocessConfig, "diff_reg"),
-        (SourceModel, "k"),
-        (CorrectionBox, "x_hi"),
-        (CorrectionBox, "t_hi"),
     ],
 )
 def test_config_sections_reject_non_finite_values(section, key, value):
@@ -230,18 +233,29 @@ def test_cli_invert_matches_invert_from_config_off_the_origin(tmp_path):
 
 def test_cli_forward_then_invert_records_at_the_observation_point(tmp_path):
     """With inversion.eps = 0.1, ``forward`` writes u(0.1, t) as g0 and the
-    one-sided u_x(0.1, t) as g1, exactly as ``simulate`` gives them, and
-    ``invert`` runs on those traces."""
+    one-sided u_x(0.1, t) as g1, exactly as ``simulate`` gives them, except
+    for t <= 0.1 + 0.26, where they are 1/2 and 0; ``--out`` writes the
+    simulated field itself, and ``invert`` runs on those traces."""
     cfg_path = _small_cfg(tmp_path, eps=0.1, T=5.9)
-    g0, g1 = _forward(tmp_path, cfg_path)
+    field_path = tmp_path / "u.csv"
+    g0, g1 = tmp_path / "g0.csv", tmp_path / "g1.csv"
+    assert main(["forward", "--config", str(cfg_path), "--out", str(field_path),
+                 "--g0", str(g0), "--g1", str(g1)]) == 0
     fwd = load_config(str(cfg_path)).forward
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 600, 150)
-    u = simulate(medium_from_pieces(fwd.medium, grid), grid, fwd.source).values
+    u = simulate(medium_from_pieces(fwd.medium, grid), grid)
+    assert field_path.read_text() == field_to_csv(u)
+    u = u.values
     i = 306  # x = -5 + 306 * 10 / 600 = 0.1
     assert grid.x_nodes()[i] == pytest.approx(0.1, abs=1e-12)
-    assert np.array_equal(signal_from_csv(g0.read_text()).samples, u[i])
+    front = grid.t_nodes() <= 0.1 + 0.26
+    assert front.sum() == 10  # t = 0, 0.04, ..., 0.36
+    g0_vals = signal_from_csv(g0.read_text()).samples
+    g1_vals = signal_from_csv(g1.read_text()).samples
+    assert np.all(g0_vals[front] == 0.5) and np.all(g1_vals[front] == 0.0)
+    assert np.array_equal(g0_vals[~front], u[i, ~front])
     ux = (-3.0 * u[i] + 4.0 * u[i + 1] - u[i + 2]) / (2.0 * grid.dx)
-    assert np.array_equal(signal_from_csv(g1.read_text()).samples, ux)
+    assert np.array_equal(g1_vals[~front], ux[~front])
     rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
                "--out", str(tmp_path / "c.csv")])
     assert rc == 0
@@ -349,9 +363,6 @@ BAD_CONFIGS = {
     "inversion_diff_reg_nan": ("invert", {"inversion": {"diff_reg": NAN}}),
     "inversion_c_upper_nan": ("invert", {"inversion": {"c_upper": NAN}}),
     "noise_delta_nan": ("forward", {"forward": {"noise": {"delta": NAN}}}),
-    "source_k_nan": ("forward", {"forward": {"source": {"k": NAN}}}),
-    "correction_x_hi_inf": ("forward", {"forward": {"correction": {"x_hi": INF}}}),
-    "correction_t_hi_nan": ("forward", {"forward": {"correction": {"t_hi": NAN}}}),
     "noise_seed_negative": ("forward", {"forward": {"noise": {"delta": 0.05, "seed": -1}}}),
     "max_iters_fractional": ("invert", {"descent": {"max_iters": 2.5}}),
     "forward_grid_nx_fractional": ("forward", {"forward": {"grid": {"nx": 300.5}}}),
@@ -372,6 +383,10 @@ BAD_CONFIGS = {
     "stop_linf_removed": ("invert", {"descent": {"stop_linf": 1e-3}}),
     "max_corrections_removed": ("invert", {"descent": {"max_corrections": 1}}),
     "grad_tol_removed": ("invert", {"descent": {"grad_tol": 1e-7}}),
+    # forward settings that became forward constants: unknown keys, whatever their value
+    "source_k_nan": ("forward", {"forward": {"source": {"k": NAN}}}),
+    "correction_x_hi_inf": ("forward", {"forward": {"correction": {"x_hi": INF}}}),
+    "correction_t_hi_nan": ("forward", {"forward": {"correction": {"t_hi": NAN}}}),
 }
 
 # Finite medium pieces outside the ranges that keep c > 0 (or, for a table,
@@ -471,10 +486,29 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
         section, fields = next(iter(cfg.items()))
         key = next(iter(fields))
         assert section in err["message"] and key in err["message"]
-    if case.endswith("_removed"):
-        assert f"unknown config key descent.{key}" in err["message"]
+        if case.endswith("_removed") or key in ("source", "correction"):
+            assert f"unknown config key {section}.{key}" in err["message"]
     if case in OUT_OF_RANGE_PIECES:
         assert f"piece {OUT_OF_RANGE_PIECES[case][0]} must" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [("null", "top level"), ('{"inversion": null}', "inversion"),
+     ('{"forward": {"grid": null}}', "forward.grid")],
+    ids=["top_level", "inversion", "forward_grid"],
+)
+def test_cli_rejects_a_null_config_section_with_exit_2(tmp_path, capsys, text, where):
+    """A config, or a section of one, that is null exits 2 with InvalidInput
+    naming the section, as ``[]`` does, instead of taking the defaults."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    g0, g1 = tmp_path / "g0.csv", tmp_path / "g1.csv"
+    assert main(["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "InvalidInput"
+    assert f"config {where} must be a JSON object" in err["message"]
+    assert not g0.exists() and not g1.exists()
 
 
 @pytest.mark.parametrize(

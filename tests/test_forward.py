@@ -18,11 +18,10 @@ from convexiwave.fixtures import (
 )
 from convexiwave.forward import (
     BoundaryData,
-    CorrectionBox,
     MediumProfile,
-    SourceModel,
     add_noise,
     boundary_data,
+    initial_velocity,
     simulate,
     tikhonov_differentiate,
 )
@@ -42,7 +41,7 @@ def _layered_medium(grid):
     return medium_from_pieces(pieces, grid)
 
 
-def _reference_simulate(c, grid, src):
+def _reference_simulate(c, grid):
     """The sparse-LU, column-major stepper: u[:, n] is time level n, the full
     step matrix is assembled from a Python triplet loop, factored by SuperLU,
     and every step is checked."""
@@ -64,7 +63,7 @@ def _reference_simulate(c, grid, src):
     vals += [3.0 / (2 * dt) + 3.0 / (2 * dx), -4.0 / (2 * dx), 1.0 / (2 * dx)]
     lu = spla.splu(sp.csc_matrix((vals, (rows, cols)), shape=(nx + 1, nx + 1)))
     u = np.zeros((nx + 1, nt + 1))
-    u[:, 1] = dt * src.evaluate(x)
+    u[:, 1] = dt * initial_velocity(x)
     u[0, 1] = u[nx, 1] = 0.0
     rhs = np.zeros(nx + 1)
     for n in range(1, nt):
@@ -79,7 +78,7 @@ def _reference_simulate(c, grid, src):
     return u
 
 
-def _full_update_simulate(c, grid, src):
+def _full_update_simulate(c, grid):
     """The tridiagonal stepper with full-length end corrections: each step
     writes the solve's result back onto its row, reads the end values as
     numpy scalars from the buffer, and adds both corrections over the whole
@@ -106,7 +105,7 @@ def _full_update_simulate(c, grid, src):
     b = 2.0 / dt
     c2 = 2.0 * cv[1:nx]
     U = np.zeros((nt + 1, nx + 1))
-    U[1] = dt * src.evaluate(x)
+    U[1] = dt * initial_velocity(x)
     U[1, 0] = U[1, nx] = 0.0
     for n in range(1, nt):
         cur, prev, nxt = U[n], U[n - 1], U[n + 1]
@@ -129,8 +128,8 @@ def test_simulate_equals_full_length_corrections_on_fixture_media(name):
     """Cutting the end corrections to their support changes no bit of the
     field on the fixture media, where only 294 of 2999 entries are kept."""
     medium = fixture_medium(name)
-    u = simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
-    ref = _full_update_simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
+    u = simulate(medium, DEFAULT_FORWARD_GRID)
+    ref = _full_update_simulate(medium, DEFAULT_FORWARD_GRID)
     assert np.array_equal(u.values, ref)
 
 
@@ -138,25 +137,25 @@ def test_simulate_equals_full_length_corrections_on_fixture_media(name):
 def test_simulate_equals_full_length_corrections_on_coarsest_grids(nx):
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, nx, 10)
     medium = _layered_medium(grid)
-    u = simulate(medium, grid, SourceModel())
-    assert np.array_equal(u.values, _full_update_simulate(medium, grid, SourceModel()))
+    u = simulate(medium, grid)
+    assert np.array_equal(u.values, _full_update_simulate(medium, grid))
 
 
 def test_simulate_matches_sparse_lu_reference_stepper():
     """The tridiagonal stepper reproduces the sparse-LU stepper up to roundoff."""
     grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
     medium = _layered_medium(grid)
-    u = simulate(medium, grid, SourceModel())
+    u = simulate(medium, grid)
     assert u.values.shape == grid.shape
-    ref = _reference_simulate(medium, grid, SourceModel())
+    ref = _reference_simulate(medium, grid)
     assert np.max(np.abs(u.values - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_simulate_matches_sparse_lu_reference_on_fixture_media(name):
     medium = fixture_medium(name)
-    u = simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
-    ref = _reference_simulate(medium, DEFAULT_FORWARD_GRID, SourceModel())
+    u = simulate(medium, DEFAULT_FORWARD_GRID)
+    ref = _reference_simulate(medium, DEFAULT_FORWARD_GRID)
     assert np.max(np.abs(u.values - ref)) <= 1e-10
 
 
@@ -166,8 +165,8 @@ def test_simulate_matches_sparse_lu_reference_on_coarsest_grids(nx):
     block is 1x1."""
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, nx, 10)
     medium = _layered_medium(grid)
-    u = simulate(medium, grid, SourceModel())
-    ref = _reference_simulate(medium, grid, SourceModel())
+    u = simulate(medium, grid)
+    ref = _reference_simulate(medium, grid)
     assert np.max(np.abs(u.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -188,7 +187,7 @@ def test_simulate_raises_singular_system_on_non_finite_step(monkeypatch, bad):
     monkeypatch.setattr(forward, "dpttrs", bad_dpttrs)
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 60, 30)
     with pytest.raises(SingularSystem, match="non-finite"):
-        simulate(_layered_medium(grid), grid, SourceModel())
+        simulate(_layered_medium(grid), grid)
     assert len(calls) == grid.nt
 
 
@@ -211,7 +210,7 @@ def test_simulate_raises_singular_system_on_nan_past_the_support(monkeypatch, ca
     monkeypatch.setattr(forward, "dpttrs", nan_dpttrs)
     grid = SpaceTimeGrid(-5.0, 5.0, 0.6, 3000, 30)  # the fixtures' dx and dt
     with pytest.raises(SingularSystem, match="non-finite"):
-        simulate(_layered_medium(grid), grid, SourceModel())
+        simulate(_layered_medium(grid), grid)
     assert len(calls) == grid.nt
     assert supports == [294, 294]  # the NaN goes into entry 1499 of 2999
 
@@ -226,7 +225,7 @@ def test_simulate_raises_singular_system_when_factorization_fails(monkeypatch):
     monkeypatch.setattr(forward, "dpttrf", failing_dpttrf)
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 60, 30)
     with pytest.raises(SingularSystem, match="singular"):
-        simulate(_layered_medium(grid), grid, SourceModel())
+        simulate(_layered_medium(grid), grid)
 
 
 def test_null_scatterer_detector_value():
@@ -251,7 +250,7 @@ def test_front_speed_constant_four():
     """
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 1500)
     medium = _constant_medium(4.0, grid)
-    u = simulate(medium, grid, SourceModel())
+    u = simulate(medium, grid)
     t = grid.t_nodes()
 
     def first_motion(depth):
@@ -271,7 +270,7 @@ def test_front_amplitude_closed_form_resolved_grid():
     """
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _constant_medium(1.0, grid)
-    u, _ = boundary_data(medium, grid, SourceModel(), CorrectionBox(), 0.0, 0.0, 0)
+    u, _ = boundary_data(medium, grid, 0.0, 0.0, 0)
     x = grid.x_nodes()
     t = grid.t_nodes()
     X, T = np.meshgrid(x, t, indexing="ij")
@@ -284,7 +283,7 @@ def test_front_amplitude_closed_form_resolved_grid():
 def test_causality_resolved_grid():
     grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _constant_medium(1.0, grid)
-    u = simulate(medium, grid, SourceModel())
+    u = simulate(medium, grid)
     x = grid.x_nodes()
     t = grid.t_nodes()
     X, T = np.meshgrid(x, t, indexing="ij")
@@ -297,33 +296,31 @@ def test_reflection_present_for_inclusion():
     assert np.max(np.abs(d.g0.samples - 0.5)) > 0.05
 
 
-def _reference_boundary_data(c, grid, src, box, eps, delta, seed):
-    """The chain that ``boundary_data`` replaces: copy the simulated field,
-    set the box to 1/2 on the copy, read g0 and the one-sided g1 at x = eps,
-    then add the noise pair."""
-    u = simulate(c, grid, src)
-    out = u.values.copy(order="K")
-    x = grid.x_nodes()
-    t = grid.t_nodes()
-    out[np.ix_((x >= 0.0) & (x <= box.x_hi), t <= box.t_hi)] = 0.5
+def _reference_boundary_data(c, grid, eps, delta, seed):
+    """The traces ``boundary_data`` states, built step by step: read u and
+    the one-sided u_x of the simulated field at x = eps, set them to 1/2 and
+    0 for t <= eps + 0.26, then add the noise pair."""
+    u = simulate(c, grid).values
     i = int(round((eps - grid.x_min) / grid.dx))
-    m = min(int(round(grid.t_max / grid.dt)), grid.nt)
-    ux = (-3.0 * out[i] + 4.0 * out[i + 1] - out[i + 2]) / (2.0 * grid.dx)
-    g0 = Signal(0.0, grid.dt, out[i, : m + 1].copy())
-    g1 = Signal(0.0, grid.dt, ux[: m + 1].copy())
+    g0 = u[i].copy()
+    g1 = (-3.0 * u[i] + 4.0 * u[i + 1] - u[i + 2]) / (2.0 * grid.dx)
+    front = grid.t_nodes() <= eps + 0.26
+    g0[front] = 0.5
+    g1[front] = 0.0
+    g0, g1 = Signal(0.0, grid.dt, g0), Signal(0.0, grid.dt, g1)
     if delta > 0:
         g0 = add_noise(g0, delta, seed)
         g1 = add_noise(g1, delta, seed + 1)
-    return out, BoundaryData(g0=g0, g1=g1)
+    return u, BoundaryData(g0=g0, g1=g1)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.05])
 def test_boundary_data_matches_reference_chain(delta):
-    """Correcting in place and reading the traces once changes no bit of u,
-    g0 or g1, without noise and with it."""
+    """``boundary_data`` returns the simulated field untouched, and its g0 and
+    g1 equal the step-by-step chain's to the bit, without noise and with it."""
     grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
     medium = _layered_medium(grid)
-    args = (medium, grid, SourceModel(), CorrectionBox(0.05, 0.3), 0.0, delta, 7)
+    args = (medium, grid, 0.0, delta, 7)
     u, d = boundary_data(*args)
     u_ref, d_ref = _reference_boundary_data(*args)
     assert np.array_equal(u.values, u_ref)
@@ -333,17 +330,20 @@ def test_boundary_data_matches_reference_chain(delta):
 
 
 def test_correct_near_origin_box():
-    """``boundary_data`` sets exactly the box [0, x_hi] x [0, t_hi] to 1/2
-    and leaves the rest of the simulated field untouched."""
+    """At x = 0, ``boundary_data`` sets g0 to 1/2 and g1 to 0 for exactly
+    t <= 0.26, reads the rest of both traces from the simulated field, and
+    returns that field untouched."""
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 100, 100)
     medium = _constant_medium(1.0, grid)
-    raw = simulate(medium, grid, SourceModel())
-    u, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(0.105, 0.205), 0.0, 0.0, 0)
-    inside = np.zeros(grid.shape, dtype=bool)
-    inside[50:56, :21] = True  # x = 0, 0.02, ..., 0.1 and t = 0, 0.01, ..., 0.2
-    assert np.all(u.values[inside] == 0.5)
-    assert np.array_equal(u.values[~inside], raw.values[~inside])
-    assert np.array_equal(d.g0.samples, u.values[50])
+    raw = simulate(medium, grid).values
+    u, d = boundary_data(medium, grid, 0.0, 0.0, 0)
+    assert np.array_equal(u.values, raw)
+    front = slice(0, 27)  # t = 0, 0.01, ..., 0.26
+    assert np.all(d.g0.samples[front] == 0.5) and np.all(d.g1.samples[front] == 0.0)
+    ux = (-3.0 * raw[50] + 4.0 * raw[51] - raw[52]) / (2.0 * grid.dx)
+    assert np.array_equal(d.g0.samples[27:], raw[50, 27:])
+    assert np.array_equal(d.g1.samples[27:], ux[27:])
+    assert d.g0.samples[27] != 0.5
 
 
 def test_extract_boundary_off_grid():
@@ -356,26 +356,28 @@ def test_extract_boundary_off_grid():
         SpaceTimeGrid(0.5, 1.5, 1.0, 20, 20),
     ):
         with pytest.raises(OffGridObservation):
-            boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(),
-                          0.0, 0.0, 0)
+            boundary_data(_constant_medium(1.0, grid), grid, 0.0, 0.0, 0)
     grid = SpaceTimeGrid(-1.0, 1.0, 1.0, 4, 20)  # x = 0 is node 2 of 4: just enough
-    _, d = boundary_data(_constant_medium(1.0, grid), grid, SourceModel(), CorrectionBox(),
-                         0.0, 0.0, 0)
+    _, d = boundary_data(_constant_medium(1.0, grid), grid, 0.0, 0.0, 0)
     assert d.g0.samples.size == d.g1.samples.size == 21
 
 
 @pytest.mark.parametrize("eps", [0.1, 1.99])
 def test_boundary_data_records_at_the_observation_point(eps):
     """g0 and g1 are u and the one-sided u_x of the simulated field at the
-    node x = eps, which may sit just two nodes short of the right end."""
-    grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)  # dx = 0.005
+    node x = eps, which may sit just two nodes short of the right end, once
+    the incident wave has passed it: for t <= eps + 0.26 they are 1/2 and 0."""
+    grid = SpaceTimeGrid(-2.0, 2.0, 3.0, 800, 180)  # dx = 0.005, dt = 1/60
     medium = _layered_medium(grid)
-    _, d = boundary_data(medium, grid, SourceModel(), CorrectionBox(), eps, 0.0, 0)
-    raw = simulate(medium, grid, SourceModel()).values
+    _, d = boundary_data(medium, grid, eps, 0.0, 0)
+    raw = simulate(medium, grid).values
     i = round((eps + 2.0) / grid.dx)
-    assert np.array_equal(d.g0.samples, raw[i])
+    front = grid.t_nodes() <= eps + 0.26
+    assert front.any() and not front.all()
+    assert np.all(d.g0.samples[front] == 0.5) and np.all(d.g1.samples[front] == 0.0)
+    assert np.array_equal(d.g0.samples[~front], raw[i, ~front])
     ux = (-3.0 * raw[i] + 4.0 * raw[i + 1] - raw[i + 2]) / (2.0 * grid.dx)
-    assert np.array_equal(d.g1.samples, ux)
+    assert np.array_equal(d.g1.samples[~front], ux[~front])
 
 
 @pytest.mark.parametrize("eps", [0.1025, 1.995, 2.0, -2.5, 2.5, np.nan], ids=str)
@@ -385,7 +387,7 @@ def test_boundary_data_rejects_an_observation_point_off_the_grid(monkeypatch, ep
     monkeypatch.setattr(forward, "simulate", None)
     grid = SpaceTimeGrid(-2.0, 2.0, 2.0, 800, 120)
     with pytest.raises(OffGridObservation, match="observation point"):
-        boundary_data(_layered_medium(grid), grid, SourceModel(), CorrectionBox(), eps, 0.0, 0)
+        boundary_data(_layered_medium(grid), grid, eps, 0.0, 0)
 
 
 @pytest.mark.parametrize(

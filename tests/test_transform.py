@@ -10,14 +10,7 @@ from hypothesis import strategies as st
 from cached_data import cached_boundary_data
 from convexiwave.errors import FloorViolation, HorizonTooShort
 from convexiwave.fixtures import fixture_medium
-from convexiwave.forward import (
-    CorrectionBox,
-    MediumProfile,
-    SourceModel,
-    boundary_data,
-    simulate,
-    tikhonov_differentiate,
-)
+from convexiwave.forward import MediumProfile, boundary_data, simulate, tikhonov_differentiate
 from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, operators_for
 from convexiwave.solver import QRConfig, correction_step
 from convexiwave.transform import (
@@ -122,7 +115,7 @@ def test_q_from_u_background_row():
     # resolved grid: the coarse default (nt=300) smears the front by dispersion
     fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 3000)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-    u, _ = boundary_data(medium, fg, SourceModel(), CorrectionBox(), 0.0, 0.0, 0)
+    u, _ = boundary_data(medium, fg, 0.0, 0.0, 0)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
     q = q_from_u(u, medium, gq)
     assert np.allclose(q.values.values[:, 0], 0.5, atol=0.01)
@@ -131,7 +124,7 @@ def test_q_from_u_background_row():
 def test_q_from_u_horizon_guard():
     fg = SpaceTimeGrid(-5.0, 5.0, 2.0, 500, 100)
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-    u = simulate(medium, fg, SourceModel())
+    u = simulate(medium, fg)
     gq = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
     with pytest.raises(HorizonTooShort):
         q_from_u(u, medium, gq)
@@ -146,7 +139,7 @@ def test_q_from_u_reads_every_row_on_one_clock():
     """
     fg = SpaceTimeGrid(-5.0, 5.0, 6.0, 1000, 600)  # dx = dt = 0.01
     medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-    u = simulate(medium, fg, SourceModel())
+    u = simulate(medium, fg)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 30, 30)
     q = q_from_u(u, medium, gq).values.values
     for i, x in enumerate(gq.x_nodes()):
@@ -164,7 +157,7 @@ def test_q_from_u_horizon_covers_the_front_offset():
     for t_max, nt, ok in [(5.05, 505, False), (5.1, 510, True)]:
         fg = SpaceTimeGrid(-5.0, 5.0, t_max, 1000, nt)
         medium = _const_medium(1.0, fg.x_min, fg.x_max, fg.nx)
-        u = simulate(medium, fg, SourceModel())
+        u = simulate(medium, fg)
         if ok:
             q_from_u(u, medium, gq)
         else:
@@ -178,7 +171,7 @@ def test_q_from_u_rejects_a_grid_past_the_field(u_hi, c_hi):
     inversion grid's end at x = 3."""
     fg = SpaceTimeGrid(-u_hi, u_hi, 6.0, 40 * int(u_hi), 100)
     medium = _const_medium(1.0, -c_hi, c_hi, 40 * int(c_hi))
-    u = simulate(medium, fg, SourceModel())
+    u = simulate(medium, fg)
     gq = SpaceTimeGrid(0.0, 3.0, 2.0, 20, 20)
     covers = f"spans [0, 3], but u covers [{-u_hi:g}, {u_hi:g}] and the medium [{-c_hi:g}, {c_hi:g}]"
     with pytest.raises(ValueError, match=re.escape(covers)):
@@ -255,7 +248,7 @@ def test_round_trip_smooth_inclusion():
     """
     fg = SpaceTimeGrid(-5.0, 5.0, 14.0, 3000, 700)
     medium = fixture_medium("test1")
-    u = simulate(medium, fg, SourceModel())
+    u = simulate(medium, fg)
     gq = SpaceTimeGrid(0.0, 3.0, 6.0, 60, 60)
     q = q_from_u(u, medium, gq)
     c = c_from_q(q)
