@@ -13,7 +13,7 @@ from . import fixtures, runner
 from .config import InversionConfig, RunConfig, invert_from_config, load_config
 from .convexify import ConvexParams, carleman_weight, convexity_scan, gradient_audit
 from .errors import ConvexiwaveError, FixtureMissing, InvalidInput
-from .forward import BoundaryData, boundary_data
+from .forward import FORWARD_GRID, BoundaryData, boundary_data
 from .grid import SpaceTimeGrid, field_to_csv, profile_to_csv, signal_from_csv, signal_to_csv
 from .preprocess import CalibrationResult, MediumMode, RawTrace, preprocess_pipeline
 
@@ -37,11 +37,10 @@ def _report(out, rows):
 
 
 def cmd_forward(args) -> int:
-    config = load_config(args.config)
-    cfg = config.forward
-    grid = cfg.grid.space_time_grid
-    medium = fixtures.medium_from_pieces(cfg.medium, grid)
-    u, d = boundary_data(medium, grid, config.inversion.eps, cfg.noise.delta, cfg.noise.seed)
+    cfg = load_config(args.config)
+    medium = fixtures.medium_from_pieces(cfg.forward.medium, FORWARD_GRID)
+    noise = cfg.forward.noise
+    u, d = boundary_data(medium, FORWARD_GRID, cfg.inversion.eps, noise.delta, noise.seed)
     if args.out:
         _write(args.out, field_to_csv(u))
     _write(args.g0, signal_to_csv(d.g0))

@@ -10,30 +10,11 @@ from dataclasses import dataclass, field
 
 from .convexify import ConvexParams, carleman_weight
 from .errors import InvalidInput
-from .fixtures import DEFAULT_FORWARD_GRID, check_piece, is_finite_number
+from .fixtures import check_piece, is_finite_number
 from .forward import BoundaryData
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
 from .transform import DEFAULT_C_UPPER
-
-
-@dataclass
-class GridConfig:
-    """The forward grid [-a, a] x [0, T] with nx x nt intervals; the defaults
-    are the fixtures' ``DEFAULT_FORWARD_GRID``."""
-
-    a: float = DEFAULT_FORWARD_GRID.x_max
-    T: float = DEFAULT_FORWARD_GRID.t_max
-    nx: int = DEFAULT_FORWARD_GRID.nx
-    nt: int = DEFAULT_FORWARD_GRID.nt
-
-    def __post_init__(self):
-        self.space_time_grid  # building the grid checks its ranges
-
-    @property
-    def space_time_grid(self) -> SpaceTimeGrid:
-        """The grid [-a, a] x [0, T]; ValueError if a parameter is out of range."""
-        return SpaceTimeGrid(-self.a, self.a, self.T, self.nx, self.nt)
 
 
 @dataclass
@@ -51,7 +32,6 @@ class NoiseConfig:
 @dataclass
 class ForwardConfig:
     medium: list = field(default_factory=list)
-    grid: GridConfig = field(default_factory=GridConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     def __post_init__(self):

@@ -14,16 +14,9 @@ import sys
 import numpy as np
 
 from .errors import FixtureMissing
-from .forward import INCIDENT_LEVEL, BoundaryData, MediumProfile, boundary_data
+from .forward import FORWARD_GRID, INCIDENT_LEVEL, BoundaryData, MediumProfile, boundary_data
 from .grid import Signal, SpaceTimeGrid
 from .preprocess import CalibrationResult, MediumMode, RawTrace
-
-# The forward discretization of every fixture and of ``convexiwave forward``'s
-# default grid: [-5, 5] x [0, 6] with 3000 x 300 intervals. The fixtures, their
-# bands and the ``synth_c`` constants are defined by this discretization, not
-# by the PDE: it runs ``forward.simulate`` at Courant number dt/dx = 6, and
-# g0 - INCIDENT_LEVEL is off by 5 % (test1) and 14 % (test3) from a converged solve.
-DEFAULT_FORWARD_GRID = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 300)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +29,6 @@ PIECE_KEYS = {
     "bump": ("center", "halfwidth", "amplitude"),
     "step": ("center", "halfwidth", "value"),
     "sine": ("center", "halfwidth", "base", "amplitude"),
-    "table": ("x", "c"),
 }
 
 
@@ -49,10 +41,9 @@ def is_finite_number(value) -> bool:
 
 def check_piece(piece) -> None:
     """Raise ValueError, naming the key, unless ``piece`` is a dict with a
-    known ``kind`` and exactly that kind's keys, holding finite numbers (lists
-    of them for "table") in the ranges that keep c > 0: a positive halfwidth
-    and step value, a bump amplitude above -1, a sine base above |amplitude|,
-    and a table with positive c over strictly increasing x."""
+    known ``kind`` and exactly that kind's keys, holding finite numbers in the
+    ranges that keep c > 0: a positive halfwidth and step value, a bump
+    amplitude above -1 and a sine base above |amplitude|."""
     if not isinstance(piece, dict):
         raise ValueError(f"medium piece {piece!r} is not an object")
     kind = piece.get("kind")
@@ -64,16 +55,6 @@ def check_piece(piece) -> None:
         raise ValueError(f"{kind} piece lacks {', '.join(sorted(missing))}")
     if unknown := piece.keys() - allowed:
         raise ValueError(f"{kind} piece has unknown keys {', '.join(sorted(unknown))}")
-    if kind == "table":
-        xs, cs = piece["x"], piece["c"]
-        if not (isinstance(xs, list) and isinstance(cs, list) and 0 < len(xs) == len(cs)
-                and all(map(is_finite_number, xs + cs))):
-            raise ValueError("table piece needs x and c as equal-length lists of finite numbers")
-        if min(cs) <= 0:
-            raise ValueError("table piece c must be positive")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("table piece x must be strictly increasing")
-        return
     if not all(is_finite_number(piece[key]) for key in piece.keys() - {"kind"}):
         raise ValueError(f"{kind} piece values must be finite numbers")
     if not piece["halfwidth"] > 0:
@@ -99,23 +80,18 @@ def _piece_values(piece: dict, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x0, w, value = piece["center"], piece["halfwidth"], piece["value"]
         mask = np.abs(x - x0) < w
         return mask, np.full(int(mask.sum()), float(value))
-    if kind == "sine":
-        x0, w = piece["center"], piece["halfwidth"]
-        base, amp = piece["base"], piece["amplitude"]
-        phase = piece.get("phase_center", x0)
-        mask = np.abs(x - x0) < w
-        return mask, base + amp * np.sin(np.pi * (x[mask] - phase))
-    xs = np.asarray(piece["x"], dtype=float)  # a "table" piece
-    cs = np.asarray(piece["c"], dtype=float)
-    mask = (x >= xs[0]) & (x <= xs[-1])
-    return mask, np.interp(x[mask], xs, cs)
+    x0, w = piece["center"], piece["halfwidth"]  # a "sine" piece
+    base, amp = piece["base"], piece["amplitude"]
+    phase = piece.get("phase_center", x0)
+    mask = np.abs(x - x0) < w
+    return mask, base + amp * np.sin(np.pi * (x[mask] - phase))
 
 
 def medium_from_pieces(pieces, grid: SpaceTimeGrid) -> MediumProfile:
     """Background 1 overwritten by each piece inside its own window, sampled
-    at the nx + 1 evenly spaced x-nodes of ``grid``. Raises ValueError,
-    naming the key, for a piece that ``check_piece`` rejects."""
-    x = np.linspace(grid.x_min, grid.x_max, grid.nx + 1)
+    at the x-nodes of ``grid``. Raises ValueError, naming the key, for a
+    piece that ``check_piece`` rejects."""
+    x = grid.x_nodes()
     c = np.ones_like(x)
     for piece in pieces:
         check_piece(piece)
@@ -183,9 +159,9 @@ FIXTURE_NAMES = tuple(SIMULATED_TESTS) + tuple(EXPERIMENTAL_TESTS)
 
 
 def fixture_medium(name: str) -> MediumProfile:
-    """The named fixture's medium, sampled on ``DEFAULT_FORWARD_GRID``."""
+    """The named fixture's medium, sampled on ``forward.FORWARD_GRID``."""
     if name in SIMULATED_TESTS:
-        return medium_from_pieces(SIMULATED_TESTS[name], DEFAULT_FORWARD_GRID)
+        return medium_from_pieces(SIMULATED_TESTS[name], FORWARD_GRID)
     if name in EXPERIMENTAL_TESTS:
         spec = EXPERIMENTAL_TESTS[name]
         piece = {
@@ -194,7 +170,7 @@ def fixture_medium(name: str) -> MediumProfile:
             "center": EXPERIMENTAL_CENTER,
             "halfwidth": spec["halfwidth"],
         }
-        return medium_from_pieces([piece], DEFAULT_FORWARD_GRID)
+        return medium_from_pieces([piece], FORWARD_GRID)
     raise FixtureMissing(f"unknown fixture {name!r}")
 
 
@@ -208,7 +184,7 @@ RAW_TRACE_DT = 0.133
 def simulated_boundary_data(name: str, delta: float, seed: int = 0) -> BoundaryData:
     """Forward-simulate a fixture medium and read its boundary data, with noise
     of level ``delta``, at x = 0, the observation point every fixture is defined by."""
-    _, data = boundary_data(fixture_medium(name), DEFAULT_FORWARD_GRID, 0.0, delta, seed)
+    _, data = boundary_data(fixture_medium(name), FORWARD_GRID, 0.0, delta, seed)
     return data
 
 
@@ -235,7 +211,7 @@ def synthesize_raw_trace(name: str) -> tuple[RawTrace, CalibrationResult, Signal
     d = simulated_boundary_data(name, delta=0.0)
     # resample to the radar sampling rate; the truncation window of the
     # preprocessing pipeline is expressed in these coarser steps
-    t = np.arange(0.0, DEFAULT_FORWARD_GRID.t_max + RAW_TRACE_DT, RAW_TRACE_DT)
+    t = np.arange(0.0, FORWARD_GRID.t_max + RAW_TRACE_DT, RAW_TRACE_DT)
     u_sc = np.interp(t, d.g0.times(), d.g0.samples - INCIDENT_LEVEL)
     peak_idx = int(np.argmax(np.abs(u_sc)))
     peak = u_sc[peak_idx]

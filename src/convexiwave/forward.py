@@ -50,6 +50,13 @@ class MediumProfile:
         return np.interp(x_query, self.x, self.c, left=1.0, right=1.0)
 
 
+# The forward discretization of every fixture and of ``convexiwave forward``:
+# [-5, 5] x [0, 6] with 3000 x 300 intervals. The fixtures, their bands and the
+# ``synth_c`` constants are defined by this discretization, not by the PDE: it
+# runs ``simulate`` at Courant number dt/dx = 6, and g0 - INCIDENT_LEVEL is off
+# by 5 % (test1) and 14 % (test3) from a converged solve.
+FORWARD_GRID = SpaceTimeGrid(-5.0, 5.0, 6.0, 3000, 300)
+
 # The k of the smoothed-Dirac source that every simulation launches at x = 0: its width is 1/k.
 SOURCE_K = 30.0
 
@@ -82,7 +89,7 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid) -> Field2D:
     """Implicit finite-difference solution of the absorbing-ends wave problem.
 
     This discretization, not the PDE, defines the simulated fixtures; the
-    comment on ``fixtures.DEFAULT_FORWARD_GRID`` states its error there.
+    comment on ``FORWARD_GRID`` states its error there.
 
     Time-centered implicit scheme: the Laplacian is averaged over the new and
     old time levels around the standard three-level u_tt difference, which is
@@ -102,7 +109,7 @@ def simulate(c: MediumProfile, grid: SpaceTimeGrid) -> Field2D:
     to each end, which decay geometrically away from their end (by about
     0.79 per node on the fixtures' grid). Each is applied only on the
     leading or trailing entries where |z| exceeds ``SUPPORT_TOL`` = 1e-30 of
-    its peak: 294 of 2,999 on ``fixtures.DEFAULT_FORWARD_GRID``. A cut term
+    its peak: 294 of 2,999 on ``FORWARD_GRID``. A cut term
     changes no sum on these grids: on the ten fixture media, over every step
     and cut entry, it is at most 4e-30 of the value it would be added to,
     and a double changes only when a term exceeds about 2**-54 = 5.6e-17 of

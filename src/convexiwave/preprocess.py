@@ -34,7 +34,7 @@ class ContrastSign(enum.Enum):
 @dataclass
 class RawTrace:
     signal: Signal
-    medium_mode: MediumMode = MediumMode.AIR
+    medium_mode: MediumMode
 
 
 @dataclass

@@ -9,8 +9,8 @@ from __future__ import annotations
 import functools
 
 from convexiwave.config import RunConfig
-from convexiwave.fixtures import DEFAULT_FORWARD_GRID, medium_from_pieces, simulated_boundary_data
-from convexiwave.forward import boundary_data
+from convexiwave.fixtures import medium_from_pieces, simulated_boundary_data
+from convexiwave.forward import FORWARD_GRID, boundary_data
 
 INVERSION_GRID = RunConfig().inversion.space_time_grid
 
@@ -24,5 +24,5 @@ def cached_boundary_data(name: str, delta: float = 0.0, seed: int = 0):
 def null_boundary_data(eps: float = 0.0):
     """Boundary data of the homogeneous medium on the production forward grid,
     recorded at the observation point x = eps."""
-    medium = medium_from_pieces([], DEFAULT_FORWARD_GRID)
-    return boundary_data(medium, DEFAULT_FORWARD_GRID, eps, 0.0, 0)[1]
+    medium = medium_from_pieces([], FORWARD_GRID)
+    return boundary_data(medium, FORWARD_GRID, eps, 0.0, 0)[1]

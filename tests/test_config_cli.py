@@ -17,7 +17,6 @@ import convexiwave
 from convexiwave import convexify, fixtures, forward, preprocess, solver, transform
 from convexiwave.cli import main
 from convexiwave.config import (
-    GridConfig,
     InversionConfig,
     NoiseConfig,
     PreprocessConfig,
@@ -29,7 +28,6 @@ from convexiwave.fixtures import FIXTURE_NAMES, medium_from_pieces, synthesize_r
 from convexiwave.forward import BoundaryData, simulate
 from convexiwave.grid import (
     Signal,
-    SpaceTimeGrid,
     field_to_csv,
     signal_from_csv,
     signal_to_csv,
@@ -65,8 +63,8 @@ def test_runconfig_defaults_match_production_values():
     assert cfg.convex.lam == 2.0
     assert cfg.convex.alpha == 0.3
     assert cfg.convex.beta == 1e-9
-    assert cfg.forward.grid.nx == 3000 and cfg.forward.grid.nt == 300
-    assert list(dataclasses.asdict(cfg.forward)) == ["medium", "grid", "noise"]
+    assert list(dataclasses.asdict(cfg.forward)) == ["medium", "noise"]
+    assert (forward.FORWARD_GRID.nx, forward.FORWARD_GRID.nt) == (3000, 300)
     assert forward.SOURCE_K == 30.0 and forward.FRONT_WINDOW == 0.26
 
 
@@ -83,6 +81,7 @@ SETTINGS_WITHOUT_DEFAULTS = [
     (preprocess.truncate_window, ("half_width_steps",)),
     (forward.boundary_data, ("eps", "delta", "seed")),
     (fixtures.simulated_boundary_data, ("delta",)),
+    (preprocess.RawTrace, ("medium_mode",)),
 ]
 
 
@@ -111,8 +110,6 @@ def test_load_save_roundtrip(tmp_path):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GridConfig(a=-1.0)
-    with pytest.raises(ValueError):
         InversionConfig(eps=4.0, M=3.0)
     with pytest.raises(ValueError):
         InversionConfig(c_upper=0.5)
@@ -127,8 +124,6 @@ def test_config_validation():
         (InversionConfig, "T"),
         (InversionConfig, "c_upper"),
         (InversionConfig, "diff_reg"),
-        (GridConfig, "a"),
-        (GridConfig, "T"),
         (NoiseConfig, "delta"),
         (PreprocessConfig, "diff_reg"),
     ],
@@ -143,10 +138,9 @@ def test_config_sections_reject_non_finite_values(section, key, value):
 # ---------------------------------------------------------------------------
 
 def _small_cfg(tmp_path, **inversion):
-    """A config for a quick forward run and a 5 + 5 step inversion on 20x20;
+    """A config for a forward run and a quick 5 + 5 step inversion on 20x20;
     ``inversion`` overrides fields of its inversion section."""
     cfg = RunConfig()
-    cfg.forward.grid = GridConfig(a=5.0, T=6.0, nx=600, nt=150)
     cfg.forward.medium = [{"kind": "bump", "center": 0.5, "halfwidth": 0.2, "amplitude": 10.0}]
     cfg.inversion = dataclasses.replace(cfg.inversion, nx=20, nt=20, **inversion)
     cfg.descent = dataclasses.replace(cfg.descent, max_iters=5, redescent_iters=5)
@@ -167,7 +161,7 @@ def test_cli_forward_then_invert(tmp_path):
     cfg_path = _small_cfg(tmp_path)
     g0, g1 = _forward(tmp_path, cfg_path)
     s = signal_from_csv(g0.read_text())
-    assert s.samples.size == 151
+    assert s.samples.size == 301
     assert s.samples[-1] != 0.0  # total wave, background 1/2 baked in
 
     out = tmp_path / "c.csv"
@@ -242,14 +236,14 @@ def test_cli_forward_then_invert_records_at_the_observation_point(tmp_path):
     assert main(["forward", "--config", str(cfg_path), "--out", str(field_path),
                  "--g0", str(g0), "--g1", str(g1)]) == 0
     fwd = load_config(str(cfg_path)).forward
-    grid = SpaceTimeGrid(-5.0, 5.0, 6.0, 600, 150)
+    grid = forward.FORWARD_GRID
     u = simulate(medium_from_pieces(fwd.medium, grid), grid)
     assert field_path.read_text() == field_to_csv(u)
     u = u.values
-    i = 306  # x = -5 + 306 * 10 / 600 = 0.1
+    i = 1530  # x = -5 + 1530 * 10 / 3000 = 0.1
     assert grid.x_nodes()[i] == pytest.approx(0.1, abs=1e-12)
     front = grid.t_nodes() <= 0.1 + 0.26
-    assert front.sum() == 10  # t = 0, 0.04, ..., 0.36
+    assert front.sum() == 19  # t = 0, 0.02, ..., 0.36
     g0_vals = signal_from_csv(g0.read_text()).samples
     g1_vals = signal_from_csv(g1.read_text()).samples
     assert np.all(g0_vals[front] == 0.5) and np.all(g1_vals[front] == 0.0)
@@ -262,8 +256,8 @@ def test_cli_forward_then_invert_records_at_the_observation_point(tmp_path):
 
 
 def test_cli_forward_rejects_an_observation_point_off_the_grid(tmp_path, capsys):
-    """An inversion.eps that is not a node of the forward grid (dx = 1/60
-    here) exits 2 with OffGridObservation and writes no traces."""
+    """An inversion.eps that is not a node of the forward grid (dx = 1/300)
+    exits 2 with OffGridObservation and writes no traces."""
     cfg_path = _small_cfg(tmp_path, eps=0.105)
     g0, g1 = tmp_path / "g0.csv", tmp_path / "g1.csv"
     assert main(["forward", "--config", str(cfg_path), "--g0", str(g0), "--g1", str(g1)]) == 2
@@ -279,7 +273,7 @@ def test_cli_invert_rejects_a_record_that_starts_late(tmp_path, capsys):
     g0, g1 = _forward(tmp_path, cfg_path)
     for path in (g0, g1):
         s = signal_from_csv(path.read_text())
-        path.write_text(signal_to_csv(Signal(s.t0 + 50 * s.dt, s.dt, s.samples[50:])))
+        path.write_text(signal_to_csv(Signal(s.t0 + 100 * s.dt, s.dt, s.samples[100:])))
     rc = main(["invert", "--g0", str(g0), "--g1", str(g1), "--config", str(cfg_path),
                "--out", str(tmp_path / "c.csv")])
     assert rc == 2
@@ -356,8 +350,9 @@ BAD_CONFIGS = {
         "forward", {"forward": {"medium": [{"kind": "bump", "center": NAN, "halfwidth": 0.2,
                                            "amplitude": 10.0}]}}
     ),
-    "medium_table_inf": (
-        "forward", {"forward": {"medium": [{"kind": "table", "x": [0.0, 1.0], "c": [1.0, INF]}]}}
+    # a sampled table is not a medium piece kind, however valid its values
+    "medium_table_unknown_kind": (
+        "forward", {"forward": {"medium": [{"kind": "table", "x": [0.0, 1.0], "c": [1.0, 2.0]}]}}
     ),
     "grad_tol_nan": ("invert", {"descent": {"grad_tol": NAN}}),
     "inversion_diff_reg_nan": ("invert", {"inversion": {"diff_reg": NAN}}),
@@ -365,7 +360,6 @@ BAD_CONFIGS = {
     "noise_delta_nan": ("forward", {"forward": {"noise": {"delta": NAN}}}),
     "noise_seed_negative": ("forward", {"forward": {"noise": {"delta": 0.05, "seed": -1}}}),
     "max_iters_fractional": ("invert", {"descent": {"max_iters": 2.5}}),
-    "forward_grid_nx_fractional": ("forward", {"forward": {"grid": {"nx": 300.5}}}),
     "inversion_nx_fractional": ("invert", {"inversion": {"nx": 20.5}}),
     "max_iters_bool": ("invert", {"descent": {"max_iters": True}}),
     "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
@@ -387,10 +381,11 @@ BAD_CONFIGS = {
     "source_k_nan": ("forward", {"forward": {"source": {"k": NAN}}}),
     "correction_x_hi_inf": ("forward", {"forward": {"correction": {"x_hi": INF}}}),
     "correction_t_hi_nan": ("forward", {"forward": {"correction": {"t_hi": NAN}}}),
+    "forward_grid_removed": ("forward", {"forward": {"grid": {"nx": 3000}}}),
 }
 
-# Finite medium pieces outside the ranges that keep c > 0 (or, for a table,
-# with x not strictly increasing), and the piece key the error must name.
+# Finite medium pieces outside the ranges that keep c > 0, and the piece key
+# the error must name.
 OUT_OF_RANGE_PIECES = {
     "medium_bump_halfwidth_negative": (
         "halfwidth", {"kind": "bump", "center": 0.5, "halfwidth": -0.2, "amplitude": 10.0}
@@ -410,11 +405,6 @@ OUT_OF_RANGE_PIECES = {
     "medium_sine_base_below_amplitude": (
         "base", {"kind": "sine", "center": 0.8, "halfwidth": 0.6, "base": 0.2, "amplitude": -0.3}
     ),
-    "medium_table_c_zero": ("c", {"kind": "table", "x": [0.0, 1.0], "c": [1.0, 0.0]}),
-    "medium_table_x_decreasing": (
-        "x", {"kind": "table", "x": [1.0, 0.5, 0.2], "c": [2.0, 2.0, 2.0]}
-    ),
-    "medium_table_x_repeated": ("x", {"kind": "table", "x": [0.0, 0.5, 0.5], "c": [2.0, 2.0, 2.0]}),
 }
 BAD_CONFIGS.update(
     (case, ("forward", {"forward": {"medium": [piece]}}))
@@ -490,13 +480,15 @@ def test_cli_rejects_bad_input_with_exit_2(tmp_path, capsys, case):
             assert f"unknown config key {section}.{key}" in err["message"]
     if case in OUT_OF_RANGE_PIECES:
         assert f"piece {OUT_OF_RANGE_PIECES[case][0]} must" in err["message"]
+    if case == "medium_table_unknown_kind":
+        assert "unknown medium piece kind 'table'" in err["message"]
 
 
 @pytest.mark.parametrize(
     "text, where",
     [("null", "top level"), ('{"inversion": null}', "inversion"),
-     ('{"forward": {"grid": null}}', "forward.grid")],
-    ids=["top_level", "inversion", "forward_grid"],
+     ('{"forward": {"noise": null}}', "forward.noise")],
+    ids=["top_level", "inversion", "forward_noise"],
 )
 def test_cli_rejects_a_null_config_section_with_exit_2(tmp_path, capsys, text, where):
     """A config, or a section of one, that is null exits 2 with InvalidInput

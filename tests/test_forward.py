@@ -10,13 +10,9 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import forward
 from convexiwave.errors import OffGridObservation, SingularSystem
-from convexiwave.fixtures import (
-    DEFAULT_FORWARD_GRID,
-    FIXTURE_NAMES,
-    fixture_medium,
-    medium_from_pieces,
-)
+from convexiwave.fixtures import FIXTURE_NAMES, fixture_medium, medium_from_pieces
 from convexiwave.forward import (
+    FORWARD_GRID,
     BoundaryData,
     MediumProfile,
     add_noise,
@@ -128,8 +124,8 @@ def test_simulate_equals_full_length_corrections_on_fixture_media(name):
     """Cutting the end corrections to their support changes no bit of the
     field on the fixture media, where only 294 of 2999 entries are kept."""
     medium = fixture_medium(name)
-    u = simulate(medium, DEFAULT_FORWARD_GRID)
-    ref = _full_update_simulate(medium, DEFAULT_FORWARD_GRID)
+    u = simulate(medium, FORWARD_GRID)
+    ref = _full_update_simulate(medium, FORWARD_GRID)
     assert np.array_equal(u.values, ref)
 
 
@@ -154,8 +150,8 @@ def test_simulate_matches_sparse_lu_reference_stepper():
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_simulate_matches_sparse_lu_reference_on_fixture_media(name):
     medium = fixture_medium(name)
-    u = simulate(medium, DEFAULT_FORWARD_GRID)
-    ref = _reference_simulate(medium, DEFAULT_FORWARD_GRID)
+    u = simulate(medium, FORWARD_GRID)
+    ref = _reference_simulate(medium, FORWARD_GRID)
     assert np.max(np.abs(u.values - ref)) <= 1e-10
 
 
@@ -391,19 +387,20 @@ def test_boundary_data_rejects_an_observation_point_off_the_grid(monkeypatch, ep
 
 
 @pytest.mark.parametrize(
-    "piece, key",
+    "piece, message",
     [
-        ({"kind": "table", "x": [0, 2, 1], "c": [2, 4, 8]}, "x"),
-        ({"kind": "table", "x": [2, 1, 0], "c": [2, 4, 8]}, "x"),
-        ({"kind": "bump", "center": 0.5, "halfwidth": -0.2, "amplitude": 10.0}, "halfwidth"),
+        ({"kind": "bump", "center": 0.5, "halfwidth": -0.2, "amplitude": 10.0},
+         "piece halfwidth must"),
+        # a sampled table is not a medium piece kind, however valid its values
+        ({"kind": "table", "x": [0.0, 1.0], "c": [1.0, 2.0]}, "unknown medium piece kind 'table'"),
     ],
-    ids=["table_unsorted", "table_decreasing", "halfwidth_negative"],
+    ids=["halfwidth_negative", "table_kind_unknown"],
 )
-def test_medium_from_pieces_rejects_a_bad_piece(piece, key):
-    """A library caller gets the config check's ValueError, naming the key,
-    not a silently wrong medium."""
+def test_medium_from_pieces_rejects_a_bad_piece(piece, message):
+    """A library caller gets the config check's ValueError, naming the key
+    or the unknown kind, not a silently wrong medium."""
     grid = SpaceTimeGrid(-5.0, 5.0, 1.0, 100, 10)
-    with pytest.raises(ValueError, match=f"piece {key} must"):
+    with pytest.raises(ValueError, match=message):
         medium_from_pieces([piece], grid)
 
 
@@ -456,7 +453,7 @@ def _reference_tikhonov(g, reg):
     return scipy.linalg.solve(lhs, K.T @ (g.samples - g.samples[0]), assume_a="pos")
 
 
-@pytest.mark.parametrize("n, dt", [(301, DEFAULT_FORWARD_GRID.dt), (120, 0.133)])
+@pytest.mark.parametrize("n, dt", [(301, FORWARD_GRID.dt), (120, 0.133)])
 def test_tikhonov_differentiate_matches_dense_solve(n, dt):
     """The cached Cholesky factor reproduces the dense SPD solve bit for bit,
     on the first call and on a cache hit, and the cached arrays are read-only."""
