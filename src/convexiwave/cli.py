@@ -123,8 +123,7 @@ def cmd_convexity_check(args) -> int:
     try:
         lambdas = [float(s) for s in args.lambdas.split(",")]
         for lam in lambdas:
-            params = ConvexParams(lam=lam)
-            carleman_weight(grid, params.lam, params.alpha)
+            carleman_weight(grid, ConvexParams(lam=lam).lam)
     except ValueError as exc:
         raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
     try:

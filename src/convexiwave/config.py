@@ -14,7 +14,7 @@ from .fixtures import check_piece, is_finite_number
 from .forward import BoundaryData
 from .grid import SpaceTimeGrid
 from .solver import DescentConfig, InversionResult, QRConfig, invert
-from .transform import DEFAULT_C_UPPER
+from .transform import DEFAULT_C_UPPER, q_floor_from_c_upper
 
 
 @dataclass
@@ -59,8 +59,7 @@ class InversionConfig:
         if not self.eps >= 0:
             raise ValueError("eps must be nonnegative")
         self.space_time_grid  # building the grid checks its ranges
-        if not 1.0 < self.c_upper < math.inf:
-            raise ValueError("c_upper must be finite and exceed the background value 1")
+        q_floor_from_c_upper(self.c_upper)  # raises for a bound outside (1, inf)
         if not 0 < self.diff_reg < math.inf:
             raise ValueError("diff_reg must be positive and finite")
 
@@ -160,17 +159,17 @@ def invert_from_config(data: BoundaryData, cfg: RunConfig) -> InversionResult:
     """Run ``solver.invert`` on the inversion grid and with the settings of ``cfg``;
     ``invert_from_config(data, RunConfig())`` is the library's production run.
 
-    Raises InvalidInput, naming ``convex.lam``, ``convex.alpha`` and the grid's
-    extent, before any work if the Carleman weight is not finite and positive
-    at every node of that grid.
+    Raises InvalidInput, naming ``convex.lam`` and the grid's extent, before
+    any work if the Carleman weight is not finite and positive at every node
+    of that grid.
     """
     inv = cfg.inversion
     grid = inv.space_time_grid
     try:
-        carleman_weight(grid, cfg.convex.lam, cfg.convex.alpha)
+        carleman_weight(grid, cfg.convex.lam)
     except ValueError as exc:
         extent = "inversion.eps, inversion.M and inversion.T"
-        raise InvalidInput(f"config convex.lam, convex.alpha, {extent}: {exc}") from exc
+        raise InvalidInput(f"config convex.lam, {extent}: {exc}") from exc
     return invert(
         data, grid, cfg.convex, cfg.qr, cfg.descent, diff_reg=inv.diff_reg,
         c_upper=inv.c_upper, freeze_time_derivative=inv.freeze_time_derivative,

@@ -45,44 +45,41 @@ from .grid import (
 from .transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper, residual_parts
 
 
+# The time factor alpha of the Carleman weight W = exp(-2 lam (x + alpha t)).
+ALPHA = 0.3
+# The weight beta of the H2 term. It is numerically inert: at the ``test1``
+# answer, beta * v^T H2 v = 1.5e-6 against J = 0.37, and beta = 1e-30 moves c
+# by at most 1e-6. The descent budgets, not beta, regularize the answer
+# (``solver.DescentConfig``).
+BETA = 1e-9
+
+
 @dataclass(frozen=True)
 class ConvexParams:
-    """Weight exponents and regularization weight.
-
-    The default beta = 1e-9 is numerically inert: at the ``test1`` answer,
-    beta * v^T H2 v = 1.5e-6 against J = 0.37, and beta = 1e-30 moves c by
-    at most 1e-6. The descent budgets, not beta, regularize the answer
-    (``solver.DescentConfig``).
-    """
+    """The Carleman weight's exponent lam, the objective's one setting."""
 
     lam: float = 2.0
-    alpha: float = 0.3
-    beta: float = 1e-9
 
     def __post_init__(self):
         if self.lam < 0 or not np.isfinite(self.lam):
             raise ValueError("lam must be finite and nonnegative")
-        if self.alpha <= 0 or not np.isfinite(self.alpha):
-            raise ValueError("alpha must be positive and finite")
-        if not (0 < self.beta < 1):
-            raise ValueError("beta must lie in (0, 1)")
 
 
-def carleman_weight(grid: SpaceTimeGrid, lam: float, alpha: float) -> np.ndarray:
-    """W(x, t) = exp(-2 lam (x + alpha t)) at every node.
+def carleman_weight(grid: SpaceTimeGrid, lam: float) -> np.ndarray:
+    """W(x, t) = exp(-2 lam (x + ``ALPHA`` t)) at every node.
 
     Raises ValueError unless W is finite and positive at every node. A huge
-    ``lam`` makes it NaN at the origin; a large ``lam`` or ``alpha`` makes it
-    underflow to 0 far from the origin, which would drop those nodes from J.
+    ``lam`` makes it NaN at the origin; a large ``lam`` or a grid far from
+    the origin makes it underflow to 0 there, which would drop those nodes
+    from J.
     """
     x = grid.x_nodes()[:, None]
     t = grid.t_nodes()[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        W = np.exp(-2.0 * lam * (x + alpha * t))
+        W = np.exp(-2.0 * lam * (x + ALPHA * t))
     if not (np.all(np.isfinite(W)) and W.min() > 0):
         raise ValueError(
-            f"Carleman weight is not finite and positive at every node for lam={lam!r}, "
-            f"alpha={alpha!r}"
+            f"Carleman weight is not finite and positive at every node for lam={lam!r}"
         )
     return W
 
@@ -99,7 +96,6 @@ class ObjectiveContext:
 
     q_eps: np.ndarray
     qx_eps: np.ndarray
-    params: ConvexParams
     q_floor: float
     ops: DiscreteOperators
     w2W: np.ndarray
@@ -113,16 +109,16 @@ def make_context(
     """The objective's context for boundary traces sampled on the grid's t-nodes.
 
     Raises ValueError if a trace does not start at t = 0, step by the grid's
-    dt and hold one sample per t-node, or if the Carleman weight is not
-    finite and positive at every node.
+    dt and hold one sample per t-node, if the Carleman weight is not finite
+    and positive at every node, or as ``transform.q_floor_from_c_upper`` does.
     """
     for trace in (q_eps, qx_eps):
         if (trace.t0, trace.dt, trace.samples.size) != (0.0, grid.dt, grid.nt + 1):
             raise ValueError("boundary traces must be sampled on the grid's t-nodes")
-    W = carleman_weight(grid, params.lam, params.alpha)
+    W = carleman_weight(grid, params.lam)
     ops = operators_for(grid)
     return ObjectiveContext(
-        q_eps.samples, qx_eps.samples, params, q_floor_from_c_upper(c_upper),
+        q_eps.samples, qx_eps.samples, q_floor_from_c_upper(c_upper),
         ops, ops.w2 * W, ops.wt * W[0], ops.wt * W[-1],
     )
 
@@ -171,7 +167,7 @@ def evaluate(v: np.ndarray, ctx: ObjectiveContext, bound: float = np.inf) -> Eva
         return None
     total += float((ctx.wtWM * qx_ends[1] ** 2).sum())
     H2v = ops.H2 @ v.ravel()
-    total += ctx.params.beta * float(v.ravel() @ H2v)
+    total += BETA * float(v.ravel() @ H2v)
     if total > bound:
         return None
     return Evaluation(v, r, s, a, b, Bq, Cq, F, qx_ends, H2v, total)
@@ -195,7 +191,7 @@ def gradient(e: Evaluation, ctx: ObjectiveContext) -> np.ndarray:
     dqx_ends = np.array([ctx.wtW0 * (e.qx_ends[0] - ctx.qx_eps), ctx.wtWM * e.qx_ends[1]])
     grad += ops.Gx_endsT @ (2.0 * dqx_ends)
     # H2 regularization
-    grad += 2.0 * ctx.params.beta * e.H2v.reshape(grad.shape)
+    grad += 2.0 * BETA * e.H2v.reshape(grad.shape)
     return grad
 
 

@@ -127,11 +127,11 @@ SIMULATED_TESTS: dict[str, list[dict]] = {
 }
 
 # Experimental-style fixtures: relative-dielectric profiles, reported bands,
-# and the scale factors used when synthesizing the raw voltages. The mu values
-# are documented reference constants from the original field calibration; the
-# synthesized traces are constructed so calibration reproduces them.
-MU_AIR = 459420.0
-MU_GROUND = 189445.0
+# and the scale factor of each mode used when synthesizing the raw voltages.
+# The mu values are documented reference constants from the original field
+# calibration; the synthesized traces are constructed so calibration
+# reproduces them.
+MU_BY_MODE = {MediumMode.AIR: 459420.0, MediumMode.GROUND: 189445.0}
 
 # c_rel: the relative dielectric constant the pipeline should report.
 # synth_c: the inclusion contrast used when synthesizing the raw trace —
@@ -139,16 +139,11 @@ MU_GROUND = 189445.0
 # g1 ~ g0' approximations shift amplitudes) reports c_rel. halfwidth: the
 # inclusion size; dips reflect weakly and need to be wider than bumps.
 EXPERIMENTAL_TESTS: dict[str, dict] = {
-    "bush": {"c_rel": 6.76, "mode": MediumMode.AIR, "mu": MU_AIR,
-             "synth_c": 5.8, "halfwidth": 0.2},
-    "wood": {"c_rel": 2.22, "mode": MediumMode.AIR, "mu": MU_AIR,
-             "synth_c": 2.05, "halfwidth": 0.2},
-    "metalbox": {"c_rel": 5.2, "mode": MediumMode.GROUND, "mu": MU_GROUND,
-                 "synth_c": 4.15, "halfwidth": 0.2},
-    "metalcyl": {"c_rel": 4.7, "mode": MediumMode.GROUND, "mu": MU_GROUND,
-                 "synth_c": 3.76, "halfwidth": 0.2},
-    "plastic": {"c_rel": 0.37, "mode": MediumMode.GROUND, "mu": MU_GROUND,
-                "synth_c": 0.22, "halfwidth": 0.45},
+    "bush": {"c_rel": 6.76, "mode": MediumMode.AIR, "synth_c": 5.8, "halfwidth": 0.2},
+    "wood": {"c_rel": 2.22, "mode": MediumMode.AIR, "synth_c": 2.05, "halfwidth": 0.2},
+    "metalbox": {"c_rel": 5.2, "mode": MediumMode.GROUND, "synth_c": 4.15, "halfwidth": 0.2},
+    "metalcyl": {"c_rel": 4.7, "mode": MediumMode.GROUND, "synth_c": 3.76, "halfwidth": 0.2},
+    "plastic": {"c_rel": 0.37, "mode": MediumMode.GROUND, "synth_c": 0.22, "halfwidth": 0.45},
 }
 
 # Smooth compactly supported inclusions: a single reflection event the
@@ -225,7 +220,7 @@ def synthesize_raw_trace(name: str) -> tuple[RawTrace, CalibrationResult, Signal
     ripple = 0.05 * abs(peak) * np.sin(2.0 * np.pi * t / 0.37) * _smooth_bump(t, t_peak + 2.2, 0.8)
     # ripple on the removable side so the envelope strips it
     ripple = np.abs(ripple) if lobe_sign > 0 else -np.abs(ripple)
-    mu = spec["mu"]
+    mu = MU_BY_MODE[spec["mode"]]
     raw_samples = (u_sc + distortion + ripple) / mu
     raw = RawTrace(Signal(0.0, RAW_TRACE_DT, raw_samples), spec["mode"])
     cal = CalibrationResult(mu=mu)

@@ -483,8 +483,11 @@ def initial_guess(
     Solves the over-determined constant-coefficient transport problem for the
     spatial derivative of the initial iterate by quasi-reversibility, rebuilds
     the iterate by cumulative quadrature from the measured trace, and sets its
-    t=0 row to the null scatterer's ``forward.INCIDENT_LEVEL``.
+    t=0 row to the null scatterer's ``forward.INCIDENT_LEVEL``, which lies
+    above the floor of every valid ``c_upper``. Raises ValueError, before any
+    work, as ``transform.q_floor_from_c_upper`` does.
     """
+    floor = q_floor_from_c_upper(c_upper)
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
     Qfield = _qr_solve([
@@ -494,8 +497,6 @@ def initial_guess(
     ], ops, qr)
     q_vals = q_eps.samples[None, :] + cumulative_trapezoid(Qfield, grid.dx)
     q_vals[:, 0] = INCIDENT_LEVEL
-    floor = q_floor_from_c_upper(c_upper)
-    np.maximum(q_vals[:, 0], floor, out=q_vals[:, 0])
     return QField(Field2D(grid, q_vals), floor), Field2D(grid, Qfield)
 
 

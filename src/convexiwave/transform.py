@@ -27,7 +27,13 @@ FRONT_OFFSET = 0.1
 
 
 def q_floor_from_c_upper(c_upper: float) -> float:
-    """Admissible lower bound on q(x, 0) implied by a known upper bound on c."""
+    """Admissible lower bound on q(x, 0) implied by a known upper bound on c.
+
+    Raises ValueError unless 1 < ``c_upper`` < inf: the bound must admit the
+    background c = 1, so the floor lies below ``forward.INCIDENT_LEVEL``.
+    """
+    if not 1.0 < c_upper < np.inf:
+        raise ValueError("c_upper must be finite and exceed the background value 1")
     return 1.0 / (2.0 * c_upper**0.25)
 
 

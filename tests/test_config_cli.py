@@ -60,12 +60,17 @@ def test_runconfig_defaults_match_production_values():
     }
     assert dataclasses.asdict(cfg.preprocess) == {"half_width_steps": 10, "diff_reg": 1e-6}
     assert dataclasses.asdict(cfg.descent) == {"max_iters": 300, "redescent_iters": 2000}
-    assert cfg.convex.lam == 2.0
-    assert cfg.convex.alpha == 0.3
-    assert cfg.convex.beta == 1e-9
+    assert dataclasses.asdict(cfg.convex) == {"lam": 2.0}
+    assert (convexify.ALPHA, convexify.BETA) == (0.3, 1e-9)
     assert list(dataclasses.asdict(cfg.forward)) == ["medium", "noise"]
     assert (forward.FORWARD_GRID.nx, forward.FORWARD_GRID.nt) == (3000, 300)
     assert forward.SOURCE_K == 30.0 and forward.FRONT_WINDOW == 0.26
+
+    def settable(section):
+        values = (getattr(section, f.name) for f in dataclasses.fields(section))
+        return sum(settable(v) if dataclasses.is_dataclass(v) else 1 for v in values)
+
+    assert settable(cfg) == 17
 
 
 # Each library stage takes these settings from RunConfig, or the fixtures' noise level
@@ -365,9 +370,8 @@ BAD_CONFIGS = {
     "freeze_time_derivative_text": ("invert", {"inversion": {"freeze_time_derivative": "no"}}),
     # a finite lam whose Carleman weight overflows on the inversion grid
     "convex_lam_overflows_weight": ("invert", {"convex": {"lam": 1e308}}),
-    # a finite lam or alpha whose Carleman weight underflows to 0 off the origin
+    # a finite lam whose Carleman weight underflows to 0 off the origin
     "convex_lam_underflows_weight": ("invert", {"convex": {"lam": 1e300}}),
-    "convex_alpha_underflows_weight": ("invert", {"convex": {"alpha": 1e300}}),
     # a grid so long that the default Carleman weight underflows to 0 at its far end
     "inversion_M_underflows_weight": ("invert", {"inversion": {"M": 1e6}}),
     # descent settings that became solver constants, each at its old default
@@ -377,6 +381,9 @@ BAD_CONFIGS = {
     "stop_linf_removed": ("invert", {"descent": {"stop_linf": 1e-3}}),
     "max_corrections_removed": ("invert", {"descent": {"max_corrections": 1}}),
     "grad_tol_removed": ("invert", {"descent": {"grad_tol": 1e-7}}),
+    # objective settings that became convexify constants, each at its old default
+    "alpha_removed": ("invert", {"convex": {"alpha": 0.3}}),
+    "beta_removed": ("invert", {"convex": {"beta": 1e-9}}),
     # forward settings that became forward constants: unknown keys, whatever their value
     "source_k_nan": ("forward", {"forward": {"source": {"k": NAN}}}),
     "correction_x_hi_inf": ("forward", {"forward": {"correction": {"x_hi": INF}}}),

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexiwave import convexify
 from convexiwave.convexify import (
+    ALPHA,
+    BETA,
     ConvexParams,
     bregman_divergence,
     carleman_weight,
@@ -51,22 +54,23 @@ def test_make_context_rejects_traces_off_the_grids_t_nodes(t0, dt_factor, n_extr
 
 
 def test_default_params():
-    p = ConvexParams()
-    assert p.lam == pytest.approx(2.0)
-    assert p.alpha == pytest.approx(0.3)
-    assert p.beta == pytest.approx(1e-9)
+    """lam is the objective's one setting; alpha and beta are constants."""
+    assert [f.name for f in dataclasses.fields(ConvexParams)] == ["lam"]
+    assert ConvexParams().lam == pytest.approx(2.0)
+    assert ALPHA == pytest.approx(0.3)
+    assert BETA == pytest.approx(1e-9)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         ConvexParams(lam=-1.0)
     with pytest.raises(ValueError):
-        ConvexParams(beta=0.0)
+        ConvexParams(lam=float("inf"))
 
 
 def test_carleman_weight_values():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 3, 3)
-    w = carleman_weight(g, 2.0, 0.3)
+    w = carleman_weight(g, 2.0)
     x = g.x_nodes()[:, None]
     t = g.t_nodes()[None, :]
     assert np.allclose(w, np.exp(-2 * 2.0 * (x + 0.3 * t)))
@@ -81,19 +85,19 @@ def test_non_finite_carleman_weight_is_rejected():
         _null_context(g, ConvexParams(lam=1e308))
 
 
-@pytest.mark.parametrize("lam, alpha", [(1e300, 0.3), (2.0, 1e300), (100.0, 0.3)])
-def test_underflowing_carleman_weight_is_rejected(lam, alpha):
+@pytest.mark.parametrize("lam, t_max", [(1e300, 6.0), (2.0, 1e300), (100.0, 6.0)])
+def test_underflowing_carleman_weight_is_rejected(lam, t_max):
     """W = 1 at the origin, and it underflows to 0 at every other node, at
     every node with t > 0, or only near the far corner, where
     2 lam (x + alpha t) reaches 960."""
-    g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
+    g = SpaceTimeGrid(0.0, 3.0, t_max, 8, 8)
     with pytest.raises(ValueError, match="finite and positive"):
-        carleman_weight(g, lam, alpha)
+        carleman_weight(g, lam)
 
 
 def test_carleman_weight_monotone():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
-    w = carleman_weight(g, 2.0, 0.3)
+    w = carleman_weight(g, 2.0)
     assert np.all(np.diff(w, axis=0) < 0)
     assert np.all(np.diff(w, axis=1) < 0)
 
@@ -150,7 +154,7 @@ def _partial_sums(v, ctx):
         float((ctx.wtW0 * (v[0] - ctx.q_eps) ** 2).sum()),
         float((ctx.wtW0 * (qx_ends[0] - ctx.qx_eps) ** 2).sum()),
         float((ctx.wtWM * qx_ends[1] ** 2).sum()),
-        ctx.params.beta * float(v.ravel() @ (ops.H2 @ v.ravel())),
+        BETA * float(v.ravel() @ (ops.H2 @ v.ravel())),
     )
     return list(itertools.accumulate(terms))
 
@@ -186,14 +190,17 @@ def _relative_error(got, ref):
     return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
 
 
-def test_objective_matches_assembled_operators():
+def test_objective_matches_assembled_operators(monkeypatch):
     """The factored stencils of ``residual_parts``, ``evaluate`` and ``gradient``
     give the objective written with the assembled sparse operators.
 
     The grid is not square, so an x-factor swapped for a t-factor cannot pass
     on shapes alone. A small exponent and a large beta let the right-end
-    penalty and the H2 term weigh in.
+    penalty and the H2 term weigh in; ``evaluate`` and ``gradient`` read
+    beta from ``convexify.BETA`` at each call.
     """
+    beta = 1e-3
+    monkeypatch.setattr(convexify, "BETA", beta)
     grid = SpaceTimeGrid(0.0, 3.0, 6.0, 17, 23)
     rng = np.random.Generator(np.random.Philox(11))
     v, _ = sample_admissible_pair(grid, rng, 5.0)
@@ -202,10 +209,10 @@ def test_objective_matches_assembled_operators():
     qx_eps = 0.2 * rng.normal(size=Q)
     ctx = make_context(
         grid, Signal(0.0, grid.dt, q_eps), Signal(0.0, grid.dt, qx_eps),
-        ConvexParams(lam=0.5, beta=1e-3), DEFAULT_C_UPPER,
+        ConvexParams(lam=0.5), DEFAULT_C_UPPER,
     )
-    ops, beta = ctx.ops, ctx.params.beta
-    W = carleman_weight(grid, ctx.params.lam, ctx.params.alpha)
+    ops = ctx.ops
+    W = carleman_weight(grid, 0.5)
     apply = ops.apply2d
 
     # the q-PDE residual and the objective, with the assembled operators

@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dpotrf, dtrttp
 
 from cached_data import cached_boundary_data, null_boundary_data
 from convexiwave import solver
-from convexiwave.config import RunConfig, invert_from_config
+from convexiwave.config import InversionConfig, RunConfig, invert_from_config
 from convexiwave.convexify import ConvexParams, evaluate_J, gradient_J, make_context
 from convexiwave.errors import SingularSystem
 from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, d2_matrix, operators_for
@@ -852,3 +852,23 @@ def test_invert_final_iterate_is_descent_output(inversion_grid):
     ctx = make_context(inversion_grid, q_eps, qx_eps, cfg.convex, cfg.inversion.c_upper)
     J_final = evaluate_J(res.q, ctx)
     assert J_final == pytest.approx(res.legs[-1]["J"][-1], rel=1e-12)
+
+
+@pytest.mark.parametrize("c_upper", [0.5, 1.0, -1.0, float("nan"), float("inf")])
+def test_stages_refuse_a_c_bound_the_config_refuses(inversion_grid, c_upper):
+    """The floor's one validity rule: ``initial_guess``, ``make_context`` and
+    ``invert`` raise InversionConfig's ValueError for a c_upper outside (1, inf)."""
+    cfg = RunConfig()
+    d = cached_boundary_data("test1")
+    q_eps, qx_eps = boundary_traces_from_data(d, inversion_grid, cfg.inversion.diff_reg)
+    stages = [
+        lambda: InversionConfig(c_upper=c_upper),
+        lambda: initial_guess(q_eps, qx_eps, inversion_grid, cfg.qr, c_upper),
+        lambda: make_context(inversion_grid, q_eps, qx_eps, cfg.convex, c_upper),
+        lambda: solver.invert(d, inversion_grid, cfg.convex, cfg.qr, solver.DescentConfig(5, 5),
+                              diff_reg=cfg.inversion.diff_reg, c_upper=c_upper,
+                              freeze_time_derivative=True),
+    ]
+    for stage in stages:
+        with pytest.raises(ValueError, match="c_upper must be finite and exceed the background"):
+            stage()
