@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from . import fixtures, runner
 from .config import InversionConfig, RunConfig, invert_from_config, load_config
-from .convexify import ConvexParams, carleman_weight, convexity_scan, gradient_audit
+from .convexify import convexity_scan, gradient_audit
 from .errors import ConvexiwaveError, FixtureMissing, InvalidInput
 from .forward import FORWARD_GRID, BoundaryData, boundary_data
 from .grid import SpaceTimeGrid, field_to_csv, profile_to_csv, signal_from_csv, signal_to_csv
@@ -117,19 +116,12 @@ def cmd_gradient_check(args) -> int:
 def cmd_convexity_check(args) -> int:
     if args.pairs < 1:
         raise InvalidInput("--pairs must be at least 1")
-    if not 0 < args.radius < math.inf:
-        raise InvalidInput("--radius must be positive and finite")
     grid = _audit_grid(args)
     try:
         lambdas = [float(s) for s in args.lambdas.split(",")]
-        for lam in lambdas:
-            carleman_weight(grid, ConvexParams(lam=lam).lam)
+        table = convexity_scan(grid, lambdas, args.pairs, seed=args.seed)
     except ValueError as exc:
         raise InvalidInput(f"--lambdas={args.lambdas}: {exc}") from exc
-    try:
-        table = convexity_scan(grid, lambdas, args.pairs, args.radius, seed=args.seed)
-    except ValueError as exc:
-        raise InvalidInput(f"--radius={args.radius!r}: {exc}") from exc
     rows = ["lambda,min_bregman"]
     rows += [f"{lam!r},{val!r}" for lam, val in table.items()]
     nonneg = [lam for lam, val in table.items() if val >= 0.0]
@@ -198,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     cc = sub.add_parser("convexity-check", help="Bregman-divergence sampling report")
     cc.add_argument("--lambdas", default="0,1,2,4,8")
     cc.add_argument("--pairs", type=int, default=100)
-    cc.add_argument("--radius", type=float, default=5.0)
     cc.add_argument("--nx", type=int, default=20)
     cc.add_argument("--nt", type=int, default=20)
     cc.add_argument("--seed", type=int, default=0)

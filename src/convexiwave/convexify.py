@@ -42,7 +42,9 @@ from .grid import (
     h2_norm_sq,
     operators_for,
 )
-from .transform import DEFAULT_C_UPPER, QField, q_floor_from_c_upper, residual_parts
+from .transform import (
+    DEFAULT_C_UPPER, QField, check_traces_on_t_nodes, q_floor_from_c_upper, residual_parts
+)
 
 
 # The time factor alpha of the Carleman weight W = exp(-2 lam (x + alpha t)).
@@ -52,6 +54,8 @@ ALPHA = 0.3
 # by at most 1e-6. The descent budgets, not beta, regularize the answer
 # (``solver.DescentConfig``).
 BETA = 1e-9
+# The H2 radius of the ball around the null scatterer's q that the audits sample.
+AUDIT_RADIUS = 5.0
 
 
 @dataclass(frozen=True)
@@ -108,13 +112,11 @@ def make_context(
 ) -> ObjectiveContext:
     """The objective's context for boundary traces sampled on the grid's t-nodes.
 
-    Raises ValueError if a trace does not start at t = 0, step by the grid's
-    dt and hold one sample per t-node, if the Carleman weight is not finite
-    and positive at every node, or as ``transform.q_floor_from_c_upper`` does.
+    Raises ValueError as ``transform.check_traces_on_t_nodes`` does, if the
+    Carleman weight is not finite and positive at every node, or as
+    ``transform.q_floor_from_c_upper`` does.
     """
-    for trace in (q_eps, qx_eps):
-        if (trace.t0, trace.dt, trace.samples.size) != (0.0, grid.dt, grid.nt + 1):
-            raise ValueError("boundary traces must be sampled on the grid's t-nodes")
+    check_traces_on_t_nodes(grid, q_eps, qx_eps)
     W = carleman_weight(grid, params.lam)
     ops = operators_for(grid)
     return ObjectiveContext(
@@ -249,22 +251,22 @@ def random_smooth_field(grid: SpaceTimeGrid, rng: np.random.Generator) -> np.nda
 
 
 def sample_admissible_pair(
-    grid: SpaceTimeGrid, rng: np.random.Generator, radius: float
+    grid: SpaceTimeGrid, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodal values of a random admissible iterate around the null-scatterer and a perturbation.
 
     Each of the two draws is a ``random_smooth_field`` scaled to H2 norm
-    radius / 2 times a uniform factor in [0.3, 1), then shrunk if its t=0 row
-    would use more than half the headroom above the ``DEFAULT_C_UPPER``
-    floor, less a 0.02 margin. So q and q + h stay in the H2-ball of the given
-    radius around the null scatterer's q = ``INCIDENT_LEVEL`` and keep their
-    t=0 rows above the floor. Raises ValueError if the pair is not finite.
+    ``AUDIT_RADIUS`` / 2 times a uniform factor in [0.3, 1), then shrunk if its
+    t=0 row would use more than half the headroom above the ``DEFAULT_C_UPPER``
+    floor, less a 0.02 margin. So q and q + h stay in the H2-ball of radius
+    ``AUDIT_RADIUS`` around the null scatterer's q = ``INCIDENT_LEVEL`` and
+    keep their t=0 rows above the floor. Raises ValueError unless finite.
     """
     cap = (INCIDENT_LEVEL - q_floor_from_c_upper(DEFAULT_C_UPPER) - 0.02) / 2.0
     out = []
     for _ in range(2):
         f = random_smooth_field(grid, rng)
-        scale = radius / 2.0 * rng.uniform(0.3, 1.0)
+        scale = AUDIT_RADIUS / 2.0 * rng.uniform(0.3, 1.0)
         norm = np.sqrt(h2_norm_sq(f, grid))
         if norm != 0:
             f = f * (scale / norm)
@@ -279,11 +281,7 @@ def sample_admissible_pair(
 
 
 def convexity_scan(
-    grid: SpaceTimeGrid,
-    lambdas,
-    n_pairs: int,
-    radius: float,
-    seed: int = 0,
+    grid: SpaceTimeGrid, lambdas, n_pairs: int, seed: int = 0
 ) -> dict[float, float]:
     """Minimum normalized Bregman divergence over sampled pairs, per weight exponent.
 
@@ -294,8 +292,8 @@ def convexity_scan(
     Each divergence is reported relative to the Carleman-weighted L2 norm of
     its perturbation: the raw values scale with the total mass of the weight,
     which shrinks with the exponent and would hide the convexification trend.
-    Raises ValueError as ``bregman_divergence`` does, or if an h's weighted
-    norm underflows.
+    Raises ValueError as ``sample_admissible_pair``, ``ConvexParams``, ``make_context``
+    and ``bregman_divergence`` do, or if an h's weighted norm underflows.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     x = grid.x_nodes()[:, None]
@@ -303,7 +301,7 @@ def convexity_scan(
     mask = ((x - grid.x_min) / span) ** 2
     pairs = []
     for _ in range(n_pairs):
-        q_vals, h = sample_admissible_pair(grid, rng, radius)
+        q_vals, h = sample_admissible_pair(grid, rng)
         pairs.append((INCIDENT_LEVEL + (q_vals - INCIDENT_LEVEL) * mask, h * mask))
     result: dict[float, float] = {}
     for lam in lambdas:
@@ -322,8 +320,8 @@ def gradient_audit(grid: SpaceTimeGrid, trials: int, seed: int = 0) -> list[floa
     """Relative error of the exact gradient against central differences of J.
 
     For each of ``trials`` sampled admissible pairs (q, h) in the H2-ball of
-    radius 5 (``sample_admissible_pair``), compares <grad J(q), h> with
-    (J(q + s h) - J(q - s h)) / (2 s) at s = 1e-6 and returns
+    radius ``AUDIT_RADIUS`` (``sample_admissible_pair``), compares
+    <grad J(q), h> with (J(q + s h) - J(q - s h)) / (2 s) at s = 1e-6 and returns
     |analytic - fd| / |fd| per trial, on ``_null_scatterer_context``'s objective.
     """
     ctx = _null_scatterer_context(grid, ConvexParams())
@@ -331,7 +329,7 @@ def gradient_audit(grid: SpaceTimeGrid, trials: int, seed: int = 0) -> list[floa
     s = 1e-6
     errors = []
     for _ in range(trials):
-        v, dv = sample_admissible_pair(grid, rng, 5.0)
+        v, dv = sample_admissible_pair(grid, rng)
         analytic = float(np.sum(gradient(evaluate(v, ctx), ctx) * dv))
         fd = (evaluate(v + s * dv, ctx).J - evaluate(v - s * dv, ctx).J) / (2.0 * s)
         errors.append(abs(analytic - fd) / max(abs(fd), 1e-300))

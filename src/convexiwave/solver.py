@@ -34,6 +34,7 @@ from .transform import (
     QField,
     boundary_traces_from_data,
     c_from_q,
+    check_traces_on_t_nodes,
     nonlocal_coefficients,
     q_floor_from_c_upper,
 )
@@ -485,8 +486,9 @@ def initial_guess(
     the iterate by cumulative quadrature from the measured trace, and sets its
     t=0 row to the null scatterer's ``forward.INCIDENT_LEVEL``, which lies
     above the floor of every valid ``c_upper``. Raises ValueError, before any
-    work, as ``transform.q_floor_from_c_upper`` does.
+    work, as ``check_traces_on_t_nodes`` and ``q_floor_from_c_upper`` do.
     """
+    check_traces_on_t_nodes(grid, q_eps, qx_eps)
     floor = q_floor_from_c_upper(c_upper)
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
@@ -583,9 +585,10 @@ def correction_step(
     with ``freeze_time_derivative`` the whole third term of the residual is
     frozen as a source (the current iterate's time derivative appears in it),
     otherwise only the two t=0 traces are frozen and the time derivative stays
-    an unknown.
+    an unknown. Raises ValueError as ``check_traces_on_t_nodes`` does.
     """
     grid = q_tilde.values.grid
+    check_traces_on_t_nodes(grid, q_eps, qx_eps)
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
     _, _, a, b_coef = nonlocal_coefficients(q_tilde.values.values, ops, q_tilde.q_floor)

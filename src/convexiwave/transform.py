@@ -174,3 +174,10 @@ def boundary_traces_from_data(
     g1_vals = np.interp(tq, d.g1.times(), d.g1.samples)
     dg0_vals = np.interp(tq, dg0.times(), dg0.samples)
     return Signal(0.0, grid.dt, g0_vals), Signal(0.0, grid.dt, g1_vals + dg0_vals)
+
+
+def check_traces_on_t_nodes(grid: SpaceTimeGrid, *traces: Signal) -> None:
+    """Raise ValueError unless each trace samples the grid's t-nodes: t0 = 0, dt, nt + 1 values."""
+    for trace in traces:
+        if (trace.t0, trace.dt, trace.samples.size) != (0.0, grid.dt, grid.nt + 1):
+            raise ValueError("boundary traces must be sampled on the grid's t-nodes")

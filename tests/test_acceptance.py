@@ -126,7 +126,7 @@ def test_gradient_matches_finite_differences():
 def test_bregman_minimum_nondecreasing_in_lambda():
     lambdas = [0.0, 1.0, 2.0, 4.0, 8.0]
     grid = SpaceTimeGrid(0.0, 3.0, 6.0, 20, 20)
-    table = convexity_scan(grid, lambdas, n_pairs=100, radius=5.0, seed=0)
+    table = convexity_scan(grid, lambdas, n_pairs=100, seed=0)
     mins = [table[lam] for lam in lambdas]
     for lo, hi in zip(mins, mins[1:]):
         assert hi >= lo - 1e-12 * max(1.0, abs(lo))

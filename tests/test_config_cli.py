@@ -516,8 +516,6 @@ def test_cli_rejects_a_null_config_section_with_exit_2(tmp_path, capsys, text, w
         ["convexity-check", "--lambdas=-1"],
         ["convexity-check", "--lambdas=1,x"],
         ["convexity-check", "--pairs", "0"],
-        ["convexity-check", "--radius", "0"],
-        ["convexity-check", "--radius", "inf"],
         ["convexity-check", "--seed", "-1"],
         ["gradient-check", "--nx", "1"],
         ["gradient-check", "--trials", "0"],
@@ -527,15 +525,10 @@ def test_cli_rejects_a_null_config_section_with_exit_2(tmp_path, capsys, text, w
         ["convexity-check", "--lambdas", "1e308", "--pairs", "1", "--nx", "8", "--nt", "8"],
         ["convexity-check", "--lambdas", "1e300", "--pairs", "1", "--nx", "8", "--nt", "8"],
         ["convexity-check", "--lambdas", "2,100", "--pairs", "1", "--nx", "8", "--nt", "8"],
-        # a radius whose perturbations' weighted squared norm underflows to 0
-        ["convexity-check", "--radius", "1e-200", "--pairs", "2", "--nx", "8", "--nt", "8"],
-        # a radius whose Bregman divergences are within rounding of J
-        ["convexity-check", "--radius", "1e-9", "--pairs", "2", "--nx", "8", "--nt", "8"],
     ],
-    ids=["negative_lambda", "text_lambda", "no_pairs", "zero_radius", "infinite_radius",
+    ids=["negative_lambda", "text_lambda", "no_pairs",
          "convexity_negative_seed", "nx_1", "no_trials", "gradient_negative_seed",
-         "lambda_weight_not_finite", "lambda_weight_zero", "lambda_weight_underflows_at_corner",
-         "radius_underflows", "radius_below_rounding"],
+         "lambda_weight_not_finite", "lambda_weight_zero", "lambda_weight_underflows_at_corner"],
 )
 def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "report.csv"
@@ -543,6 +536,15 @@ def test_cli_audit_rejects_bad_arguments_with_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "InvalidInput" and err["message"]
+
+
+def test_cli_convexity_check_has_no_radius_option(capsys):
+    """The audit ball's radius is the constant ``convexify.AUDIT_RADIUS``:
+    ``--radius`` is an unknown option, which argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["convexity-check", "--radius", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --radius" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -134,7 +134,7 @@ def test_gradient_matches_finite_differences(seed):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(seed))
-    v, h = sample_admissible_pair(g, rng, 5.0)
+    v, h = sample_admissible_pair(g, rng)
     grad = gradient_J(QField(Field2D(g, v), FLOOR), ctx)
     analytic = float(np.sum(grad.values * h))
     s = 1e-6
@@ -170,7 +170,7 @@ def test_evaluate_with_bound_is_none_exactly_above_the_objective(seed):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 12, 12)
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(seed))
-    v, h = sample_admissible_pair(g, rng, 5.0)
+    v, h = sample_admissible_pair(g, rng)
     for point in (v, v + h):
         full = evaluate(point, ctx)
         partials = _partial_sums(point, ctx)
@@ -203,7 +203,7 @@ def test_objective_matches_assembled_operators(monkeypatch):
     monkeypatch.setattr(convexify, "BETA", beta)
     grid = SpaceTimeGrid(0.0, 3.0, 6.0, 17, 23)
     rng = np.random.Generator(np.random.Philox(11))
-    v, _ = sample_admissible_pair(grid, rng, 5.0)
+    v, _ = sample_admissible_pair(grid, rng)
     P, Q = grid.shape
     q_eps = 0.5 + 0.05 * rng.normal(size=Q)
     qx_eps = 0.2 * rng.normal(size=Q)
@@ -267,13 +267,13 @@ def test_bregman_nonnegative_at_default_weight():
     ctx = _null_context(g)
     rng = np.random.Generator(np.random.Philox(7))
     for _ in range(10):
-        v, h = sample_admissible_pair(g, rng, 5.0)
+        v, h = sample_admissible_pair(g, rng)
         assert bregman_divergence(v, h, ctx) > -1e-10
 
 
 def test_convexity_scan_shape():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
-    table = convexity_scan(g, [0.0, 2.0], n_pairs=5, radius=5.0, seed=1)
+    table = convexity_scan(g, [0.0, 2.0], n_pairs=5, seed=1)
     assert set(table) == {0.0, 2.0}
     assert all(np.isfinite(v) for v in table.values())
 
@@ -289,13 +289,30 @@ def test_sample_admissible_pair_respects_floor():
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     rng = np.random.Generator(np.random.Philox(2))
     for _ in range(20):
-        v, h = sample_admissible_pair(g, rng, 5.0)
+        v, h = sample_admissible_pair(g, rng)
         assert np.all(v[:, 0] >= FLOOR)
         assert np.all(v[:, 0] + h[:, 0] >= FLOOR)
 
 
-def test_non_finite_sampled_pair_is_rejected():
+def test_non_finite_sampled_pair_is_rejected(monkeypatch):
     g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
     rng = np.random.Generator(np.random.Philox(2))
+    monkeypatch.setattr(convexify, "AUDIT_RADIUS", np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        sample_admissible_pair(g, rng, np.nan)
+        sample_admissible_pair(g, rng)
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [(1e-200, "weighted squared norm of a perturbation underflows to 0"),
+     (1e-9, "Bregman divergence .* is within rounding of its terms")],
+    ids=["radius_underflows", "radius_below_rounding"],
+)
+def test_convexity_scan_rejects_a_ball_too_small_to_measure(monkeypatch, radius, message):
+    """In a ball so small that a perturbation's weighted squared norm
+    underflows to 0, or that a Bregman divergence is rounding error, the scan
+    raises instead of reporting a minimum."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 8, 8)
+    monkeypatch.setattr(convexify, "AUDIT_RADIUS", radius)
+    with pytest.raises(ValueError, match=message):
+        convexity_scan(g, [0.0, 1.0, 2.0, 4.0, 8.0], n_pairs=2)

@@ -214,6 +214,26 @@ def test_descend_is_bit_identical_to_reference_loop(clamp):
 # correction_step
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "t0, dt_factor", [(2.0, 1.0), (0.0, 0.5)], ids=["late_start", "other_step"]
+)
+@pytest.mark.parametrize("stage", ["initial_guess", "correction_step"])
+def test_qr_stages_reject_traces_off_the_grids_t_nodes(stage, t0, dt_factor):
+    """Both QR stages refuse, as ``make_context`` does, a trace of the right
+    length that starts late or steps by another dt, instead of solving with
+    its samples laid on the wrong times."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 10, 10)
+    good = Signal(0.0, g.dt, np.full(g.nt + 1, 0.5))
+    off = Signal(t0, g.dt * dt_factor, np.full(g.nt + 1, 0.5))
+    q = QField(Field2D(g, np.full(g.shape, 0.5)), FLOOR)
+    for q_eps, qx_eps in [(off, good), (good, off)]:
+        with pytest.raises(ValueError, match="t-nodes"):
+            if stage == "initial_guess":
+                initial_guess(q_eps, qx_eps, g, QRConfig(), DEFAULT_C_UPPER)
+            else:
+                correction_step(q, q_eps, qx_eps, QRConfig(), True)
+
+
 @pytest.mark.parametrize("freeze_time_derivative", [True, False])
 def test_correction_constant_fixed_point(freeze_time_derivative):
     """A consistent constant iterate reproduces itself, with the time
