@@ -389,18 +389,17 @@ class GridCholesky:
         self.factors = [class_factors[cls] for cls in front_class]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward then back substitution over the fronts."""
+        """Forward then back substitution, in place on a permuted float64 copy of real ``b``."""
         fronts = self.tree.fronts
-        y = b[self.tree.order]
+        y = np.asarray(b, dtype=float)[self.tree.order]
         for f, (L11, L21) in zip(fronts, self.factors):
             k = f.stop - f.start
-            piv = dtpsv(k, L11, y[f.start:f.stop], lower=1)
-            y[f.start:f.stop] = piv
-            y[f.rows[k:]] -= L21 @ piv
+            dtpsv(k, L11, y, offx=f.start, lower=1, overwrite_x=1)
+            y[f.rows[k:]] -= L21 @ y[f.start:f.stop]
         for f, (L11, L21) in zip(reversed(fronts), reversed(self.factors)):
             k = f.stop - f.start
-            rhs = y[f.start:f.stop] - L21.T @ y[f.rows[k:]]
-            y[f.start:f.stop] = dtpsv(k, L11, rhs, lower=1, trans=1)
+            y[f.start:f.stop] -= L21.T @ y[f.rows[k:]]
+            dtpsv(k, L11, y, offx=f.start, lower=1, trans=1, overwrite_x=1)
         return y[self.tree.position]
 
 
@@ -418,30 +417,30 @@ QR_RESIDUAL_TOL = 1e-6
 def solve_quadratic(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns, *, shape=None):
     """Minimize sum_k ||w_k^(1/2) (L_k v - b_k)||^2 + reg_eta * sum_j ||w^(1/2) R_j v||^2.
 
-    Assembles the normal equations and solves them by a nested-dissection
-    multifrontal Cholesky factorization (``GridCholesky``) over the
-    row-major grid ``shape``, which defaults to (1, n_unknowns); a system of
-    at most LEAF_SIZE unknowns is one dense front. The regularization adds
-    reg_eta times the Gram matrix sum_j R_j^T diag(w) R_j from
-    ``grid.weighted_gram``, which both QR stages share with the objective
-    (``_qr_solve``). With positive weights the
-    normal matrix is symmetric positive semidefinite, and positive definite
-    once a term or ``reg_ops`` (the H2 operators include the identity)
-    covers every unknown; an unknown that nothing covers leaves a zero
-    pivot, which dpotrf reports. Returns (solution, relative_normal_residual),
-    the residual ||normal @ solution - rhs|| / ||rhs||. Raises InvalidInput
-    if ||rhs|| overflows, which data far off the unit source's scale cause;
-    SingularSystem if a pivot is not positive, the solution is non-finite or
-    its relative residual exceeds ``QR_RESIDUAL_TOL``; and ValueError if the
-    normal matrix couples nodes across a separator of ``shape``.
+    Stacks the terms into one operator L = [L_1; ...; L_m], with weights
+    w = [w_1; ...] and targets b = [b_1; ...] (a None target is a zero
+    block), and forms the normal matrix L^T diag(w) L and right-hand side
+    L^T diag(w) b with one product each. It adds reg_eta times the Gram
+    matrix sum_j R_j^T diag(w) R_j from ``grid.weighted_gram``, which both
+    QR stages share with the objective (``_qr_solve``), and solves by a
+    nested-dissection multifrontal Cholesky factorization (``GridCholesky``)
+    over the row-major grid ``shape``, by default (1, n_unknowns). With
+    positive weights the normal matrix is symmetric positive semidefinite,
+    and positive definite once a term or ``reg_ops`` (the H2 operators
+    include the identity) covers every unknown; an unknown that nothing
+    covers leaves a zero pivot, which dpotrf reports. Returns (solution,
+    relative_normal_residual), the residual ||normal @ solution - rhs|| /
+    ||rhs||. Raises InvalidInput if ||rhs|| overflows, which data far off
+    the unit source's scale cause; SingularSystem if a pivot is not
+    positive, the solution is non-finite or its relative residual exceeds
+    ``QR_RESIDUAL_TOL``; and ValueError if the normal matrix couples nodes
+    across a separator of ``shape``.
     """
-    normal = sp.csr_matrix((n_unknowns, n_unknowns))
-    rhs = np.zeros(n_unknowns)
-    for L, w, b in terms:
-        Lw = L.T @ sp.diags(w)
-        normal = normal + Lw @ L
-        if b is not None:
-            rhs = rhs + Lw @ b
+    L = sp.vstack([Lk for Lk, _, _ in terms], format="csr")
+    Lw = L.T @ sp.diags(np.concatenate([w for _, w, _ in terms]))
+    normal = (Lw @ L).tocsr()
+    rhs = Lw @ np.concatenate([np.zeros(Lk.shape[0]) if b is None else b for Lk, _, b in terms])
+    del L, Lw  # freed before the factorization, whose transients set the peak memory
     if reg_ops:
         normal = normal + reg_eta * weighted_gram(reg_ops, reg_weight_vec)
     with np.errstate(over="ignore"):

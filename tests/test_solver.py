@@ -12,7 +12,14 @@ from convexiwave import solver
 from convexiwave.config import InversionConfig, RunConfig, invert_from_config
 from convexiwave.convexify import ConvexParams, evaluate_J, gradient_J, make_context
 from convexiwave.errors import SingularSystem
-from convexiwave.grid import Field2D, Signal, SpaceTimeGrid, d2_matrix, operators_for
+from convexiwave.grid import (
+    Field2D,
+    Signal,
+    SpaceTimeGrid,
+    d2_matrix,
+    operators_for,
+    weighted_gram,
+)
 from convexiwave.solver import (
     QRConfig,
     correction_step,
@@ -624,17 +631,30 @@ def _per_front_factors(matrix, shape):
 
 
 def _qr_normal_matrices(monkeypatch, nx, nt, corrections):
-    """The normal matrices that ``initial_guess`` and then ``correction_step``,
-    once per entry of ``corrections`` (its ``freeze_time_derivative``), factor
-    on an nx x nt grid, each with its grid shape."""
-    recorded = []
+    """The systems that ``initial_guess`` and then ``correction_step``, once
+    per entry of ``corrections`` (its ``freeze_time_derivative``), solve on
+    an nx x nt grid, each as the normal matrix that GridCholesky factors,
+    its grid shape, the right-hand side it solves for, and the positional
+    arguments of the ``solve_quadratic`` call that assembled them."""
+    factored, solved, inputs = [], [], []
 
     class Recorded(solver.GridCholesky):
         def __init__(self, matrix, shape):
-            recorded.append((matrix, shape))
+            factored.append((matrix, shape))
             super().__init__(matrix, shape)
 
+        def solve(self, b):
+            solved.append(b.copy())
+            return super().solve(b)
+
+    exact = solver.solve_quadratic
+
+    def recorded(*args, **kwargs):
+        inputs.append(args)
+        return exact(*args, **kwargs)
+
     monkeypatch.setattr(solver, "GridCholesky", Recorded)
+    monkeypatch.setattr(solver, "solve_quadratic", recorded)
     g = SpaceTimeGrid(0.0, 3.0, 6.0, nx, nt)
     t = g.t_nodes()
     q_eps = Signal(0.0, g.dt, 0.5 + 0.02 * np.sin(t))
@@ -643,7 +663,7 @@ def _qr_normal_matrices(monkeypatch, nx, nt, corrections):
     for freeze in corrections:
         correction_step(q0, q_eps, qx_eps, QRConfig(), freeze)
     monkeypatch.undo()
-    return recorded
+    return [(*system, b, args) for system, b, args in zip(factored, solved, inputs, strict=True)]
 
 
 def _constant_matrix(pairs, shape):
@@ -678,14 +698,43 @@ def test_shared_fronts_equal_the_per_front_factorization_on_qr_matrices(
     L11 or L21."""
     systems = _qr_normal_matrices(monkeypatch, nx, nt, corrections)
     assert len(systems) == 1 + len(corrections)
-    for matrix, shape in systems:
+    for matrix, shape, _, _ in systems:
         _assert_equals_per_front(solver.GridCholesky(matrix, shape), matrix, shape)
+
+
+def _per_term_normal_equations(terms, reg_ops, reg_weight_vec, reg_eta, n_unknowns):
+    """The normal matrix and right-hand side summed one term at a time, as
+    solve_quadratic assembled them before it stacked its terms."""
+    normal = sp.csr_matrix((n_unknowns, n_unknowns))
+    rhs = np.zeros(n_unknowns)
+    for L, w, b in terms:
+        Lw = L.T @ sp.diags(w)
+        normal = normal + Lw @ L
+        if b is not None:
+            rhs = rhs + Lw @ b
+    return normal + reg_eta * weighted_gram(reg_ops, reg_weight_vec), rhs
+
+
+@pytest.mark.parametrize("nx, nt", [(23, 31), (60, 60)])
+def test_stacked_assembly_equals_the_per_term_sums(monkeypatch, nx, nt):
+    """The initialization and both correction variants hand GridCholesky,
+    to the bit, the CSR normal matrix and the right-hand side that summing
+    their terms one at a time gives."""
+    systems = _qr_normal_matrices(monkeypatch, nx, nt, (True, False))
+    assert len(systems) == 3
+    for A, _, b, args in systems:
+        A_ref, b_ref = _per_term_normal_equations(*args)
+        assert A.format == A_ref.format == "csr"
+        assert np.array_equal(A.indptr, A_ref.indptr)
+        assert np.array_equal(A.indices, A_ref.indices)
+        assert np.array_equal(A.data, A_ref.data)
+        assert np.array_equal(b, b_ref)
 
 
 def test_the_production_initial_guess_factors_fewer_fronts_than_it_has(monkeypatch):
     """The 60x60 initial guess has constant coefficients, so translated
     leaves and separators of the interior repeat and share one factor."""
-    (matrix, shape), = _qr_normal_matrices(monkeypatch, 60, 60, ())
+    (matrix, shape, _, _), = _qr_normal_matrices(monkeypatch, 60, 60, ())
     chol = solver.GridCholesky(matrix, shape)
     assert _distinct(chol) < len(chol.tree.fronts)
 
@@ -746,6 +795,18 @@ def test_a_perturbed_leaf_stops_sharing_only_along_its_path_to_the_root(empty_an
         for j in kept:
             assert (after.factors[i] is after.factors[j]) == (before.factors[i] is before.factors[j])
     _assert_matches_dense(perturbed, shape)
+
+
+def test_solve_accepts_an_integer_right_hand_side(empty_analysis_cache):
+    """An integer b solves as its float64 copy does, to the bit, and
+    neither argument is written."""
+    chol = solver.GridCholesky(_grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 3), CACHE_SHAPE)
+    n = CACHE_SHAPE[0] * CACHE_SHAPE[1]
+    b_int, b_float = np.arange(n), np.arange(n, dtype=float)
+    x = chol.solve(b_int)
+    assert np.array_equal(x, chol.solve(b_float)) and x.dtype == np.float64
+    assert np.array_equal(b_int, np.arange(n)) and b_int.dtype == np.arange(n).dtype
+    assert np.array_equal(b_float, np.arange(n, dtype=float))
 
 
 def test_solves_leave_shared_blocks_unchanged(empty_analysis_cache):
