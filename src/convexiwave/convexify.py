@@ -3,18 +3,14 @@
 The objective is the quadrature of the exponentially weighted squared residual
 of the nonlocal PDE for q, plus boundary-trace penalties at both ends of the
 spatial interval and a discrete-H2 regularization term. This module owns the
-objective, its gradient and the convexity probes; the residual comes from
-``transform.residual_parts`` and every stencil, quadrature weight and the H2
-Gram matrix from ``grid.operators_for``. ``evaluate`` returns the objective
-together with every stencil image its gradient needs, and ``gradient`` builds
-the gradient from that record alone, so a descent step that accepts a trial
-point never applies a stencil to it again. Per evaluation the stencil images
-are those of ``transform.residual_parts``, q_x at the two ends only
-(``Gx_ends`` v, a 2-row product) and H2 v. The gradient is the exact
-derivative of the discretized objective: the chain rule runs through the
-stencil transposes, with Dxt^T = Dt^T Dx^T so the PDE term's adjoint takes one
-full-size matvec, then the nonlocal t=0 row, the weight, and the penalties.
-Given a ``bound``, ``evaluate`` returns None if J's partial sum after the PDE
+objective, its gradient and the convexity probes; the residual and its adjoint
+come from ``transform``, and every stencil, quadrature weight and the H2 Gram
+matrix from ``grid.operators_for``. ``evaluate`` returns the objective with
+every stencil image its gradient needs (those of ``transform.residual_parts``,
+q_x at the two ends only, and H2 v), and ``gradient`` builds the exact
+derivative of the discretized objective from that record alone, so a descent
+step that accepts a trial point never applies a stencil to it again. Given a
+``bound``, ``evaluate`` returns None if J's partial sum after the PDE
 term or after the two x_min penalties, or J, exceeds it, so most rejected
 Armijo trials of ``solver.descend`` skip the H2 product: on the benchmark's
 simulated media those two sums decide 95-100 % of the ~2320 rejected trials
@@ -43,7 +39,8 @@ from .grid import (
     operators_for,
 )
 from .transform import (
-    DEFAULT_C_UPPER, QField, check_traces_on_t_nodes, q_floor_from_c_upper, residual_parts
+    DEFAULT_C_UPPER, QField, check_traces_on_t_nodes, q_floor_from_c_upper, residual_adjoint,
+    residual_parts,
 )
 
 
@@ -129,20 +126,14 @@ def make_context(
 class Evaluation:
     """The objective at one iterate and the pieces its gradient reuses.
 
-    ``v`` holds the iterate's nodal values; ``r`` to ``F`` are the outputs of
-    ``transform.residual_parts``; ``qx_ends`` = ``Gx_ends`` v holds q_x on
-    the rows x_min and x_max, shape (2, Q), the only rows of Dx v the
-    boundary penalties read; ``H2v`` = H2 v, flattened.
+    ``v`` holds the iterate's nodal values; ``parts`` is the tuple that
+    ``transform.residual_parts`` returns, F last; ``qx_ends`` = ``Gx_ends`` v
+    holds q_x on the rows x_min and x_max, shape (2, Q), the only rows of
+    Dx v the boundary penalties read; ``H2v`` = H2 v, flattened.
     """
 
     v: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    Bq: np.ndarray
-    Cq: np.ndarray
-    F: np.ndarray
+    parts: tuple
     qx_ends: np.ndarray
     H2v: np.ndarray
     J: float
@@ -157,8 +148,8 @@ def evaluate(v: np.ndarray, ctx: ObjectiveContext, bound: float = np.inf) -> Eva
     row of ``v`` dips below ``ctx.q_floor``.
     """
     ops = ctx.ops
-    r, s, a, b, Bq, Cq, F = residual_parts(v, ops, ctx.q_floor)
-    total = float((ctx.w2W * F**2).sum())
+    parts = residual_parts(v, ops, ctx.q_floor)
+    total = float((ctx.w2W * parts[-1] ** 2).sum())
     if total > bound:
         return None
     # boundary penalties: value and x-derivative at x_min, x-derivative at x_max
@@ -172,22 +163,13 @@ def evaluate(v: np.ndarray, ctx: ObjectiveContext, bound: float = np.inf) -> Eva
     total += BETA * float(v.ravel() @ H2v)
     if total > bound:
         return None
-    return Evaluation(v, r, s, a, b, Bq, Cq, F, qx_ends, H2v, total)
+    return Evaluation(v, parts, qx_ends, H2v, total)
 
 
 def gradient(e: Evaluation, ctx: ObjectiveContext) -> np.ndarray:
     """Exact gradient of the discretized objective at ``e.v``, from its evaluation alone."""
     ops = ctx.ops
-    dF = 2.0 * ctx.w2W * e.F  # dJ/dF
-    # Dxx^T dF - Dxt^T (a dF) + Dt^T (b dF), with Dxt^T = Dt^T Dx^T
-    grad = ops.Gxx1dT @ dF + ops.apply2d(
-        ops.DtT, e.b[:, None] * dF - ops.Gx1dT @ (e.a[:, None] * dF)
-    )
-    # chain rule through the nonlocal t=0 traces r = q(.,0), s = r_x
-    sum_B = (dF * e.Bq).sum(axis=1)
-    sum_C = (dF * e.Cq).sum(axis=1)
-    trace_grad = sum_B / e.r**3 - sum_C * (3.0 * e.s) / (2.0 * e.r**4)
-    grad[:, 0] += trace_grad + ops.Gx1dT @ (sum_C / (2.0 * e.r**3))
+    grad = residual_adjoint(e.parts, 2.0 * ctx.w2W * e.parts[-1], ops)  # dJ/dF = 2 w2W F
     # boundary penalties; the x-derivative ones through the 2-row Gx_ends^T
     grad[0] += 2.0 * ctx.wtW0 * (e.v[0] - ctx.q_eps)
     dqx_ends = np.array([ctx.wtW0 * (e.qx_ends[0] - ctx.qx_eps), ctx.wtWM * e.qx_ends[1]])

@@ -35,7 +35,7 @@ from .transform import (
     boundary_traces_from_data,
     c_from_q,
     check_traces_on_t_nodes,
-    nonlocal_coefficients,
+    frozen_operator,
     q_floor_from_c_upper,
 )
 
@@ -211,30 +211,49 @@ class _Analysis:
 def _analyze(
     tree: _DissectionTree, A: sp.csr_matrix, shape: tuple[int, int], key: bytes
 ) -> _Analysis:
-    n = tree.order.size
-    starts = np.array([f.start for f in tree.fronts])
-    pivots = np.array([f.stop - f.start for f in tree.fronts])
-    sizes = np.array([f.rows.size for f in tree.fronts])
+    n, fronts = tree.order.size, tree.fronts
+    # Per-entry arrays set the memory peak of the first solve on a pattern, so
+    # they hold int32 positions, rows and offsets wherever every front's
+    # blocks can be indexed in int32, and each is dropped once read.
+    sizes = np.array([f.rows.size for f in fronts])
+    pivots = np.array([f.stop - f.start for f in fronts])
+    idx = np.int32 if max(n, int((sizes * pivots).max())) < 2**31 else np.int64
+    starts = np.array([f.start for f in fronts], dtype=idx)
+    sizes, pivots = sizes.astype(idx), pivots.astype(idx)
     # front f's rows, shifted by f * n, increase through every front in turn,
     # so one sorted search finds each entry's row in its own front
-    keys = np.concatenate([i * n + f.rows for i, f in enumerate(tree.fronts)])
-    r = tree.position[np.repeat(np.arange(n), np.diff(A.indptr))]
-    c = tree.position[A.indices]
-    src = np.flatnonzero(c >= r)
-    r, c = r[src], c[src]
-    front = np.searchsorted(starts, r, side="right") - 1
-    found = np.minimum(np.searchsorted(keys, front * n + c), keys.size - 1)
-    if np.any(keys[found] != front * n + c):
+    keys = np.concatenate([i * n + f.rows for i, f in enumerate(fronts)])
+    position = tree.position.astype(idx)
+    r = np.repeat(position, np.diff(A.indptr))
+    c = position[A.indices]
+    upper = c >= r
+    src = _compact(np.flatnonzero(upper))
+    r, c = r[upper], c[upper]
+    del upper
+    front = np.repeat(np.arange(len(fronts), dtype=idx), pivots)[r]
+    entry = front * np.int64(n) + c
+    del c
+    found = np.searchsorted(keys, entry)
+    np.minimum(found, keys.size - 1, out=found)
+    if np.any(keys[found] != entry):
         raise ValueError(f"matrix couples grid nodes across a separator of the {shape} grid")
-    row = found - (np.cumsum(sizes) - sizes)[front]
+    del entry
+    found -= (np.cumsum(sizes) - sizes)[front]
+    row = found.astype(idx)
+    del found
     col = r - starts[front]
+    del r
     k = pivots[front]
     later = row >= k
     dst = np.where(later, row - k + col * (sizes[front] - k), row + col * k)
+    del row, col, k
     group = 2 * front + later
+    del front, later
     by_group = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[by_group], np.arange(2 * len(tree.fronts) + 1))
-    dst = _compact(dst[by_group])
+    bounds = np.searchsorted(group[by_group], np.arange(2 * len(fronts) + 1))
+    del group
+    dst, src = _compact(dst[by_group]), src[by_group]
+    del by_group
     ids: dict[tuple, int] = {}
     structure = tuple(
         ids.setdefault((
@@ -246,9 +265,9 @@ def _analyze(
             tuple(tuple((b, *(end for s in add for end in (s.start, s.stop)))
                         for b, *add in adds) for adds in f.extend),
         ), len(ids))
-        for i, f in enumerate(tree.fronts)
+        for i, f in enumerate(fronts)
     )
-    return _Analysis(key, _compact(src[by_group]), dst, bounds, structure)
+    return _Analysis(key, src, dst, bounds, structure)
 
 
 def _compact(index: np.ndarray) -> np.ndarray:
@@ -389,8 +408,13 @@ class GridCholesky:
         self.factors = [class_factors[cls] for cls in front_class]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Forward then back substitution, in place on a permuted float64 copy of real ``b``."""
-        fronts = self.tree.fronts
+        """Forward then back substitution, in place on a permuted float64 copy of real ``b``.
+
+        Raises ValueError unless ``b`` has shape (n,), one entry per unknown.
+        """
+        fronts, n = self.tree.fronts, self.tree.order.size
+        if np.shape(b) != (n,):
+            raise ValueError(f"right-hand side of shape {np.shape(b)} does not fit {n} unknowns")
         y = np.asarray(b, dtype=float)[self.tree.order]
         for f, (L11, L21) in zip(fronts, self.factors):
             k = f.stop - f.start
@@ -580,24 +604,14 @@ def correction_step(
 ) -> QField:
     """Solve the frozen-coefficient linear problem for an improved iterate.
 
-    The nonlocal coefficients are frozen at the current iterate's t=0 traces;
-    with ``freeze_time_derivative`` the whole third term of the residual is
-    frozen as a source (the current iterate's time derivative appears in it),
-    otherwise only the two t=0 traces are frozen and the time derivative stays
-    an unknown. Raises ValueError as ``check_traces_on_t_nodes`` does.
+    Freezes the q-PDE at the current iterate (``transform.frozen_operator``, with
+    ``freeze_time_derivative``). Raises ValueError as ``check_traces_on_t_nodes`` does.
     """
     grid = q_tilde.values.grid
     check_traces_on_t_nodes(grid, q_eps, qx_eps)
     ops = operators_for(grid)
     P, Q = ops.P, ops.Q
-    _, _, a, b_coef = nonlocal_coefficients(q_tilde.values.values, ops, q_tilde.q_floor)
-    L = (ops.Dxx - sp.diags(np.repeat(a, Q)) @ ops.Dxt).tocsr()
-    if freeze_time_derivative:
-        dq_t = ops.apply2d(ops.Dt, q_tilde.values.values)
-        target = (-(dq_t * b_coef[:, None])).ravel()
-    else:
-        L = (L + sp.diags(np.repeat(b_coef, Q)) @ ops.Dt).tocsr()
-        target = None
+    L, target = frozen_operator(q_tilde.values.values, ops, q_tilde.q_floor, freeze_time_derivative)
     vals = _qr_solve([
         (L, ops.w2.ravel(), target),
         (sp.eye(Q, P * Q, format="csr"), ops.wt, q_eps.samples),

@@ -1,13 +1,13 @@
-"""Travel-time change of variables, conversions among u, q and c, and the q-PDE residual.
+"""Travel-time change of variables, conversions among u, q and c, and the q-PDE.
 
 The wave u(x, t) is re-clocked along the wavefront, q(x, t) = u(x, t + tau(x)),
 which turns the unknown-coefficient wave equation into a nonlinear nonlocal
 PDE for q alone; its t=0 trace recovers c through c = 1 / (16 q(x,0)^4).
-This module owns that PDE's residual (``residual_parts``, which the objective
-in ``convexify`` also evaluates), its nonlocal coefficients
-(``nonlocal_coefficients``, which the correction step also freezes) and the
+This module is that PDE's one home, on the stencils of ``grid.operators_for``:
+its residual (``residual_parts``) and exact adjoint (``residual_adjoint``),
+which ``convexify`` calls, and its frozen-coefficient operator
+(``frozen_operator``), which the correction step solves. It also owns the
 only q -> c conversion (``c_from_q``).
-Its stencils come from ``grid.operators_for``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import FloorViolation, HorizonTooShort, InvalidInput
 from .forward import BoundaryData, MediumProfile, tikhonov_differentiate
@@ -129,8 +130,7 @@ def c_from_q(q: QField) -> MediumProfile:
 def nonlocal_coefficients(v: np.ndarray, ops: DiscreteOperators, floor: float):
     """The t=0 trace r = q(x,0) of the nodal values ``v``, s = r_x, and the
     q-PDE's nonlocal coefficients a = 1 / (2 r^2) and b = s / (2 r^3), one
-    value per x-node. Raises FloorViolation if r dips below ``floor``.
-    """
+    value per x-node. Raises FloorViolation if r dips below ``floor``."""
     r = checked_trace(v, floor)
     s = ops.Gx1d @ r
     return r, s, 1.0 / (2.0 * r**2), s / (2.0 * r**3)
@@ -152,6 +152,34 @@ def residual_parts(v: np.ndarray, ops: DiscreteOperators, floor: float):
     Bq = ops.Gx1d @ Cq
     F = ops.Gxx1d @ v - a[:, None] * Bq + b[:, None] * Cq
     return r, s, a, b, Bq, Cq, F
+
+
+def residual_adjoint(parts, dF: np.ndarray, ops: DiscreteOperators) -> np.ndarray:
+    """The vector-Jacobian product of ``residual_parts``: the gradient of
+    sum(dF * F) in v, a (P, Q) array, from the ``parts`` it returned at v."""
+    r, s, a, b, Bq, Cq, _ = parts
+    # Dxx^T dF - Dxt^T (a dF) + Dt^T (b dF), with Dxt^T = Dt^T Dx^T
+    grad = ops.Gxx1dT @ dF + ops.apply2d(ops.DtT, b[:, None] * dF - ops.Gx1dT @ (a[:, None] * dF))
+    # chain rule through the nonlocal t=0 traces r = q(.,0), s = r_x
+    sum_B = (dF * Bq).sum(axis=1)
+    sum_C = (dF * Cq).sum(axis=1)
+    trace_grad = sum_B / r**3 - sum_C * (3.0 * s) / (2.0 * r**4)
+    grad[:, 0] += trace_grad + ops.Gx1dT @ (sum_C / (2.0 * r**3))
+    return grad
+
+
+def frozen_operator(
+    v: np.ndarray, ops: DiscreteOperators, floor: float, freeze_time_derivative: bool
+):
+    """The q-PDE with a and b frozen at the nodal values ``v``, as (L, target):
+    L = Dxx - a Dxt + b Dt and None, or, with ``freeze_time_derivative``, the
+    term b q_t frozen too, L = Dxx - a Dxt and target -b Dt v. Raises
+    FloorViolation as ``nonlocal_coefficients`` does."""
+    _, _, a, b = nonlocal_coefficients(v, ops, floor)
+    L = (ops.Dxx - sp.diags(np.repeat(a, ops.Q)) @ ops.Dxt).tocsr()
+    if freeze_time_derivative:
+        return L, (-(ops.apply2d(ops.Dt, v) * b[:, None])).ravel()
+    return (L + sp.diags(np.repeat(b, ops.Q)) @ ops.Dt).tocsr(), None
 
 
 def boundary_traces_from_data(

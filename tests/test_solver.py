@@ -474,6 +474,7 @@ def test_dissection_tree_of_the_23x31_grid_splits_both_directions():
 # ---------------------------------------------------------------------------
 
 CACHE_SHAPE = (20, 23)  # 460 unknowns: several leaves and separators
+CACHE_N = CACHE_SHAPE[0] * CACHE_SHAPE[1]
 
 
 def _neighbour_pairs(P, Q):
@@ -592,6 +593,73 @@ def test_analysis_cache_stays_bounded(empty_analysis_cache):
         extra = (k * Q + 2, (k + 1) * Q + 3)  # one diagonal coupling per pattern
         _assert_matches_dense(_grid_matrix(pairs + [extra], k))
         assert len(empty_analysis_cache[CACHE_SHAPE]) == min(k + 1, solver.ANALYSES_PER_SHAPE)
+
+
+def _reference_analyze(tree, A, shape, key):
+    """``solver._analyze`` as it was before its per-entry arrays held int32
+    positions and were dropped once read."""
+    n = tree.order.size
+    starts = np.array([f.start for f in tree.fronts])
+    pivots = np.array([f.stop - f.start for f in tree.fronts])
+    sizes = np.array([f.rows.size for f in tree.fronts])
+    keys = np.concatenate([i * n + f.rows for i, f in enumerate(tree.fronts)])
+    r = tree.position[np.repeat(np.arange(n), np.diff(A.indptr))]
+    c = tree.position[A.indices]
+    src = np.flatnonzero(c >= r)
+    r, c = r[src], c[src]
+    front = np.searchsorted(starts, r, side="right") - 1
+    found = np.minimum(np.searchsorted(keys, front * n + c), keys.size - 1)
+    if np.any(keys[found] != front * n + c):
+        raise ValueError(f"matrix couples grid nodes across a separator of the {shape} grid")
+    row = found - (np.cumsum(sizes) - sizes)[front]
+    col = r - starts[front]
+    k = pivots[front]
+    later = row >= k
+    dst = np.where(later, row - k + col * (sizes[front] - k), row + col * k)
+    group = 2 * front + later
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[by_group], np.arange(2 * len(tree.fronts) + 1))
+    dst = solver._compact(dst[by_group])
+    ids = {}
+    structure = tuple(
+        ids.setdefault((
+            f.stop - f.start,
+            f.rows.size,
+            dst[bounds[2 * i]:bounds[2 * i + 1]].tobytes(),
+            dst[bounds[2 * i + 1]:bounds[2 * i + 2]].tobytes(),
+            tuple(tuple((b, *(end for s in add for end in (s.start, s.stop)))
+                        for b, *add in adds) for adds in f.extend),
+        ), len(ids))
+        for i, f in enumerate(tree.fronts)
+    )
+    return solver._Analysis(key, solver._compact(src[by_group]), dst, bounds, structure)
+
+
+def _assert_analysis_equals_reference(A, shape):
+    tree = solver.dissection_tree(*shape)
+    got = solver._analyze(tree, A, shape, b"key")
+    ref = _reference_analyze(tree, A, shape, b"key")
+    assert got.key == ref.key and got.structure == ref.structure
+    for name in ("src", "dst", "bounds"):
+        mine, theirs = getattr(got, name), getattr(ref, name)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+
+
+@pytest.mark.parametrize("nx, nt", [(23, 31), (60, 60), (200, 200)])
+def test_analysis_equals_the_reference_on_the_qr_patterns(monkeypatch, nx, nt):
+    """The initial guess's and both corrections' normal matrices analyze to
+    the reference's src, dst and bounds, dtypes included, and structure."""
+    systems = _qr_normal_matrices(monkeypatch, nx, nt, (True, False))
+    assert len(systems) == 3
+    for matrix, shape, _, _ in systems:
+        assert matrix.format == "csr" and matrix.has_canonical_format
+        _assert_analysis_equals_reference(matrix, shape)
+
+
+def test_analysis_equals_the_reference_on_the_default_one_row_grid():
+    n = 400
+    D2 = d2_matrix(n - 1, 1.0)
+    _assert_analysis_equals_reference((D2.T @ D2 + sp.identity(n)).tocsr(), (1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +875,18 @@ def test_solve_accepts_an_integer_right_hand_side(empty_analysis_cache):
     assert np.array_equal(x, chol.solve(b_float)) and x.dtype == np.float64
     assert np.array_equal(b_int, np.arange(n)) and b_int.dtype == np.arange(n).dtype
     assert np.array_equal(b_float, np.arange(n, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "shape", [(CACHE_N + 1,), (CACHE_N - 1,), (CACHE_N, 1), (1, CACHE_N)],
+    ids=["longer", "shorter", "column", "row"],
+)
+def test_solve_refuses_a_right_hand_side_that_does_not_fit(empty_analysis_cache, shape):
+    """A b of any shape but (n,) raises ValueError naming n: a longer b is
+    not cut to its first n entries, and a shorter one fails as loudly."""
+    chol = solver.GridCholesky(_grid_matrix(_neighbour_pairs(*CACHE_SHAPE), 3), CACHE_SHAPE)
+    with pytest.raises(ValueError, match=f"fit {CACHE_N} unknowns"):
+        chol.solve(np.ones(shape))
 
 
 def test_solves_leave_shared_blocks_unchanged(empty_analysis_cache):

@@ -20,6 +20,7 @@ from convexiwave.transform import (
     c_from_q,
     q_floor_from_c_upper,
     q_from_u,
+    residual_adjoint,
     residual_parts,
     travel_time,
 )
@@ -202,6 +203,29 @@ def test_residual_zero_for_transport_family():
     F = residual_parts(q.values.values, operators_for(g), FLOOR)[-1]
     # q_xx = 0, q_xt = 0, q_t = const, q_x(x,0) = 0 -> F = 0
     assert np.max(np.abs(F)) < 1e-10
+
+
+def test_residual_adjoint_matches_central_differences():
+    """<residual_adjoint(parts, dF), h> is the derivative of v -> sum(dF * F(v))
+    along h, to 1e-6 of central differences. Each h moves the t=0 row too,
+    so the chain rule through the nonlocal traces r and s is checked; the
+    grid is not square, so a swapped x- and t-stencil cannot pass."""
+    g = SpaceTimeGrid(0.0, 3.0, 6.0, 17, 23)
+    ops = operators_for(g)
+    rng = np.random.Generator(np.random.Philox(3))
+    x, t = g.x_nodes()[:, None], g.t_nodes()[None, :]
+    v = 0.5 + 0.05 * np.sin(2.0 * x + 0.5 * t) * np.cos(x)
+    dF = rng.normal(size=g.shape)
+    adjoint = residual_adjoint(residual_parts(v, ops, FLOOR), dF, ops)
+
+    def pairing(w):
+        return float(np.sum(dF * residual_parts(w, ops, FLOOR)[-1]))
+
+    s = 1e-6
+    for _ in range(5):
+        h = rng.normal(size=g.shape)
+        fd = (pairing(v + s * h) - pairing(v - s * h)) / (2.0 * s)
+        assert abs(float(np.sum(adjoint * h)) - fd) <= 1e-6 * abs(fd)
 
 
 def test_boundary_traces_resampling():
